@@ -16,7 +16,7 @@ n_pts = grid_points_for(n, 512)
 h0 = to_grid(FourierRep(2.0, 0.5, [0.25], [0.0]), n_pts).samples
 
 cfg = FlowConfig(t_end=20.0, dt=0.01, method="rk4", record_every=200)
-traj = integrate(riesz_system(n, n_pts), h0, cfg)
+traj = integrate(riesz_system(n), h0, cfg)
 
 print("t       entropy      ln 2 - H    |grad|      constraint residual")
 for t, H, g, r in zip(traj.times, traj.entropy, traj.grad_norm,

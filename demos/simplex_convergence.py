@@ -8,14 +8,14 @@ ln n.
 
 import numpy as np
 
-from srbflow.flow import FlowConfig, integrate, simplex_system
+from srbflow.flow import FlowConfig, integrate, riesz_system
 
 rng = np.random.default_rng(0)
 x0 = rng.uniform(0.5, 1.5, 5)
 x0 /= x0.sum()
 
 cfg = FlowConfig(t_end=30.0, dt=0.01, method="rk4", record_every=500)
-traj = integrate(simplex_system(5), x0, cfg)
+traj = integrate(riesz_system(5), x0, cfg)
 
 print("t        x1      x2      x3      x4      x5      entropy   ln 5 - H")
 for t, x, H in zip(traj.times, traj.states, traj.entropy):

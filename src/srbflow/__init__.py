@@ -28,6 +28,7 @@ from .entropy import (
     pde_rhs_even,
     pde_rhs_n2,
     riesz_gradient,
+    simplex_rhs,
     sobolev_gradient_n2,
 )
 from .flow import (
@@ -39,8 +40,6 @@ from .flow import (
     heat_reference,
     integrate,
     riesz_system,
-    simplex_rhs,
-    simplex_system,
 )
 from .verify import CheckReport, run_all
 
@@ -53,7 +52,7 @@ __all__ = [
     "gateaux_g", "gateaux_h", "heat_reference", "integrate",
     "pde_rhs_even", "pde_rhs_n2", "project_constraint", "quadrature",
     "riesz_gradient", "riesz_system", "run_all", "simplex_rhs",
-    "simplex_system", "sobolev_gradient_n2", "sobolev_norm",
+    "sobolev_gradient_n2", "sobolev_norm",
     "tangent_residual", "to_fourier", "to_grid",
 ]
 

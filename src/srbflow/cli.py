@@ -75,9 +75,8 @@ def _trajectory_table(traj: fl.Trajectory, state_names: list[str],
     return header, np.column_stack(cols)
 
 
-def _flow_config(args, n_modes: int) -> fl.FlowConfig:
+def _flow_config(args) -> fl.FlowConfig:
     return fl.FlowConfig(t_end=args.t_end, dt=args.dt, method=args.method,
-                         n_modes=max(n_modes, 1), n_points=args.grid,
                          record_every=args.record_every)
 
 
@@ -104,7 +103,7 @@ def cmd_simplex(args) -> int:
         raise ValueError(f"--x needs {args.n} components")
     if abs(x0.sum() - 1.0) > 1e-9 or np.any(x0 <= 0) or np.any(x0 >= 1):
         raise ValueError("--x must be an interior point of the simplex")
-    traj = fl.integrate(fl.simplex_system(args.n), x0, _flow_config(args, args.n))
+    traj = fl.integrate(fl.riesz_system(args.n), x0, _flow_config(args))
     names = [f"x{k+1}" for k in range(args.n)]
     header, rows = _trajectory_table(traj, names, with_residual=True)
     _write_table(_resolve_out(args.out), header, rows, args.format)
@@ -115,13 +114,13 @@ def _galerkin_like(args, use_pde: bool) -> int:
     if args.n != 2:
         raise ValueError("the Sobolev-metric Galerkin flow is degree-2 only")
     if args.B is not None:
-        B0 = _parse_floats(args.B)
-        if args.modes and B0.size != args.modes:
+        x0 = _parse_floats(args.B)
+        if args.modes and x0.size != args.modes:
             raise ValueError("--B length must equal --modes")
-        _print_extrema(even_density(B0, np.linspace(0, 2 * np.pi, 512)))
+        _print_extrema(even_density(x0, np.linspace(0, 2 * np.pi, 512)))
         system = fl.even_galerkin_system(args.grid, use_pde=use_pde)
-        traj = fl.integrate(system, B0, _flow_config(args, B0.size))
-        names = [f"B{k+1}" for k in range(B0.size)]
+        n_modes = x0.size
+        names = [f"B{k+1}" for k in range(n_modes)]
     elif args.coeffs is not None:
         c = _parse_floats(args.coeffs)
         if c.size % 2:
@@ -129,12 +128,15 @@ def _galerkin_like(args, use_pde: bool) -> int:
         state = GalerkinState(c[0::2], c[1::2])
         _print_extrema(flow_density(state, 512))
         system = fl.galerkin_system_n2(args.grid, use_pde=use_pde)
-        traj = fl.integrate(system, np.concatenate([state.a, state.b]),
-                            _flow_config(args, state.n_modes))
-        names = [f"a{2*k+1}" for k in range(state.n_modes)] + \
-                [f"b{2*k+1}" for k in range(state.n_modes)]
+        x0 = np.concatenate([state.a, state.b])
+        n_modes = state.n_modes
+        names = [f"a{2*k+1}" for k in range(n_modes)] + \
+                [f"b{2*k+1}" for k in range(n_modes)]
     else:
         raise ValueError("provide an initial condition via --B or --coeffs")
+    if args.grid < 4 * max(n_modes, 1):
+        raise ValueError("--grid must be at least 4 * the number of modes")
+    traj = fl.integrate(system, x0, _flow_config(args))
     header, rows = _trajectory_table(traj, names, with_residual=False)
     _write_table(_resolve_out(args.out), header, rows, args.format)
     return EXIT_OK
@@ -162,8 +164,7 @@ def cmd_riesz(args) -> int:
     _print_extrema(samples)
     if samples.min() <= 0.0 or samples.max() >= 1.0:
         raise ValueError("initial density leaves (0, 1)")
-    traj = fl.integrate(fl.riesz_system(args.n, n_pts), samples,
-                        _flow_config(args, 1))
+    traj = fl.integrate(fl.riesz_system(args.n), samples, _flow_config(args))
     # grid states are large; emit the monitors plus the density extrema
     hmin = traj.states.min(axis=1)
     hmax = traj.states.max(axis=1)
@@ -177,8 +178,9 @@ def cmd_riesz(args) -> int:
 
 def cmd_entropy(args) -> int:
     h = _initial_density(args)
-    value = density_entropy(h, grid_points_for(args.n, args.grid))
-    _print_extrema(density_samples(h, grid_points_for(args.n, args.grid)))
+    h = InverseDerivative(GridRep(float(args.n), density_samples(h, args.grid)), args.n)
+    value = density_entropy(h)
+    _print_extrema(h.rep.samples)
     print(f"entropy = {FLOAT_FMT % value} (max ln n = {FLOAT_FMT % np.log(args.n)})")
     print(f"constraint residual = {constraint_residual(h):.3e}")
     return EXIT_OK

@@ -21,28 +21,45 @@ from .spectral import (
     GridRep,
     InverseDerivative,
     TangentVector,
+    _as_samples,
     differentiate,
     evaluate,
-    grid_points_for,
     to_grid,
-    translate_sums,
 )
 
 DELTA_FLOOR = 1e-9
 
 
-def density_samples(h: InverseDerivative, n_points: int = DEFAULT_GRID) -> np.ndarray:
-    """Grid samples of h, validated to lie inside (delta, 1 - delta)."""
-    if isinstance(h.rep, GridRep):
-        s = h.rep.samples
-    else:
-        s = to_grid(h.rep, grid_points_for(h.degree, n_points)).samples
-    if s.size % h.degree:
-        raise ValueError("grid size must be divisible by the degree")
+def _guarded(s: np.ndarray) -> np.ndarray:
+    """s itself, after checking that it lies inside (delta, 1 - delta).
+
+    min/max allocate no temporary array, which matters on large grid states."""
     lo, hi = s.min(), s.max()
     if lo <= DELTA_FLOOR or hi >= 1.0 - DELTA_FLOOR:
         raise DomainError(f"density leaves (0, 1): min={lo:.3e}, max={hi:.3e}")
     return s
+
+
+def gibbs_entropy(s: np.ndarray, w: float) -> float:
+    """-w sum s ln s: the entropy of density samples s with quadrature weight w."""
+    s = _guarded(s)
+    return float(-w * np.sum(s * np.log(s)))
+
+
+def simplex_rhs(x: np.ndarray, n: int) -> np.ndarray:
+    """dx_k/dt = -ln x_k + (1/n) sum_i ln x_i on every fiber of x.
+
+    x holds the fibers (x(y), x(y+1), ..., x(y+n-1)) as the rows of
+    x.reshape(n, -1), so an n-point x is one point of the simplex and the
+    grid samples of a degree-n density are one fiber per node of [0, 1).
+    Each fiber's components sum to zero."""
+    logs = np.log(_guarded(np.asarray(x, dtype=float))).reshape(n, -1)
+    return (logs.sum(axis=0) / n - logs).ravel()
+
+
+def density_samples(h: InverseDerivative, n_points: int = DEFAULT_GRID) -> np.ndarray:
+    """Grid samples of h, validated to lie inside (delta, 1 - delta)."""
+    return _guarded(_as_samples(h.rep, h.degree, n_points))
 
 
 def _tangent_samples(psi: TangentVector, n_points: int) -> np.ndarray:
@@ -53,8 +70,8 @@ def _tangent_samples(psi: TangentVector, n_points: int) -> np.ndarray:
 
 def entropy(h: InverseDerivative, n_points: int = DEFAULT_GRID) -> float:
     """H(h) = -int_0^n h ln h dy (trapezoid quadrature)."""
-    s = density_samples(h, n_points)
-    return float(-h.degree / s.size * np.sum(s * np.log(s)))
+    s = _as_samples(h.rep, h.degree, n_points)
+    return gibbs_entropy(s, h.degree / s.size)
 
 
 def gateaux_h(h: InverseDerivative, psi: TangentVector, n_points: int = DEFAULT_GRID) -> float:
@@ -79,11 +96,8 @@ def gateaux_g(gprime: InverseDerivative, phi: TangentVector, n_points: int = DEF
 
 def riesz_gradient(h: InverseDerivative, n_points: int = DEFAULT_GRID) -> TangentVector:
     """L2 gradient R_h = -ln h + (1/n) sum_i ln h(y+i), on the grid of h."""
-    s = density_samples(h, n_points)
     n = h.degree
-    logs = np.log(s)
-    mean_translates = np.tile(translate_sums(logs, n) / n, n)
-    return TangentVector(GridRep(float(n), -logs + mean_translates), n)
+    return TangentVector(GridRep(float(n), simplex_rhs(_as_samples(h.rep, n, n_points), n)), n)
 
 
 # ---------------------------------------------------------------------------
@@ -132,20 +146,13 @@ def flow_density(state: GalerkinState, n_points: int = DEFAULT_GRID) -> np.ndarr
     return 0.5 + np.pi * (np.cos(ang) @ (k * state.b) - np.sin(ang) @ (k * state.a))
 
 
-def _check_density(u_y: np.ndarray) -> np.ndarray:
-    lo, hi = u_y.min(), u_y.max()
-    if lo <= DELTA_FLOOR or hi >= 1.0 - DELTA_FLOOR:
-        raise DomainError(f"u_y leaves (0, 1): min={lo:.3e}, max={hi:.3e}")
-    return u_y
-
-
 def _n2_projection_integrals(state: GalerkinState, n_points: int) -> tuple[np.ndarray, np.ndarray]:
     """int_0^2 (u_yy / u_y) cos((2m-1) pi y) dy and the sine counterpart."""
     k = odd_frequencies(state.n_modes)
     y = np.arange(n_points) * (2.0 / n_points)
     ang = np.pi * np.outer(y, k)
     cos, sin = np.cos(ang), np.sin(ang)
-    u_y = _check_density(0.5 + np.pi * (cos @ (k * state.b) - sin @ (k * state.a)))
+    u_y = _guarded(0.5 + np.pi * (cos @ (k * state.b) - sin @ (k * state.a)))
     u_yy = -np.pi**2 * (cos @ (k**2 * state.a) + sin @ (k**2 * state.b))
     ratio = u_yy / u_y
     w = 2.0 / n_points
@@ -195,7 +202,7 @@ def galerkin_rhs_even(B, n_points: int = DEFAULT_GRID) -> np.ndarray:
     tau = np.arange(n_points) * (2.0 * np.pi / n_points)
     ang = np.outer(tau, k)
     sin = np.sin(ang)
-    h = _check_density(0.5 + np.cos(ang) @ B)
+    h = _guarded(0.5 + np.cos(ang) @ B)
     num = sin @ (k * B)
     w = 2.0 * np.pi / n_points
     return -np.pi * k * c_squared(k) * (w * ((num / h) @ sin))
@@ -211,8 +218,7 @@ def even_entropy(B, n_points: int = DEFAULT_GRID) -> float:
     """H of the density h(tau) = 1/2 + sum B_k cos((2k-1)tau), i.e.
     -(1/pi) int_0^{2pi} h ln h dtau."""
     tau = np.arange(n_points) * (2.0 * np.pi / n_points)
-    h = _check_density(even_density(B, tau))
-    return float(-2.0 / n_points * np.sum(h * np.log(h)))
+    return gibbs_entropy(even_density(B, tau), 2.0 / n_points)
 
 
 def galerkin_to_even(state: GalerkinState) -> np.ndarray:

@@ -14,19 +14,18 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, StepError
-from .spectral import DEFAULT_GRID, GridRep, InverseDerivative, translate_sums
+from .errors import StepError
+from .spectral import DEFAULT_GRID, translate_sums
 from .entropy import (
-    DELTA_FLOOR,
     GalerkinState,
-    entropy as density_entropy,
     even_entropy,
     flow_density,
     galerkin_rhs_even,
+    gibbs_entropy,
     odd_frequencies,
     pde_rhs_even,
     pde_rhs_n2,
-    riesz_gradient,
+    simplex_rhs,
     sobolev_gradient_n2,
 )
 
@@ -34,13 +33,11 @@ from .entropy import (
 @dataclass
 class FlowConfig:
     """Integration parameters; defaults mirror the reference simulation
-    (Euler, step 0.1, three retained modes)."""
+    (Euler, step 0.1)."""
 
     t_end: float
     dt: float = 0.1
     method: str = "euler"
-    n_modes: int = 3
-    n_points: int = DEFAULT_GRID
     record_every: int = 1
 
     def __post_init__(self):
@@ -48,10 +45,8 @@ class FlowConfig:
             raise ValueError("need 0 < dt < t_end")
         if self.method not in ("euler", "rk4"):
             raise ValueError("method must be 'euler' or 'rk4'")
-        if self.n_modes < 1 or self.record_every < 1:
-            raise ValueError("n_modes and record_every must be >= 1")
-        if self.n_points < 4 * self.n_modes:
-            raise ValueError("n_points must be at least 4 * n_modes")
+        if self.record_every < 1:
+            raise ValueError("record_every must be >= 1")
 
 
 @dataclass
@@ -82,47 +77,16 @@ class FlowSystem:
 # ---------------------------------------------------------------------------
 
 
-def simplex_rhs(x: np.ndarray) -> np.ndarray:
-    """dx_k/dt = -ln x_k + (1/n) sum_i ln x_i; components sum to zero."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= DELTA_FLOOR):
-        raise DomainError("simplex state has a component at or below the floor")
-    logs = np.log(x)
-    return -logs + logs.mean()
-
-
-def simplex_system(n: int) -> FlowSystem:
-    """Autonomous dynamics of the n translated density values
-    (x_1, ..., x_n) = (h(y), h(y+1), ..., h(y+n-1))."""
-
-    def entropy_of(x):
-        if np.any(x <= DELTA_FLOOR):
-            raise DomainError("simplex state has a component at or below the floor")
-        return float(-np.sum(x * np.log(x)))
-
-    return FlowSystem(
-        rhs=simplex_rhs,
-        entropy=entropy_of,
-        constraint_residual=lambda x: float(abs(np.sum(x) - 1.0)),
-    )
-
-
-def riesz_flow_rhs(h: InverseDerivative, n_points: int = DEFAULT_GRID):
-    """dh/dt = R_h, the L2 gradient; delegates to the entropy module."""
-    return riesz_gradient(h, n_points)
-
-
-def riesz_system(degree: int, n_points: int = DEFAULT_GRID) -> FlowSystem:
+def riesz_system(degree: int) -> FlowSystem:
     """L2 gradient flow on grid samples of h (any degree n >= 2).
 
     At each grid node y the n translated values evolve by simplex_rhs, so
-    the constraint sum_i h(y+i) = 1 is preserved."""
-
-    def as_h(x):
-        return InverseDerivative(GridRep(float(degree), x), degree)
+    the constraint sum_i h(y+i) = 1 is preserved.  An n-point state is a
+    single fiber (x_1, ..., x_n) = (h(y), h(y+1), ..., h(y+n-1)): the
+    simplex flow."""
 
     def rhs(x):
-        return riesz_gradient(as_h(x), n_points).rep.samples
+        return simplex_rhs(x, degree)
 
     def grad_norm(x):
         r = rhs(x)
@@ -130,21 +94,10 @@ def riesz_system(degree: int, n_points: int = DEFAULT_GRID) -> FlowSystem:
 
     return FlowSystem(
         rhs=rhs,
-        entropy=lambda x: density_entropy(as_h(x), n_points),
+        entropy=lambda x: gibbs_entropy(x, degree / x.size),
         constraint_residual=lambda x: float(np.max(np.abs(translate_sums(x, degree) - 1.0))),
         grad_norm=grad_norm,
     )
-
-
-def galerkin_flow_rhs(state: GalerkinState, n_points: int = DEFAULT_GRID) -> GalerkinState:
-    """Right-hand side of the degree-2 Sobolev-metric Galerkin flow."""
-    return sobolev_gradient_n2(state, n_points)
-
-
-def pde_rhs(state: GalerkinState, n_points: int = DEFAULT_GRID) -> GalerkinState:
-    """Right-hand side of the gradient-dependent diffusion PDE, mode by
-    mode; equals galerkin_flow_rhs divided by c^2_{2m-1} per mode."""
-    return pde_rhs_n2(state, n_points)
 
 
 def _pack(state: GalerkinState) -> np.ndarray:
@@ -163,15 +116,9 @@ def galerkin_system_n2(n_points: int = DEFAULT_GRID, use_pde: bool = False) -> F
     def rhs(x):
         return _pack(step_rhs(_unpack(x), n_points))
 
-    def entropy_of(x):
-        u_y = flow_density(_unpack(x), n_points)
-        if u_y.min() <= DELTA_FLOOR or u_y.max() >= 1.0 - DELTA_FLOOR:
-            raise DomainError("u_y leaves (0, 1)")
-        return float(-2.0 / n_points * np.sum(u_y * np.log(u_y)))
-
     return FlowSystem(
         rhs=rhs,
-        entropy=entropy_of,
+        entropy=lambda x: gibbs_entropy(flow_density(_unpack(x), n_points), 2.0 / n_points),
         constraint_residual=lambda x: 0.0,  # odd harmonics satisfy it identically
     )
 

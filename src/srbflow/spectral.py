@@ -165,9 +165,13 @@ def grid_points_for(degree: int, n_points: int = DEFAULT_GRID) -> int:
 
 
 def _as_samples(rep: FourierRep | GridRep, degree: int, n_points: int) -> np.ndarray:
-    if isinstance(rep, GridRep):
-        return rep.samples
-    return to_grid(rep, grid_points_for(degree, n_points)).samples
+    """Samples on the grid of rep, or on grid_points_for(degree, n_points)
+    nodes; the grid size must be divisible by the degree."""
+    s = rep.samples if isinstance(rep, GridRep) else \
+        to_grid(rep, grid_points_for(degree, n_points)).samples
+    if s.size % degree:
+        raise ValueError("grid size must be divisible by the degree")
+    return s
 
 
 def translate_sums(samples: np.ndarray, degree: int) -> np.ndarray:

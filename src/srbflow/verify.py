@@ -17,7 +17,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .entropy import (
-    DELTA_FLOOR,
     GalerkinState,
     c_squared,
     density_samples,
@@ -26,9 +25,9 @@ from .entropy import (
     odd_frequencies,
     pde_rhs_n2,
     riesz_gradient,
+    simplex_rhs,
     sobolev_gradient_n2,
 )
-from .flow import simplex_rhs
 from .spectral import (
     DEFAULT_GRID,
     FourierRep,
@@ -116,9 +115,17 @@ def fd_derivative_check(h: InverseDerivative, psi: TangentVector,
                         eps_list=(1e-5,), tol: float = 1e-6,
                         n_points: int = DEFAULT_GRID) -> CheckReport:
     """Central finite differences of H must reproduce the Gateaux
-    derivative; reported error is relative to |DH|."""
+    derivative.
+
+    The error is relative to max(|DH|, ||ln h - mean ln h|| ||psi||), the
+    Cauchy-Schwarz bound on |DH| for a tangent psi: |DH| alone can be near
+    0 while the O(eps^2) difference error is not.
+    """
     analytic, errs = fd_errors(h, psi, eps_list, n_points)
-    rel = np.max(errs) / max(abs(analytic), 1e-30)
+    logs = np.log(density_samples(h, n_points))
+    bound = h.degree / logs.size * np.linalg.norm(logs - logs.mean()) \
+        * np.linalg.norm(to_grid(psi.rep, logs.size).samples)
+    rel = np.max(errs) / max(abs(analytic), bound, 1e-30)
     return _report("fd_derivative", rel, tol, len(list(eps_list)))
 
 
@@ -181,7 +188,7 @@ def equilibrium_check(n: int, tol: float = 1e-12,
     and (for n = 2) zero Galerkin rhs."""
     h = InverseDerivative(FourierRep(float(n), 1.0 / n, [0.0], [0.0]), n)
     err = np.max(np.abs(riesz_gradient(h, n_points).rep.samples))
-    err = max(err, np.max(np.abs(simplex_rhs(np.full(n, 1.0 / n)))))
+    err = max(err, np.max(np.abs(simplex_rhs(np.full(n, 1.0 / n), n))))
     err = max(err, abs(density_entropy(h, n_points) - np.log(n)))
     if n == 2:
         g = sobolev_gradient_n2(GalerkinState([0.0], [0.0]), n_points)

@@ -15,7 +15,6 @@ from srbflow.flow import (
     heat_reference,
     integrate,
     riesz_system,
-    simplex_system,
 )
 from srbflow.spectral import (
     FourierRep,
@@ -102,7 +101,7 @@ def test_criterion_04_constraint_preservation():
     n_pts = grid_points_for(2, 512)
     s0 = to_grid(FourierRep(2.0, 0.5, [0.25], [0.0]), n_pts).samples
     cfg = FlowConfig(t_end=50.0, dt=0.01, method="rk4", record_every=10)
-    traj = integrate(riesz_system(2, n_pts), s0, cfg)
+    traj = integrate(riesz_system(2), s0, cfg)
     max_residual = float(np.max(traj.constraint_residual))
     min_dip = float(np.min(np.diff(traj.entropy)))
     ok = max_residual <= 1e-9 and min_dip >= -1e-10
@@ -116,7 +115,7 @@ def test_criterion_05_simplex_convergence():
     x0 = rng.uniform(0.5, 1.5, 5)
     x0 /= x0.sum()
     cfg = FlowConfig(t_end=200.0, dt=0.01, method="rk4", record_every=10)
-    traj = integrate(simplex_system(5), x0, cfg)
+    traj = integrate(riesz_system(5), x0, cfg)
     final_err = float(np.max(np.abs(traj.states[-1] - 0.2)))
     sum_err = float(np.max(np.abs(traj.states.sum(axis=1) - 1.0)))
     gaps_ok = True

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from srbflow.cli import main
+from srbflow.spectral import (FourierRep, InverseDerivative, constraint_residual,
+                              grid_points_for, project_constraint)
 
 
 def run(args):
@@ -86,6 +88,20 @@ def test_entropy_subcommand(capsys):
     assert "entropy = 0.62850904" in out
 
 
+def test_entropy_residual_on_requested_grid(capsys):
+    coeffs = [0.04205932124840204, -0.009385825581446683, 0.033995003037978956,
+              0.04973391350188549, -0.05225686153686261, 0.04596105409475878,
+              -0.013938401738071447, -0.0026696192605940045]
+    assert run(["entropy", "--n", "2", "--grid", "40",
+                "--coeffs=" + ",".join(map(repr, coeffs))]) == 0
+    p = project_constraint(FourierRep(2.0, 0.5, coeffs[0::2], coeffs[1::2]), 2)
+    h = InverseDerivative(FourierRep(2.0, 0.5, p.cos, p.sin), 2)
+    # this density's residual differs between the 40- and 1024-point grids
+    expected = f"{constraint_residual(h, grid_points_for(2, 40)):.3e}"
+    assert expected != f"{constraint_residual(h):.3e}"
+    assert f"constraint residual = {expected}\n" in capsys.readouterr().out
+
+
 def test_verify_subcommand(tmp_path):
     out = tmp_path / "verify.json"
     assert run(["verify", "--seed", "42", "--out", str(out)]) == 0
@@ -129,6 +145,13 @@ def test_usage_error_exit_code():
 def test_validation_error_exit_code(capsys):
     assert run(["simplex", "--n", "2", "--x", "0.3,0.4", "--t-end", "1"]) == 3
     assert run(["galerkin", "--t-end", "1"]) == 3
+    assert run(["galerkin", "--B", "0.1,0,0", "--grid", "8", "--t-end", "1"]) == 3
+
+
+def test_simplex_ignores_grid(tmp_path):
+    # the simplex flow has no quadrature grid, so --grid cannot invalidate it
+    assert run(["simplex", "--n", "5", "--grid", "16", "--x", "0.1,0.15,0.2,0.25,0.3",
+                "--t-end", "0.2", "--out", str(tmp_path / "s.csv")]) == 0
 
 
 def test_runtime_error_exit_code(tmp_path):

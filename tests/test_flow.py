@@ -1,21 +1,18 @@
+import re
+
 import numpy as np
 import pytest
 
-from srbflow.entropy import GalerkinState, c_squared, odd_frequencies
+from srbflow.entropy import galerkin_rhs_even, riesz_gradient, simplex_rhs
 from srbflow.errors import DomainError, StepError
 from srbflow.flow import (
     FlowConfig,
     FlowSystem,
     even_galerkin_system,
-    galerkin_flow_rhs,
     galerkin_system_n2,
     heat_reference,
     integrate,
-    pde_rhs,
-    riesz_flow_rhs,
     riesz_system,
-    simplex_rhs,
-    simplex_system,
 )
 from srbflow.spectral import FourierRep, GridRep, InverseDerivative, grid_points_for, to_grid
 
@@ -26,12 +23,12 @@ def cos_quarter_samples(n_points=1024):
 
 
 def test_simplex_rhs_equilibrium():
-    assert np.all(simplex_rhs(np.array([0.5, 0.5])) == 0.0)
-    assert np.all(simplex_rhs(np.full(3, 1.0 / 3.0)) == 0.0)
+    assert np.all(simplex_rhs(np.array([0.5, 0.5]), 2) == 0.0)
+    assert np.all(simplex_rhs(np.full(3, 1.0 / 3.0), 3) == 0.0)
 
 
 def test_simplex_rhs_values():
-    out = simplex_rhs(np.array([0.3, 0.7]))
+    out = simplex_rhs(np.array([0.3, 0.7]), 2)
     expect = 0.5 * np.log(7.0 / 3.0)
     assert out[0] == pytest.approx(expect, rel=1e-14)
     assert out[1] == pytest.approx(-expect, rel=1e-14)
@@ -42,18 +39,36 @@ def test_simplex_rhs_sums_to_zero():
     for n in (2, 3, 5, 8):
         x = rng.uniform(0.5, 1.5, n)
         x /= x.sum()
-        assert abs(simplex_rhs(x).sum()) < 1e-14
+        assert abs(simplex_rhs(x, n).sum()) < 1e-14
 
 
 def test_simplex_rhs_domain_guard():
     with pytest.raises(DomainError):
-        simplex_rhs(np.array([1e-12, 1.0 - 1e-12]))
+        simplex_rhs(np.array([1e-12, 1.0 - 1e-12]), 2)
 
 
-def test_riesz_flow_rhs_point_value():
-    h = InverseDerivative(FourierRep(2.0, 0.5, [0.25], [0.0]), 2)
-    R = riesz_flow_rhs(h)
-    assert R.rep.samples[0] == pytest.approx(-0.5 * np.log(3.0), rel=1e-12)
+# On a 3-point grid the values 1/2 + amp cos(2 pi j / 3) are (1/2 + amp,
+# 1/2 - amp/2, 1/2 - amp/2), so amp = -1/2 touches 0 only and amp = 1/2
+# touches 1 only (an even grid would give h(y+1) = 1 - h(y) for n = 2).
+GUARDED = {
+    "simplex_rhs": lambda amp: riesz_system(3).rhs(
+        0.5 + amp * np.cos(2 * np.pi * np.arange(3) / 3)),
+    "galerkin_rhs_even": lambda amp: galerkin_rhs_even([amp], n_points=3),
+    "n2_entropy_monitor": lambda amp: galerkin_system_n2(n_points=3).entropy(
+        np.array([0.0, amp / np.pi])),
+}
+
+
+@pytest.mark.parametrize("amp, lo, hi", [(-0.5, 0.0, 0.75), (0.5, 0.25, 1.0)],
+                         ids=["touches_0", "touches_1"])
+@pytest.mark.parametrize("name", sorted(GUARDED))
+def test_domain_guard_names_min_and_max(name, amp, lo, hi):
+    with pytest.raises(DomainError) as exc:
+        GUARDED[name](amp)
+    found = re.search(r"min=(\S+), max=(\S+)", str(exc.value))
+    assert found, str(exc.value)
+    assert float(found[1]) == pytest.approx(lo, abs=1e-3)
+    assert float(found[2]) == pytest.approx(hi, abs=1e-3)
 
 
 def test_riesz_flow_reduces_to_simplex_pointwise():
@@ -65,20 +80,11 @@ def test_riesz_flow_reduces_to_simplex_pointwise():
         p = project_constraint(rep, n)
         h = InverseDerivative(FourierRep(float(n), 1.0 / n, p.cos, p.sin), n)
         s = to_grid(h.rep, n_pts).samples
-        R = riesz_flow_rhs(InverseDerivative(GridRep(float(n), s), n)).rep.samples
+        R = riesz_gradient(InverseDerivative(GridRep(float(n), s), n)).rep.samples
         stride = n_pts // n
         for j in range(0, stride, 37):
             fiber = s[j::stride]
-            np.testing.assert_allclose(R[j::stride], simplex_rhs(fiber), atol=1e-12)
-
-
-def test_galerkin_and_pde_rhs_delegate():
-    state = GalerkinState([0.001, 0.0, 0.0], [0.002, 0.0, 0.0])
-    g = galerkin_flow_rhs(state)
-    p = pde_rhs(state)
-    c2 = c_squared(odd_frequencies(3))
-    np.testing.assert_allclose(g.a, c2 * p.a, atol=1e-14)
-    np.testing.assert_allclose(g.b, c2 * p.b, atol=1e-14)
+            np.testing.assert_allclose(R[j::stride], simplex_rhs(fiber, n), atol=1e-12)
 
 
 def test_heat_reference():
@@ -93,7 +99,7 @@ def test_heat_reference():
 
 def test_integrate_equilibrium_is_constant():
     cfg = FlowConfig(t_end=2.0, dt=0.1)
-    traj = integrate(simplex_system(2), [0.5, 0.5], cfg)
+    traj = integrate(riesz_system(2), [0.5, 0.5], cfg)
     np.testing.assert_array_equal(traj.states, np.full_like(traj.states, 0.5))
     traj2 = integrate(even_galerkin_system(), np.zeros(3), cfg)
     assert np.all(traj2.states == 0.0)
@@ -101,7 +107,7 @@ def test_integrate_equilibrium_is_constant():
 
 def test_simplex_converges_to_uniform():
     cfg = FlowConfig(t_end=50.0, dt=0.01, method="rk4", record_every=100)
-    traj = integrate(simplex_system(2), [0.3, 0.7], cfg)
+    traj = integrate(riesz_system(2), [0.3, 0.7], cfg)
     np.testing.assert_allclose(traj.states[-1], [0.5, 0.5], atol=1e-6)
     assert np.all(np.diff(traj.entropy) >= -1e-10)
     assert np.max(np.abs(traj.states.sum(axis=1) - 1.0)) <= 1e-12
@@ -116,10 +122,9 @@ def test_euler_galerkin_monotone_decay():
 
 
 def test_riesz_flow_preserves_constraint_and_entropy():
-    n_pts = grid_points_for(2, 512)
     s0 = cos_quarter_samples(512)
     cfg = FlowConfig(t_end=5.0, dt=0.01, method="rk4", record_every=10)
-    traj = integrate(riesz_system(2, n_pts), s0, cfg)
+    traj = integrate(riesz_system(2), s0, cfg)
     assert np.max(traj.constraint_residual) <= 1e-9
     assert np.all(np.diff(traj.entropy) >= -1e-10)
 
@@ -175,5 +180,5 @@ def test_flow_config_validation():
 
 def test_record_every():
     cfg = FlowConfig(t_end=1.0, dt=0.1, record_every=5)
-    traj = integrate(simplex_system(2), [0.4, 0.6], cfg)
+    traj = integrate(riesz_system(2), [0.4, 0.6], cfg)
     np.testing.assert_allclose(traj.times, [0.0, 0.5, 1.0])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import srbflow.verify as vf
 from srbflow.spectral import FourierRep, InverseDerivative, TangentVector, tangent_residual, to_grid
 from srbflow.verify import (
     equilibrium_check,
@@ -58,6 +59,19 @@ def test_fd_second_order_convergence():
     _, errs = fd_errors(cos_quarter(), psi, (4e-4, 2e-4, 1e-4))
     assert errs[0] / errs[1] == pytest.approx(4.0, abs=0.3)
     assert errs[1] / errs[2] == pytest.approx(4.0, abs=0.3)
+
+
+def test_fd_check_passes_where_derivative_is_small():
+    # seed 16 draws a degree-3 pair with |DH| = 2.3e-3, where the error
+    # relative to |DH| alone was 1.26e-6 on correct code
+    assert all(r.passed for r in run_all(16))
+
+
+def test_fd_check_catches_scaled_derivative(monkeypatch):
+    real = vf.gateaux_h
+    monkeypatch.setattr(vf, "gateaux_h", lambda *a, **k: 1.001 * real(*a, **k))
+    reports = [r for r in run_all(0) if r.name == "fd_derivative"]
+    assert len(reports) == 2 and not any(r.passed for r in reports)
 
 
 def test_fd_derivative_check_report():
