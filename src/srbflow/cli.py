@@ -1,8 +1,8 @@
 """Command-line front end: run flows, emit trajectory/figure CSV data, and
 drive the verification suite.
 
-Exit codes: 0 success, 2 usage, 3 validation, 4 runtime (flow left the
-valid domain), 5 I/O.
+Exit codes: 0 success, 2 usage, 3 validation (also a start outside (0, 1)),
+4 runtime (the flow left the valid domain while integrating), 5 I/O.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from . import flow as fl
 from . import verify as vf
 from .entropy import (
     GalerkinState,
+    _guarded,
     density_samples,
     entropy as density_entropy,
     even_density,
@@ -75,16 +76,16 @@ def _trajectory_table(traj: fl.Trajectory, state_names: list[str],
     return header, np.column_stack(cols)
 
 
-def _flow_config(args) -> fl.FlowConfig:
-    return fl.FlowConfig(t_end=args.t_end, dt=args.dt, method=args.method,
-                         record_every=args.record_every)
-
-
-def _coeff_rep(n: int, coeffs: np.ndarray) -> FourierRep:
-    """Alternating a1,b1,a2,b2,... coefficients around the mean 1/n."""
-    if coeffs.size % 2:
-        raise ValueError("--coeffs needs an even-length a,b,... list")
-    return FourierRep(float(n), 1.0 / n, coeffs[0::2], coeffs[1::2])
+def _integrate(system: fl.FlowSystem, x0: np.ndarray, args, guard=None) -> fl.Trajectory:
+    """Integrate from x0 after running the domain guard of the first monitor
+    (system.entropy, or `guard` on its samples): a start outside (0, 1) is
+    bad input, not a runtime failure."""
+    try:
+        (guard or system.entropy)(x0)
+    except DomainError as e:
+        raise ValueError(f"initial state: {e}") from None
+    return fl.integrate(system, x0, fl.FlowConfig(t_end=args.t_end, dt=args.dt, method=args.method,
+                                                  record_every=args.record_every))
 
 
 def _print_extrema(samples: np.ndarray):
@@ -101,9 +102,9 @@ def cmd_simplex(args) -> int:
     x0 = _parse_floats(args.x)
     if x0.size != args.n:
         raise ValueError(f"--x needs {args.n} components")
-    if abs(x0.sum() - 1.0) > 1e-9 or np.any(x0 <= 0) or np.any(x0 >= 1):
-        raise ValueError("--x must be an interior point of the simplex")
-    traj = fl.integrate(fl.riesz_system(args.n), x0, _flow_config(args))
+    if abs(x0.sum() - 1.0) > 1e-9:
+        raise ValueError("--x must sum to 1")
+    traj = _integrate(fl.riesz_system(args.n), x0, args)
     names = [f"x{k+1}" for k in range(args.n)]
     header, rows = _trajectory_table(traj, names, with_residual=True)
     _write_table(_resolve_out(args.out), header, rows, args.format)
@@ -130,13 +131,12 @@ def _galerkin_like(args, use_pde: bool) -> int:
         system = fl.galerkin_system_n2(args.grid, use_pde=use_pde)
         x0 = np.concatenate([state.a, state.b])
         n_modes = state.n_modes
-        names = [f"a{2*k+1}" for k in range(n_modes)] + \
-                [f"b{2*k+1}" for k in range(n_modes)]
+        names = [f"{ab}{2*k+1}" for ab in "ab" for k in range(n_modes)]
     else:
         raise ValueError("provide an initial condition via --B or --coeffs")
     if args.grid < 4 * max(n_modes, 1):
         raise ValueError("--grid must be at least 4 * the number of modes")
-    traj = fl.integrate(system, x0, _flow_config(args))
+    traj = _integrate(system, x0, args)
     header, rows = _trajectory_table(traj, names, with_residual=False)
     _write_table(_resolve_out(args.out), header, rows, args.format)
     return EXIT_OK
@@ -151,25 +151,23 @@ def cmd_pde(args) -> int:
 
 
 def _initial_density(args) -> InverseDerivative:
-    rep = _coeff_rep(args.n, _parse_floats(args.coeffs))
-    projected = project_constraint(rep, args.n)
-    rep = FourierRep(rep.period, 1.0 / args.n, projected.cos, projected.sin)
-    return InverseDerivative(rep, args.n)
+    """Alternating a1,b1,a2,b2,... coefficients around the mean 1/n,
+    projected onto the constraint."""
+    c = _parse_floats(args.coeffs)
+    if c.size % 2:
+        raise ValueError("--coeffs needs an even-length a,b,... list")
+    p = project_constraint(FourierRep(float(args.n), 1.0 / args.n, c[0::2], c[1::2]), args.n)
+    return InverseDerivative(FourierRep(float(args.n), 1.0 / args.n, p.cos, p.sin), args.n)
 
 
 def cmd_riesz(args) -> int:
     h0 = _initial_density(args)
-    n_pts = grid_points_for(args.n, args.grid)
-    samples = to_grid(h0.rep, n_pts).samples
+    samples = to_grid(h0.rep, grid_points_for(args.n, args.grid)).samples
     _print_extrema(samples)
-    if samples.min() <= 0.0 or samples.max() >= 1.0:
-        raise ValueError("initial density leaves (0, 1)")
-    traj = fl.integrate(fl.riesz_system(args.n), samples, _flow_config(args))
+    traj = _integrate(fl.riesz_system(args.n), samples, args, guard=_guarded)
     # grid states are large; emit the monitors plus the density extrema
-    hmin = traj.states.min(axis=1)
-    hmax = traj.states.max(axis=1)
-    rows = np.column_stack([traj.times, traj.entropy, traj.grad_norm,
-                            traj.constraint_residual, hmin, hmax])
+    rows = np.column_stack([traj.times, traj.entropy, traj.grad_norm, traj.constraint_residual,
+                            traj.states.min(axis=1), traj.states.max(axis=1)])
     _write_table(_resolve_out(args.out),
                  ["t", "entropy", "grad_norm", "constraint_residual", "h_min", "h_max"],
                  rows, args.format)

@@ -11,6 +11,7 @@ gradient becomes an ODE system on the odd-harmonic coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -24,7 +25,6 @@ from .spectral import (
     _as_samples,
     differentiate,
     evaluate,
-    to_grid,
 )
 
 DELTA_FLOOR = 1e-9
@@ -62,12 +62,6 @@ def density_samples(h: InverseDerivative, n_points: int = DEFAULT_GRID) -> np.nd
     return _guarded(_as_samples(h.rep, h.degree, n_points))
 
 
-def _tangent_samples(psi: TangentVector, n_points: int) -> np.ndarray:
-    if isinstance(psi.rep, GridRep):
-        return psi.rep.samples
-    return to_grid(psi.rep, n_points).samples
-
-
 def entropy(h: InverseDerivative, n_points: int = DEFAULT_GRID) -> float:
     """H(h) = -int_0^n h ln h dy (trapezoid quadrature)."""
     s = _as_samples(h.rep, h.degree, n_points)
@@ -77,7 +71,7 @@ def entropy(h: InverseDerivative, n_points: int = DEFAULT_GRID) -> float:
 def gateaux_h(h: InverseDerivative, psi: TangentVector, n_points: int = DEFAULT_GRID) -> float:
     """Directional derivative DH_h(psi) = -int_0^n psi ln h dy."""
     s = density_samples(h, n_points)
-    p = _tangent_samples(psi, s.size)
+    p = _as_samples(psi.rep, psi.degree, s.size)
     return float(-h.degree / s.size * np.sum(p * np.log(s)))
 
 
@@ -138,41 +132,58 @@ def c_squared(k) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
+def _odd_tables(k: np.ndarray, n_points: int, blocks: int) -> np.ndarray:
+    """The last blocks + 1 of (-sin, cos, sin)(k tau) on tau_j = 2 pi j / N,
+    stacked in one array, so every table of _odd_mode_rhs is a view."""
+    ang = np.outer(np.arange(n_points) * (2.0 * np.pi / n_points), k)
+    T = np.empty((blocks + 1,) + ang.shape)
+    np.cos(ang, out=T[-2])
+    np.sin(ang, out=T[-1])
+    if blocks == 2:
+        np.negative(T[-1], out=T[0])
+    return T
+
+
+def _odd_mode_rhs(x: np.ndarray, k: np.ndarray, w, n_points: int) -> np.ndarray:
+    """The one odd-mode kernel of the degree-2 flows, on the grid tau = pi y.
+
+    In the amplitudes x = [A; B] = pi k [a; b] the density is h = 1/2 + C x
+    and h' = dh/dtau = -S (k x), with C = [-sin | cos] and S = [cos | sin];
+    an even density has A = 0, so x = [B], C = cos and S = sin.  Projecting
+    h'/h on the modes gives dx/dt = -pi k w (dtau ((S (k x)) / h)^T S): the
+    H^2 gradient flow for the weights w = c^2, the diffusion modes for w = 1.
+    The blocks of x pair with the tables T as C = T[:-1] and S = T[1:]."""
+    T = _odd_tables(k, n_points, len(x))
+    h = _guarded(reduce(np.add, map(np.matmul, T[:-1], x), 0.5))
+    num = reduce(np.add, map(np.matmul, T[1:], k * x))
+    return -np.pi * k * w * ((2.0 * np.pi / n_points) * ((num / h) @ T[1:]))
+
+
+def _n2_rhs(state: GalerkinState, w, n_points: int) -> GalerkinState:
+    """The kernel on [A; B] = pi k [a; b], scaled back to (a, b)."""
+    k = odd_frequencies(state.n_modes)
+    xdot = _odd_mode_rhs(np.pi * k * np.stack([state.a, state.b]), k, w, n_points)
+    return GalerkinState(*(xdot / (np.pi * k)))
+
+
 def flow_density(state: GalerkinState, n_points: int = DEFAULT_GRID) -> np.ndarray:
     """u_y = 1/2 + pi sum (2k-1)(-a sin + b cos) sampled on [0, 2)."""
     k = odd_frequencies(state.n_modes)
-    y = np.arange(n_points) * (2.0 / n_points)
-    ang = np.pi * np.outer(y, k)
-    return 0.5 + np.pi * (np.cos(ang) @ (k * state.b) - np.sin(ang) @ (k * state.a))
-
-
-def _n2_projection_integrals(state: GalerkinState, n_points: int) -> tuple[np.ndarray, np.ndarray]:
-    """int_0^2 (u_yy / u_y) cos((2m-1) pi y) dy and the sine counterpart."""
-    k = odd_frequencies(state.n_modes)
-    y = np.arange(n_points) * (2.0 / n_points)
-    ang = np.pi * np.outer(y, k)
-    cos, sin = np.cos(ang), np.sin(ang)
-    u_y = _guarded(0.5 + np.pi * (cos @ (k * state.b) - sin @ (k * state.a)))
-    u_yy = -np.pi**2 * (cos @ (k**2 * state.a) + sin @ (k**2 * state.b))
-    ratio = u_yy / u_y
-    w = 2.0 / n_points
-    return w * (ratio @ cos), w * (ratio @ sin)
+    x = np.pi * k * np.stack([state.a, state.b])
+    return reduce(np.add, map(np.matmul, _odd_tables(k, n_points, 2)[:2], x), 0.5)
 
 
 def sobolev_gradient_n2(state: GalerkinState, n_points: int = DEFAULT_GRID) -> GalerkinState:
     """Coefficient derivatives of the H^2-metric gradient flow (degree 2):
     da_{2m-1}/dt = c^2_{2m-1} int_0^2 (u_yy/u_y) cos((2m-1) pi y) dy,
     and the sine counterpart."""
-    ia, ib = _n2_projection_integrals(state, n_points)
-    c2 = c_squared(odd_frequencies(state.n_modes))
-    return GalerkinState(c2 * ia, c2 * ib)
+    return _n2_rhs(state, c_squared(odd_frequencies(state.n_modes)), n_points)
 
 
 def pde_rhs_n2(state: GalerkinState, n_points: int = DEFAULT_GRID) -> GalerkinState:
     """Mode derivatives of the diffusion PDE w_t = w_yy / w_y; same
-    projection integrals as the gradient flow but without the c^2 factors."""
-    ia, ib = _n2_projection_integrals(state, n_points)
-    return GalerkinState(ia, ib)
+    projection integrals as the gradient flow, with unit weights for c^2."""
+    return _n2_rhs(state, 1.0, n_points)
 
 
 # ---------------------------------------------------------------------------
@@ -194,24 +205,17 @@ def galerkin_rhs_even(B, n_points: int = DEFAULT_GRID) -> np.ndarray:
               * int_0^{2pi} [sum_k B_k (2k-1) sin((2k-1)tau)]
                 / [1/2 + sum_k B_k cos((2k-1)tau)] * sin((2m-1)tau) dtau
 
-    Implemented directly in the tau variable, independently of
-    sobolev_gradient_n2, so the two formulas can cross-check each other.
+    i.e. the odd-mode kernel on the A = 0 tables with the weights c^2.
     """
     B = np.atleast_1d(np.asarray(B, dtype=float))
     k = odd_frequencies(B.size)
-    tau = np.arange(n_points) * (2.0 * np.pi / n_points)
-    ang = np.outer(tau, k)
-    sin = np.sin(ang)
-    h = _guarded(0.5 + np.cos(ang) @ B)
-    num = sin @ (k * B)
-    w = 2.0 * np.pi / n_points
-    return -np.pi * k * c_squared(k) * (w * ((num / h) @ sin))
+    return _odd_mode_rhs(B[None], k, c_squared(k), n_points)[0]
 
 
 def pde_rhs_even(B, n_points: int = DEFAULT_GRID) -> np.ndarray:
-    """Even-case diffusion PDE modes: galerkin_rhs_even without c^2."""
+    """Even-case diffusion PDE modes: galerkin_rhs_even with unit weights."""
     B = np.atleast_1d(np.asarray(B, dtype=float))
-    return galerkin_rhs_even(B, n_points) / c_squared(odd_frequencies(B.size))
+    return _odd_mode_rhs(B[None], odd_frequencies(B.size), 1.0, n_points)[0]
 
 
 def even_entropy(B, n_points: int = DEFAULT_GRID) -> float:

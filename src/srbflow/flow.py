@@ -100,25 +100,18 @@ def riesz_system(degree: int) -> FlowSystem:
     )
 
 
-def _pack(state: GalerkinState) -> np.ndarray:
-    return np.concatenate([state.a, state.b])
-
-
-def _unpack(x: np.ndarray) -> GalerkinState:
-    m = x.size // 2
-    return GalerkinState(x[:m], x[m:])
-
-
 def galerkin_system_n2(n_points: int = DEFAULT_GRID, use_pde: bool = False) -> FlowSystem:
     """Degree-2 flow on the packed state [a_1, a_3, ...; b_1, b_3, ...]."""
     step_rhs = pde_rhs_n2 if use_pde else sobolev_gradient_n2
 
     def rhs(x):
-        return _pack(step_rhs(_unpack(x), n_points))
+        g = step_rhs(GalerkinState(*x.reshape(2, -1)), n_points)
+        return np.concatenate([g.a, g.b])
 
     return FlowSystem(
         rhs=rhs,
-        entropy=lambda x: gibbs_entropy(flow_density(_unpack(x), n_points), 2.0 / n_points),
+        entropy=lambda x: gibbs_entropy(flow_density(GalerkinState(*x.reshape(2, -1)), n_points),
+                                        2.0 / n_points),
         constraint_residual=lambda x: 0.0,  # odd harmonics satisfy it identically
     )
 

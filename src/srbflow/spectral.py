@@ -66,11 +66,6 @@ class GridRep:
     def n_points(self) -> int:
         return self.samples.size
 
-    @property
-    def nodes(self) -> np.ndarray:
-        N = self.samples.size
-        return np.arange(N) * (self.period / N)
-
 
 @dataclass(frozen=True)
 class InverseDerivative:
@@ -105,12 +100,8 @@ def evaluate(rep: FourierRep, y) -> np.ndarray | float:
     y = np.asarray(y, dtype=float)
     k = np.arange(1, rep.n_modes + 1)
     ang = (2.0 * np.pi / rep.period) * np.multiply.outer(y, k)
-    out = rep.mean + ang_cos_sin(ang, rep.cos, rep.sin)
+    out = rep.mean + (np.cos(ang) @ rep.cos + np.sin(ang) @ rep.sin)
     return out if out.ndim else float(out)
-
-
-def ang_cos_sin(ang, a, b):
-    return np.cos(ang) @ a + np.sin(ang) @ b
 
 
 def differentiate(rep: FourierRep) -> FourierRep:

@@ -60,8 +60,7 @@ def _report(name: str, err: float, tol: float, samples: int) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-def random_tangent(rng: np.random.Generator, degree: int, n_modes: int = 5,
-                   n_points: int = DEFAULT_GRID) -> TangentVector:
+def random_tangent(rng: np.random.Generator, degree: int, n_modes: int = 5) -> TangentVector:
     """Unit-L2 tangent vector: bounded random Fourier modes, constraint
     projection, then normalization."""
     rep = FourierRep(float(degree), 0.0,
@@ -70,7 +69,7 @@ def random_tangent(rng: np.random.Generator, degree: int, n_modes: int = 5,
     rep = project_constraint(rep, degree)
     norm = np.sqrt(degree / 2.0 * np.sum(rep.cos**2 + rep.sin**2))
     if norm == 0.0:  # all modes removed; retry
-        return random_tangent(rng, degree, n_modes, n_points)
+        return random_tangent(rng, degree, n_modes)
     rep = FourierRep(rep.period, 0.0, rep.cos / norm, rep.sin / norm)
     return TangentVector(rep, degree)
 
@@ -79,7 +78,7 @@ def random_density(rng: np.random.Generator, degree: int, n_modes: int = 5,
                    amplitude: float = 0.3, n_points: int = DEFAULT_GRID) -> InverseDerivative:
     """Valid h: 1/n plus a constraint-projected perturbation scaled so the
     samples stay well inside (0, 1)."""
-    psi = random_tangent(rng, degree, n_modes, n_points)
+    psi = random_tangent(rng, degree, n_modes)
     s = to_grid(psi.rep, n_points).samples
     scale = amplitude / degree / max(np.max(np.abs(s)), 1e-30)
     rep = FourierRep(float(degree), 1.0 / degree,

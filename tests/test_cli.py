@@ -146,6 +146,11 @@ def test_validation_error_exit_code(capsys):
     assert run(["simplex", "--n", "2", "--x", "0.3,0.4", "--t-end", "1"]) == 3
     assert run(["galerkin", "--t-end", "1"]) == 3
     assert run(["galerkin", "--B", "0.1,0,0", "--grid", "8", "--t-end", "1"]) == 3
+    # initial states that the domain guard of the first monitor rejects
+    assert run(["simplex", "--n", "2", "--x", "1e-10,0.9999999999", "--t-end", "1"]) == 3
+    assert run(["riesz", "--n", "2", "--coeffs", "0.4999999999999,0", "--t-end", "1"]) == 3
+    assert run(["galerkin", "--B", "0.6,0,0", "--t-end", "1"]) == 3
+    assert run(["galerkin", "--coeffs", "0,0.2,0,0", "--t-end", "1"]) == 3
 
 
 def test_simplex_ignores_grid(tmp_path):
@@ -155,8 +160,9 @@ def test_simplex_ignores_grid(tmp_path):
 
 
 def test_runtime_error_exit_code(tmp_path):
-    # valid initial state that leaves the domain guard region immediately
-    code = run(["galerkin", "--B", "0.6,0,0", "--t-end", "1",
+    # valid initial state; explicit Euler at dt = 0.1 is unstable for the
+    # diffusion modes and leaves the domain at step 1
+    code = run(["pde", "--B", "0.25,0,0", "--dt", "0.1", "--t-end", "1",
                 "--out", str(tmp_path / "x.csv")])
     assert code == 4
 

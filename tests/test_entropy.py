@@ -199,8 +199,8 @@ def test_galerkin_rhs_even_linearization_rate():
 
 
 def test_even_formula_cross_checks_general_formula():
-    # the tau-domain reduction and the y-domain Galerkin system must agree
-    # under B_k = pi (2k-1) b_{2k-1}
+    # the even entry point (B, on the A = 0 tables) and the general one
+    # ((a, b), on the full tables) must agree under B_k = pi (2k-1) b_{2k-1}
     rng = np.random.default_rng(51)
     for _ in range(10):
         B = rng.uniform(-0.05, 0.05, 3)
@@ -224,12 +224,16 @@ def test_pde_proportionality():
         np.testing.assert_allclose(galerkin_rhs_even(B), c2 * pde_rhs_even(B), atol=1e-14)
 
 
-def test_sobolev_gradient_matches_basis_projection():
-    # independent route: coefficient m of the gradient is
-    # c_{2m-1}^2 * DH_g(cos/sin basis vector), with DH_g from gateaux_g
+@pytest.mark.parametrize("rhs, weight",
+                         [(sobolev_gradient_n2, c_squared), (pde_rhs_n2, lambda k: 1.0)],
+                         ids=["sobolev_gradient_n2", "pde_rhs_n2"])
+def test_sobolev_gradient_matches_basis_projection(rhs, weight):
+    # independent route: coefficient m of the gradient flow is
+    # c_{2m-1}^2 * DH_g(cos/sin basis vector), with DH_g from gateaux_g, and
+    # the diffusion modes carry the weight 1 in place of c^2
     rng = np.random.default_rng(71)
     state = GalerkinState(rng.uniform(-0.003, 0.003, 3), rng.uniform(-0.003, 0.003, 3))
-    g = sobolev_gradient_n2(state)
+    g = rhs(state)
     a_full = np.zeros(5)  # frequencies 1..5; odd slots populated
     b_full = np.zeros(5)
     a_full[0::2] = state.a
@@ -244,5 +248,5 @@ def test_sobolev_gradient_matches_basis_projection():
         e_cos[km - 1] = 1.0
         phi_cos = TangentVector(FourierRep(2.0, 0.0, e_cos, np.zeros(5)), 2)
         phi_sin = TangentVector(FourierRep(2.0, 0.0, np.zeros(5), e_cos), 2)
-        assert g.a[m] == pytest.approx(c_squared(km) * gateaux_g(gprime, phi_cos), abs=1e-9)
-        assert g.b[m] == pytest.approx(c_squared(km) * gateaux_g(gprime, phi_sin), abs=1e-9)
+        assert g.a[m] == pytest.approx(weight(km) * gateaux_g(gprime, phi_cos), abs=1e-9)
+        assert g.b[m] == pytest.approx(weight(km) * gateaux_g(gprime, phi_sin), abs=1e-9)

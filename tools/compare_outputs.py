@@ -1,0 +1,113 @@
+"""Compare what two srbflow source trees print, command by command.
+
+    python3 tools/compare_outputs.py OLD_ROOT NEW_ROOT
+
+Each root is a checkout of this repository, holding `src/` and `demos/`.
+Every CLI command of the output gate (figures, Galerkin and diffusion
+modes, Riesz and simplex flows, entropy, verify) and every demo runs once
+under each tree. One line per command reports IDENTICAL when stdout, stderr
+and the exit code agree byte for byte. Otherwise it reports DIFFERS with
+the largest |new - old| / max(1, |old|) over the numbers of the two
+outputs, or "text" when they do not line up number for number.
+
+Exit status 0 when every command is identical, 1 otherwise. Not part of
+the test suite; single-threaded BLAS, one command at a time.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+B8 = "0.2,0.02,0.01,0.005,0,0,0,0"
+GAL = "0.01,0.02,0.003,-0.004,0.001,0.002"
+COMMANDS = [
+    ["figure", "--which", "fig1"],
+    ["figure", "--which", "fig2"],
+    ["galerkin", "--B", "0.25,0,0", "--t-end", "50"],
+    ["galerkin", "--B", "0.25,0,0", "--t-end", "20", "--method", "rk4", "--dt", "0.05"],
+    ["galerkin", "--B", B8, "--modes", "8", "--t-end", "20"],
+    ["galerkin", "--B", B8, "--modes", "8", "--t-end", "10", "--method", "rk4"],
+    ["galerkin", "--coeffs", GAL, "--t-end", "20"],
+    ["galerkin", "--coeffs", GAL, "--t-end", "10", "--method", "rk4", "--format", "json"],
+    # explicit steps below 2 / (2 pi^2 (2K-1)^2), the fastest linearized diffusion rate
+    ["pde", "--B", "0.25,0,0", "--dt", "0.002", "--t-end", "0.4"],
+    ["pde", "--B", "0.25,0,0", "--dt", "0.002", "--t-end", "0.4", "--method", "rk4"],
+    ["pde", "--B", "0.3,0.05,-0.02", "--dt", "0.002", "--t-end", "0.4"],
+    ["pde", "--B", B8, "--modes", "8", "--dt", "0.0002", "--t-end", "0.02", "--method", "rk4"],
+    ["pde", "--coeffs", GAL, "--dt", "0.002", "--t-end", "0.5"],
+    ["riesz", "--n", "2", "--coeffs", "0.25,0", "--t-end", "5", "--method", "rk4", "--dt", "0.01"],
+    ["riesz", "--n", "3", "--coeffs", "0.1,0.05", "--t-end", "5", "--grid", "999"],
+    ["riesz", "--n", "5", "--coeffs", "0.05,0.02,0.03,0.01", "--t-end", "2", "--grid", "2048",
+     "--method", "rk4", "--dt", "0.02"],
+    ["simplex", "--n", "2", "--x", "0.3,0.7", "--t-end", "10"],
+    ["simplex", "--n", "5", "--x", "0.1,0.15,0.2,0.25,0.3", "--t-end", "20", "--method", "rk4",
+     "--dt", "0.01"],
+    ["simplex", "--n", "8", "--x", "0.05,0.1,0.1,0.15,0.15,0.1,0.2,0.15", "--t-end", "5",
+     "--format", "json"],
+    ["entropy", "--n", "2", "--coeffs", "0.25,0"],
+    ["entropy", "--n", "3", "--coeffs", "0.1,0.05", "--grid", "999"],
+    ["verify", "--seed", "0"],
+    ["verify", "--seed", "42"],
+]
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:nan|inf)")
+MAIN = "import sys; from srbflow.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def run(root: Path, args: list[str], workdir: str) -> str:
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1")
+    env.pop("SRBFLOW_OUTDIR", None)
+    done = subprocess.run([sys.executable, *args], cwd=workdir, env=env,
+                          capture_output=True, text=True)
+    return f"{done.stdout}\n--stderr--\n{done.stderr}\n--exit {done.returncode}--\n"
+
+
+def max_rel_diff(old: str, new: str) -> float | None:
+    """Largest |new - old| / max(1, |old|) over matching numbers; None when
+    the texts differ outside their numbers or in how many they hold."""
+    if NUMBER.sub("#", old) != NUMBER.sub("#", new):
+        return None
+    a = np.array([float(v) for v in NUMBER.findall(old)])
+    b = np.array([float(v) for v in NUMBER.findall(new)])
+    if a.size == 0:
+        return 0.0
+    return float(np.max(np.abs(b - a) / np.maximum(1.0, np.abs(a))))
+
+
+def command(label: str, root: Path) -> list[str]:
+    if label.startswith("demos/"):
+        return [str(root / label)]
+    return ["-c", MAIN, *label.split(" ")]
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print("usage: python3 tools/compare_outputs.py OLD_ROOT NEW_ROOT", file=sys.stderr)
+        return 2
+    old_root, new_root = (Path(p).resolve() for p in argv)
+    labels = [" ".join(c) for c in COMMANDS]
+    labels += [f"demos/{p.name}" for p in sorted((new_root / "demos").glob("*.py"))]
+    differs = 0
+    with tempfile.TemporaryDirectory() as workdir:
+        for label in labels:
+            old = run(old_root, command(label, old_root), workdir)
+            new = run(new_root, command(label, new_root), workdir)
+            if old == new:
+                print(f"{'IDENTICAL':<25}{label}", flush=True)
+                continue
+            differs += 1
+            rel = max_rel_diff(old, new)
+            detail = "text" if rel is None else f"max_rel={rel:.2e}"
+            print(f"{'DIFFERS ' + detail:<25}{label}", flush=True)
+    return 1 if differs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
