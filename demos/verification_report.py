@@ -3,8 +3,9 @@
 The suite cross-validates the analytic machinery numerically: equilibrium
 entropy values, finite-difference agreement of the Gateaux derivative,
 the defining identity of the Riesz gradient, its maximality among unit
-tangent directions, and the per-mode proportionality between the
-Sobolev-metric mode equations and the gradient-dependent diffusion modes.
+tangent directions, and the Sobolev-metric mode equations and the
+gradient-dependent diffusion modes against the map-form derivative, with
+the weights c^2 and 1.
 """
 
 from srbflow.verify import run_all

@@ -49,20 +49,25 @@ def _resolve_out(path: str | None) -> str | None:
     return path
 
 
-def _write_table(path: str | None, header: list[str], rows: np.ndarray, fmt: str):
-    lines = [",".join(header)]
-    for row in np.atleast_2d(rows):
-        lines.append(",".join(FLOAT_FMT % v for v in row))
-    text = "\n".join(lines) + "\n"
-    if fmt == "json":
-        payload = {name: [float(FLOAT_FMT % v) for v in np.atleast_2d(rows)[:, i]]
-                   for i, name in enumerate(header)}
-        text = json.dumps(payload, indent=2) + "\n"
+def _emit(path: str | None, text: str):
+    """Write text to path, or to stdout when no path is given."""
     if path is None:
         sys.stdout.write(text)
     else:
         with open(path, "w") as f:
             f.write(text)
+
+
+def _write_table(path: str | None, header: list[str], rows: np.ndarray, fmt: str):
+    rows = np.atleast_2d(rows)
+    if fmt == "json":
+        payload = {name: [float(FLOAT_FMT % v) for v in rows[:, i]]
+                   for i, name in enumerate(header)}
+        text = json.dumps(payload, indent=2) + "\n"
+    else:
+        lines = [",".join(header)] + [",".join(FLOAT_FMT % v for v in row) for row in rows]
+        text = "\n".join(lines) + "\n"
+    _emit(path, text)
 
 
 def _trajectory_table(traj: fl.Trajectory, state_names: list[str],
@@ -153,6 +158,8 @@ def cmd_pde(args) -> int:
 def _initial_density(args) -> InverseDerivative:
     """Alternating a1,b1,a2,b2,... coefficients around the mean 1/n,
     projected onto the constraint."""
+    if args.n < 2:
+        raise ValueError("--n must be at least 2")
     c = _parse_floats(args.coeffs)
     if c.size % 2:
         raise ValueError("--coeffs needs an even-length a,b,... list")
@@ -186,13 +193,7 @@ def cmd_entropy(args) -> int:
 
 def cmd_verify(args) -> int:
     reports = vf.run_all(args.seed)
-    text = json.dumps([r.to_dict() for r in reports], indent=2) + "\n"
-    out = _resolve_out(args.out)
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w") as f:
-            f.write(text)
+    _emit(_resolve_out(args.out), json.dumps([r.to_dict() for r in reports], indent=2) + "\n")
     for r in reports:
         status = "PASS" if r.passed else "FAIL"
         print(f"{status} {r.name}: max_abs_error={r.max_abs_error:.3e} "
@@ -201,6 +202,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_figure(args) -> int:
+    if args.tau_points < 1:
+        raise ValueError("--tau-points must be at least 1")
     B0 = np.array([0.25, 0.0, 0.0])
     tau = np.arange(args.tau_points) * (2.0 * np.pi / args.tau_points)
     system = fl.even_galerkin_system(args.grid)

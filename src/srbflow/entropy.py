@@ -33,9 +33,10 @@ DELTA_FLOOR = 1e-9
 def _guarded(s: np.ndarray) -> np.ndarray:
     """s itself, after checking that it lies inside (delta, 1 - delta).
 
-    min/max allocate no temporary array, which matters on large grid states."""
+    min/max allocate no temporary array, which matters on large grid states;
+    the negated test also rejects NaN."""
     lo, hi = s.min(), s.max()
-    if lo <= DELTA_FLOOR or hi >= 1.0 - DELTA_FLOOR:
+    if not (lo > DELTA_FLOOR and hi < 1.0 - DELTA_FLOOR):
         raise DomainError(f"density leaves (0, 1): min={lo:.3e}, max={hi:.3e}")
     return s
 

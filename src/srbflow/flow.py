@@ -2,14 +2,15 @@
 
 Each system is packaged as a FlowSystem: a right-hand side on a flat numpy
 state vector plus monitor callbacks (entropy, gradient norm, constraint
-residual) evaluated at recorded steps.  Explicit Euler is the default
-stepper; classical RK4 is available when tighter monotonicity tolerances
-are needed.
+residual) evaluated at recorded steps.  rhs(x) is evaluated once per state:
+it is the next step's first stage, and grad_norm maps it to a float.
+Explicit Euler is the default stepper; classical RK4 is available when
+tighter monotonicity tolerances are needed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -41,8 +42,8 @@ class FlowConfig:
     record_every: int = 1
 
     def __post_init__(self):
-        if self.dt <= 0 or self.t_end <= 0 or self.dt >= self.t_end:
-            raise ValueError("need 0 < dt < t_end")
+        if not (0 < self.dt < self.t_end and np.isfinite(self.t_end / self.dt)):
+            raise ValueError("need 0 < dt < t_end and a finite t_end / dt")
         if self.method not in ("euler", "rk4"):
             raise ValueError("method must be 'euler' or 'rk4'")
         if self.record_every < 1:
@@ -65,11 +66,8 @@ class FlowSystem:
     rhs: Callable[[np.ndarray], np.ndarray]
     entropy: Callable[[np.ndarray], float]
     constraint_residual: Callable[[np.ndarray], float]
-    grad_norm: Callable[[np.ndarray], float] = None  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.grad_norm is None:
-            object.__setattr__(self, "grad_norm", lambda x: float(np.linalg.norm(self.rhs(x))))
+    # the norm of the gradient from the rhs value r = rhs(x)
+    grad_norm: Callable[[np.ndarray], float] = lambda r: float(np.linalg.norm(r))
 
 
 # ---------------------------------------------------------------------------
@@ -85,18 +83,11 @@ def riesz_system(degree: int) -> FlowSystem:
     single fiber (x_1, ..., x_n) = (h(y), h(y+1), ..., h(y+n-1)): the
     simplex flow."""
 
-    def rhs(x):
-        return simplex_rhs(x, degree)
-
-    def grad_norm(x):
-        r = rhs(x)
-        return float(np.sqrt(degree / r.size * np.sum(r**2)))
-
     return FlowSystem(
-        rhs=rhs,
+        rhs=lambda x: simplex_rhs(x, degree),
         entropy=lambda x: gibbs_entropy(x, degree / x.size),
         constraint_residual=lambda x: float(np.max(np.abs(translate_sums(x, degree) - 1.0))),
-        grad_norm=grad_norm,
+        grad_norm=lambda r: float(np.sqrt(degree / r.size * np.sum(r**2))),
     )
 
 
@@ -141,12 +132,11 @@ def heat_reference(B0, t: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _euler_step(rhs, x, dt):
-    return x + dt * rhs(x)
+def _euler_step(rhs, x, k1, dt):
+    return x + dt * k1
 
 
-def _rk4_step(rhs, x, dt):
-    k1 = rhs(x)
+def _rk4_step(rhs, x, k1, dt):
     k2 = rhs(x + 0.5 * dt * k1)
     k3 = rhs(x + 0.5 * dt * k2)
     k4 = rhs(x + dt * k3)
@@ -165,20 +155,22 @@ def integrate(system: FlowSystem, initial, cfg: FlowConfig) -> Trajectory:
 
     times, states, ents, gnorms, residuals = [], [], [], [], []
 
-    def record(t, x):
+    def record(t, x, r):
         times.append(t)
         states.append(x.copy())
         ents.append(system.entropy(x))
-        gnorms.append(system.grad_norm(x))
+        gnorms.append(system.grad_norm(r))
         residuals.append(system.constraint_residual(x))
 
-    record(0.0, x)
+    r = system.rhs(x)
+    record(0.0, x, r)
     for i in range(1, n_steps + 1):
-        x = step(system.rhs, x, cfg.dt)
+        x = step(system.rhs, x, r, cfg.dt)
         if not np.all(np.isfinite(x)):
             raise StepError(f"non-finite state at step {i}")
+        r = system.rhs(x)
         if i % cfg.record_every == 0 or i == n_steps:
-            record(i * cfg.dt, x)
+            record(i * cfg.dt, x, r)
 
     return Trajectory(
         times=np.array(times),

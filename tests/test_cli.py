@@ -151,6 +151,14 @@ def test_validation_error_exit_code(capsys):
     assert run(["riesz", "--n", "2", "--coeffs", "0.4999999999999,0", "--t-end", "1"]) == 3
     assert run(["galerkin", "--B", "0.6,0,0", "--t-end", "1"]) == 3
     assert run(["galerkin", "--coeffs", "0,0.2,0,0", "--t-end", "1"]) == 3
+    # NaN starts, a step count that is not finite, and sizes that divide by 0
+    assert run(["simplex", "--n", "2", "--x", "nan,nan", "--t-end", "1"]) == 3
+    assert run(["galerkin", "--B", "nan,0,0", "--t-end", "1"]) == 3
+    assert run(["galerkin", "--coeffs", "nan,0", "--t-end", "1"]) == 3
+    assert run(["simplex", "--n", "2", "--x", "0.5,0.5", "--t-end", "inf"]) == 3
+    assert run(["simplex", "--n", "2", "--x", "0.5,0.5", "--t-end", "1e300", "--dt", "1e-300"]) == 3
+    assert run(["entropy", "--n", "0", "--coeffs", "0.1,0"]) == 3
+    assert run(["figure", "--which", "fig1", "--tau-points", "0"]) == 3
 
 
 def test_simplex_ignores_grid(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -69,6 +70,12 @@ def test_domain_guard_names_min_and_max(name, amp, lo, hi):
     assert found, str(exc.value)
     assert float(found[1]) == pytest.approx(lo, abs=1e-3)
     assert float(found[2]) == pytest.approx(hi, abs=1e-3)
+
+
+@pytest.mark.parametrize("name", sorted(GUARDED))
+def test_domain_guard_rejects_nan(name):
+    with pytest.raises(DomainError, match="min=nan, max=nan"):
+        GUARDED[name](np.nan)
 
 
 def test_riesz_flow_reduces_to_simplex_pointwise():
@@ -182,3 +189,38 @@ def test_record_every():
     cfg = FlowConfig(t_end=1.0, dt=0.1, record_every=5)
     traj = integrate(riesz_system(2), [0.4, 0.6], cfg)
     np.testing.assert_allclose(traj.times, [0.0, 0.5, 1.0])
+
+
+@pytest.mark.parametrize("record_every", [1, 10])
+@pytest.mark.parametrize("method, stages", [("euler", 1), ("rk4", 4)])
+def test_integrate_evaluates_rhs_once_per_stage(method, stages, record_every):
+    # the first stage of each step is the rhs of the state it starts from,
+    # and a recorded state's grad_norm reuses that value
+    base = even_galerkin_system()
+    calls = []
+
+    def rhs(x):
+        calls.append(1)
+        return base.rhs(x)
+
+    cfg = FlowConfig(t_end=5.0, dt=0.1, method=method, record_every=record_every)
+    integrate(dataclasses.replace(base, rhs=rhs), [0.25, 0.0, 0.0], cfg)
+    assert len(calls) == stages * 50 + 1
+
+
+def _fibers(n, m, seed):
+    x = np.random.default_rng(seed).uniform(0.5, 1.5, (n, m))
+    return (x / x.sum(axis=0)).ravel()
+
+
+@pytest.mark.parametrize("system, x0, norm", [
+    (riesz_system(3), _fibers(3, 8, 5), lambda r: float(np.sqrt(3 / r.size * np.sum(r**2)))),
+    (galerkin_system_n2(), np.array([0.01, 0.003, 0.001, 0.02, -0.004, 0.002]),
+     lambda r: float(np.linalg.norm(r))),
+], ids=["riesz_system_3", "galerkin_system_n2"])
+def test_recorded_grad_norm_is_norm_of_rhs(system, x0, norm):
+    cfg = FlowConfig(t_end=1.0, dt=0.05, method="rk4", record_every=3)
+    traj = integrate(system, x0, cfg)
+    for state, recorded in zip(traj.states, traj.grad_norm):
+        r = system.rhs(state)
+        assert recorded == system.grad_norm(r) == norm(r)

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,15 @@ def test_fd_check_catches_scaled_derivative(monkeypatch):
     assert len(reports) == 2 and not any(r.passed for r in reports)
 
 
+def test_fd_check_catches_scaled_derivative_where_psi_is_blind(monkeypatch):
+    # DH = 0 along sin(pi y) at cos_quarter, so only the Riesz direction,
+    # where DH = ||R_h||^2, can show the 1.001 factor
+    real = vf.gateaux_h
+    monkeypatch.setattr(vf, "gateaux_h", lambda *a, **k: 1.001 * real(*a, **k))
+    psi = TangentVector(FourierRep(2.0, 0.0, [0.0], [1.0]), 2)
+    assert not fd_derivative_check(cos_quarter(), psi, (1e-4, 1e-5)).passed
+
+
 def test_fd_derivative_check_report():
     rng = np.random.default_rng(4)
     rep = fd_derivative_check(random_density(rng, 2), random_tangent(rng, 2),
@@ -112,6 +123,15 @@ def test_gradient_maximality_orthogonal_direction():
 def test_ode_pde_proportionality_check():
     rep = ode_pde_proportionality_check(50, seed=0)
     assert rep.passed and rep.max_abs_error <= 1e-10
+
+
+def test_ode_pde_proportionality_catches_scaled_kernel(monkeypatch):
+    # a common factor in both mode equations keeps their ratio at c^2, but
+    # not their agreement with gateaux_g
+    en = importlib.import_module("srbflow.entropy")  # the package's `entropy` is the function
+    real = en._odd_mode_rhs
+    monkeypatch.setattr(en, "_odd_mode_rhs", lambda *a: 1.001 * real(*a))
+    assert not ode_pde_proportionality_check(10, seed=0).passed
 
 
 def test_equilibrium_checks():

@@ -4,9 +4,9 @@
 
 Each root is a checkout of this repository, holding `src/` and `demos/`.
 Every CLI command of the output gate (figures, Galerkin and diffusion
-modes, Riesz and simplex flows, entropy, verify) and every demo runs once
-under each tree. One line per command reports IDENTICAL when stdout, stderr
-and the exit code agree byte for byte. Otherwise it reports DIFFERS with
+modes, Riesz and simplex flows, entropy, verify, and two runs that fail on
+purpose) and every demo runs once under each tree. One line per command
+reports IDENTICAL when stdout, stderr and the exit code agree byte for byte. Otherwise it reports DIFFERS with
 the largest |new - old| / max(1, |old|) over the numbers of the two
 outputs, or "text" when they do not line up number for number.
 
@@ -55,6 +55,9 @@ COMMANDS = [
     ["entropy", "--n", "3", "--coeffs", "0.1,0.05", "--grid", "999"],
     ["verify", "--seed", "0"],
     ["verify", "--seed", "42"],
+    # error paths: stderr and exit code are compared too
+    ["pde", "--B", "0.25,0,0", "--dt", "0.1", "--t-end", "1"],
+    ["galerkin", "--B", "0.6,0,0", "--t-end", "1"],
 ]
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:nan|inf)")
 MAIN = "import sys; from srbflow.cli import main; sys.exit(main(sys.argv[1:]))"
