@@ -183,7 +183,11 @@ def cmd_riesz(args) -> int:
 
 def cmd_entropy(args) -> int:
     h = _initial_density(args)
-    h = InverseDerivative(GridRep(float(args.n), density_samples(h, args.grid)), args.n)
+    try:
+        samples = density_samples(h, args.grid)
+    except DomainError as e:  # nothing is integrated: the input alone is bad
+        raise ValueError(f"input {e}") from None
+    h = InverseDerivative(GridRep(float(args.n), samples), args.n)
     value = density_entropy(h)
     _print_extrema(h.rep.samples)
     print(f"entropy = {FLOAT_FMT % value} (max ln n = {FLOAT_FMT % np.log(args.n)})")

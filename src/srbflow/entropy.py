@@ -11,7 +11,7 @@ gradient becomes an ODE system on the odd-harmonic coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -133,15 +133,19 @@ def c_squared(k) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
-def _odd_tables(k: np.ndarray, n_points: int, blocks: int) -> np.ndarray:
+@lru_cache(maxsize=8)
+def _odd_tables(n_modes: int, n_points: int, blocks: int) -> np.ndarray:
     """The last blocks + 1 of (-sin, cos, sin)(k tau) on tau_j = 2 pi j / N,
-    stacked in one array, so every table of _odd_mode_rhs is a view."""
-    ang = np.outer(np.arange(n_points) * (2.0 * np.pi / n_points), k)
+    k = odd_frequencies(n_modes), stacked in one array, so every table of
+    _odd_mode_rhs is a view.  The tables depend only on (K, N, blocks) and a
+    run uses one (K, N), so they are built once and shared read-only."""
+    ang = np.outer(np.arange(n_points) * (2.0 * np.pi / n_points), odd_frequencies(n_modes))
     T = np.empty((blocks + 1,) + ang.shape)
     np.cos(ang, out=T[-2])
     np.sin(ang, out=T[-1])
     if blocks == 2:
         np.negative(T[-1], out=T[0])
+    T.setflags(write=False)
     return T
 
 
@@ -154,7 +158,7 @@ def _odd_mode_rhs(x: np.ndarray, k: np.ndarray, w, n_points: int) -> np.ndarray:
     h'/h on the modes gives dx/dt = -pi k w (dtau ((S (k x)) / h)^T S): the
     H^2 gradient flow for the weights w = c^2, the diffusion modes for w = 1.
     The blocks of x pair with the tables T as C = T[:-1] and S = T[1:]."""
-    T = _odd_tables(k, n_points, len(x))
+    T = _odd_tables(k.size, n_points, len(x))
     h = _guarded(reduce(np.add, map(np.matmul, T[:-1], x), 0.5))
     num = reduce(np.add, map(np.matmul, T[1:], k * x))
     return -np.pi * k * w * ((2.0 * np.pi / n_points) * ((num / h) @ T[1:]))
@@ -171,7 +175,7 @@ def flow_density(state: GalerkinState, n_points: int = DEFAULT_GRID) -> np.ndarr
     """u_y = 1/2 + pi sum (2k-1)(-a sin + b cos) sampled on [0, 2)."""
     k = odd_frequencies(state.n_modes)
     x = np.pi * k * np.stack([state.a, state.b])
-    return reduce(np.add, map(np.matmul, _odd_tables(k, n_points, 2)[:2], x), 0.5)
+    return reduce(np.add, map(np.matmul, _odd_tables(k.size, n_points, 2)[:2], x), 0.5)
 
 
 def sobolev_gradient_n2(state: GalerkinState, n_points: int = DEFAULT_GRID) -> GalerkinState:
@@ -221,18 +225,6 @@ def pde_rhs_even(B, n_points: int = DEFAULT_GRID) -> np.ndarray:
 
 def even_entropy(B, n_points: int = DEFAULT_GRID) -> float:
     """H of the density h(tau) = 1/2 + sum B_k cos((2k-1)tau), i.e.
-    -(1/pi) int_0^{2pi} h ln h dtau."""
-    tau = np.arange(n_points) * (2.0 * np.pi / n_points)
-    return gibbs_entropy(even_density(B, tau), 2.0 / n_points)
-
-
-def galerkin_to_even(state: GalerkinState) -> np.ndarray:
-    """B_k = pi (2k-1) b_{2k-1}; requires a pure-sine (even-density) state."""
-    if np.any(state.a != 0.0):
-        raise ValueError("even-case reduction needs a = 0")
-    return np.pi * odd_frequencies(state.n_modes) * state.b
-
-
-def even_to_galerkin(B) -> GalerkinState:
+    -(1/pi) int_0^{2pi} h ln h dtau, on the kernel's cached cos table."""
     B = np.atleast_1d(np.asarray(B, dtype=float))
-    return GalerkinState(np.zeros(B.size), B / (np.pi * odd_frequencies(B.size)))
+    return gibbs_entropy(0.5 + _odd_tables(B.size, n_points, 1)[0] @ B, 2.0 / n_points)

@@ -44,6 +44,9 @@ class FlowConfig:
     def __post_init__(self):
         if not (0 < self.dt < self.t_end and np.isfinite(self.t_end / self.dt)):
             raise ValueError("need 0 < dt < t_end and a finite t_end / dt")
+        steps = self.t_end / self.dt
+        if abs(steps - round(steps)) > 1e-9 * steps:
+            raise ValueError(f"t_end / dt = {steps:.6g} is not a whole number of steps")
         if self.method not in ("euler", "rk4"):
             raise ValueError("method must be 'euler' or 'rk4'")
         if self.record_every < 1:

@@ -159,6 +159,11 @@ def test_validation_error_exit_code(capsys):
     assert run(["simplex", "--n", "2", "--x", "0.5,0.5", "--t-end", "1e300", "--dt", "1e-300"]) == 3
     assert run(["entropy", "--n", "0", "--coeffs", "0.1,0"]) == 3
     assert run(["figure", "--which", "fig1", "--tau-points", "0"]) == 3
+    # an input density outside (0, 1), with nothing integrated
+    assert run(["entropy", "--n", "2", "--coeffs", "0.6,0"]) == 3
+    # t_end / dt that is not a whole number of steps (would stop at 0.8 / 0.9)
+    assert run(["simplex", "--n", "2", "--x", "0.3,0.7", "--t-end", "1", "--dt", "0.4"]) == 3
+    assert run(["simplex", "--n", "2", "--x", "0.3,0.7", "--t-end", "1", "--dt", "0.3"]) == 3
 
 
 def test_simplex_ignores_grid(tmp_path):

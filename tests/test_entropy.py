@@ -4,11 +4,12 @@ from scipy.integrate import quad
 
 from srbflow.entropy import (
     GalerkinState,
+    _odd_tables,
     c_squared,
     entropy,
-    even_to_galerkin,
+    even_entropy,
+    flow_density,
     galerkin_rhs_even,
-    galerkin_to_even,
     gateaux_g,
     gateaux_h,
     odd_frequencies,
@@ -30,6 +31,18 @@ COS_QUARTER = FourierRep(2.0, 0.5, [0.25], [0.0])  # h = 1/2 + (1/4) cos(pi y)
 
 def h_cos_quarter():
     return InverseDerivative(COS_QUARTER, 2)
+
+
+def galerkin_to_even(state: GalerkinState) -> np.ndarray:
+    """B_k = pi (2k-1) b_{2k-1}; requires a pure-sine (even-density) state."""
+    if np.any(state.a != 0.0):
+        raise ValueError("even-case reduction needs a = 0")
+    return np.pi * odd_frequencies(state.n_modes) * state.b
+
+
+def even_to_galerkin(B) -> GalerkinState:
+    B = np.atleast_1d(np.asarray(B, dtype=float))
+    return GalerkinState(np.zeros(B.size), B / (np.pi * odd_frequencies(B.size)))
 
 
 def test_entropy_uniform():
@@ -250,3 +263,88 @@ def test_sobolev_gradient_matches_basis_projection(rhs, weight):
         phi_sin = TangentVector(FourierRep(2.0, 0.0, np.zeros(5), e_cos), 2)
         assert g.a[m] == pytest.approx(weight(km) * gateaux_g(gprime, phi_cos), abs=1e-9)
         assert g.b[m] == pytest.approx(weight(km) * gateaux_g(gprime, phi_sin), abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# The cached odd-mode tables against tables built afresh on every call
+# ---------------------------------------------------------------------------
+
+
+def fresh_tables(K, N):
+    """cos and sin of (2m-1) tau on tau_j = 2 pi j / N, built anew."""
+    ang = np.outer(np.arange(N) * (2.0 * np.pi / N), odd_frequencies(K))
+    return np.cos(ang), np.sin(ang)
+
+
+def oracle_even_rhs(B, w, N):
+    C, S = fresh_tables(B.size, N)
+    k = odd_frequencies(B.size)
+    ratio = (S @ (k * B)) / (0.5 + C @ B)
+    return -np.pi * k * w * ((2.0 * np.pi / N) * (ratio @ S))
+
+
+def oracle_n2_density(state, N):
+    C, S = fresh_tables(state.n_modes, N)
+    k = odd_frequencies(state.n_modes)
+    return 0.5 + (-S) @ (np.pi * k * state.a) + C @ (np.pi * k * state.b)
+
+
+def oracle_n2_rhs(state, w, N):
+    C, S = fresh_tables(state.n_modes, N)
+    k = odd_frequencies(state.n_modes)
+    A, B = np.pi * k * state.a, np.pi * k * state.b
+    ratio = (C @ (k * A) + S @ (k * B)) / oracle_n2_density(state, N)
+    xdot = -np.pi * k * w * ((2.0 * np.pi / N) * np.stack([ratio @ C, ratio @ S]))
+    return xdot / (np.pi * k)
+
+
+def oracle_even_entropy(B, N):
+    C, _ = fresh_tables(B.size, N)
+    s = 0.5 + C @ B
+    return float(-(2.0 / N) * np.sum(s * np.log(s)))
+
+
+@pytest.mark.parametrize("N", [256, 1000, 1024])
+@pytest.mark.parametrize("K", [1, 2, 3, 5, 8])
+def test_cached_table_readers_match_fresh_tables_bitwise(K, N):
+    rng = np.random.default_rng(1000 * K + N)
+    k = odd_frequencies(K)
+    c2 = c_squared(k)
+    for _ in range(3):
+        # sum |B| < 1/2 and pi sum k (|a| + |b|) < 1/2 keep the densities in (0, 1)
+        B = rng.uniform(-1.0, 1.0, K)
+        B *= rng.uniform(0.05, 0.4) / np.sum(np.abs(B))
+        ab = rng.uniform(-1.0, 1.0, (2, K))
+        ab *= rng.uniform(0.05, 0.4) / (np.pi * np.sum(k * np.abs(ab)))
+        state = GalerkinState(*ab)
+        assert np.array_equal(galerkin_rhs_even(B, N), oracle_even_rhs(B, c2, N))
+        assert np.array_equal(pde_rhs_even(B, N), oracle_even_rhs(B, 1.0, N))
+        assert even_entropy(B, N) == oracle_even_entropy(B, N)
+        assert np.array_equal(flow_density(state, N), oracle_n2_density(state, N))
+        for rhs, w in ((sobolev_gradient_n2, c2), (pde_rhs_n2, 1.0)):
+            g = rhs(state, N)
+            assert np.array_equal(np.stack([g.a, g.b]), oracle_n2_rhs(state, w, N))
+
+
+def test_cached_tables_are_read_only():
+    for blocks in (1, 2):
+        T = _odd_tables(3, 64, blocks)
+        with pytest.raises(ValueError):
+            T[0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            T[-1] += 1.0
+
+
+def test_table_cache_is_bounded():
+    assert _odd_tables.cache_info().maxsize is not None
+
+
+def test_table_cache_builds_once_per_grid_and_mode_count():
+    # a (K, N) that no other test uses, so the first call is the one miss
+    before = _odd_tables.cache_info()
+    B = np.array([0.1, 0.02, -0.01, 0.005])
+    first = galerkin_rhs_even(B, 520)
+    second = galerkin_rhs_even(B, 520)
+    after = _odd_tables.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+    assert np.array_equal(first, second)

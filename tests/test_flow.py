@@ -177,8 +177,10 @@ def test_integrate_raises_step_error_on_blowup():
 
 
 def test_flow_config_validation():
-    with pytest.raises(ValueError):
-        FlowConfig(t_end=1.0, dt=2.0)
+    # dt out of range, or t_end / dt not a whole number of steps
+    for dt in (2.0, 0.0, -0.1, 0.4, 0.3):
+        with pytest.raises(ValueError):
+            FlowConfig(t_end=1.0, dt=dt)
     with pytest.raises(ValueError):
         FlowConfig(t_end=1.0, dt=0.1, method="leapfrog")
     with pytest.raises(ValueError):

@@ -4,7 +4,7 @@
 
 Each root is a checkout of this repository, holding `src/` and `demos/`.
 Every CLI command of the output gate (figures, Galerkin and diffusion
-modes, Riesz and simplex flows, entropy, verify, and two runs that fail on
+modes, Riesz and simplex flows, entropy, verify, and four runs that fail on
 purpose) and every demo runs once under each tree. One line per command
 reports IDENTICAL when stdout, stderr and the exit code agree byte for byte. Otherwise it reports DIFFERS with
 the largest |new - old| / max(1, |old|) over the numbers of the two
@@ -58,6 +58,8 @@ COMMANDS = [
     # error paths: stderr and exit code are compared too
     ["pde", "--B", "0.25,0,0", "--dt", "0.1", "--t-end", "1"],
     ["galerkin", "--B", "0.6,0,0", "--t-end", "1"],
+    ["entropy", "--n", "2", "--coeffs", "0.6,0"],
+    ["simplex", "--n", "2", "--x", "0.3,0.7", "--t-end", "1", "--dt", "0.4"],
 ]
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:nan|inf)")
 MAIN = "import sys; from srbflow.cli import main; sys.exit(main(sys.argv[1:]))"
