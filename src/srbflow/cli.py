@@ -160,6 +160,8 @@ def _initial_density(args) -> InverseDerivative:
     projected onto the constraint."""
     if args.n < 2:
         raise ValueError("--n must be at least 2")
+    if args.grid < 1:
+        raise ValueError("--grid must be positive")
     c = _parse_floats(args.coeffs)
     if c.size % 2:
         raise ValueError("--coeffs needs an even-length a,b,... list")

@@ -53,9 +53,11 @@ def simplex_rhs(x: np.ndarray, n: int) -> np.ndarray:
     x holds the fibers (x(y), x(y+1), ..., x(y+n-1)) as the rows of
     x.reshape(n, -1), so an n-point x is one point of the simplex and the
     grid samples of a degree-n density are one fiber per node of [0, 1).
-    Each fiber's components sum to zero."""
-    logs = np.log(_guarded(np.asarray(x, dtype=float))).reshape(n, -1)
-    return (logs.sum(axis=0) / n - logs).ravel()
+    Each fiber's components sum to zero; the result has the shape of x, so
+    an (n, b) block of fibers gives an (n, b) block."""
+    x = np.asarray(x, dtype=float)
+    logs = np.log(_guarded(x)).reshape(n, -1)
+    return (logs.sum(axis=0) / n - logs).reshape(x.shape)
 
 
 def density_samples(h: InverseDerivative, n_points: int = DEFAULT_GRID) -> np.ndarray:

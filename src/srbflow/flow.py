@@ -6,6 +6,13 @@ residual) evaluated at recorded steps.  rhs(x) is evaluated once per state:
 it is the next step's first stage, and grad_norm maps it to a float.
 Explicit Euler is the default stepper; classical RK4 is available when
 tighter monotonicity tolerances are needed.
+
+A state of independent fibers (FlowSystem.fiber; the Riesz flow's n
+translates of each grid node) is stepped in column blocks of its (fiber, M)
+view, BLOCK_ELEMENTS values each: a block runs the stages, their sum and the
+next state's rhs while its arrays stay in cache.  A state of one block is
+stepped flat.  Each value gets the whole-array arithmetic, so no bit of the
+trajectory changes.  Records go into arrays allocated up front.
 """
 
 from __future__ import annotations
@@ -71,6 +78,9 @@ class FlowSystem:
     constraint_residual: Callable[[np.ndarray], float]
     # the norm of the gradient from the rhs value r = rhs(x)
     grad_norm: Callable[[np.ndarray], float] = lambda r: float(np.linalg.norm(r))
+    # length of the independent fibers, the rows of x.reshape(fiber, -1) whose
+    # columns evolve apart; None: the state is one coupled system
+    fiber: int | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +101,7 @@ def riesz_system(degree: int) -> FlowSystem:
         entropy=lambda x: gibbs_entropy(x, degree / x.size),
         constraint_residual=lambda x: float(np.max(np.abs(translate_sums(x, degree) - 1.0))),
         grad_norm=lambda r: float(np.sqrt(degree / r.size * np.sum(r**2))),
+        fiber=degree,
     )
 
 
@@ -135,6 +146,11 @@ def heat_reference(B0, t: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+# values per fiber block: 256 KiB per array, so the arrays an RK4 step keeps
+# alive stay in a 2 MiB L2 cache (the fastest of 2^12 ... 2^19 in a sweep)
+BLOCK_ELEMENTS = 2**15
+
+
 def _euler_step(rhs, x, k1, dt):
     return x + dt * k1
 
@@ -146,39 +162,52 @@ def _rk4_step(rhs, x, k1, dt):
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _blocks(x: np.ndarray, r: np.ndarray, fiber: int | None) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Matching views (x_b, r_b) of x and r that step independently: column
+    blocks of the (fiber, M) views, or the flat arrays if one block holds
+    the whole state."""
+    if fiber is None or x.size <= BLOCK_ELEMENTS:
+        return [(x, r)]
+    X, R = x.reshape(fiber, -1), r.reshape(fiber, -1)
+    width = max(1, BLOCK_ELEMENTS // fiber)
+    return [(X[:, j:j + width], R[:, j:j + width]) for j in range(0, X.shape[1], width)]
+
+
 def integrate(system: FlowSystem, initial, cfg: FlowConfig) -> Trajectory:
     """Fixed-step integration with monitors sampled at recorded steps.
 
     Raises DomainError if the state leaves the valid region and StepError
-    if a step produces a non-finite value.
+    if a step produces a non-finite value; on a state of several blocks,
+    the block where that happens first.
     """
     x = np.array(initial, dtype=float)
     step = _euler_step if cfg.method == "euler" else _rk4_step
     n_steps = int(round(cfg.t_end / cfg.dt))
+    n_records = n_steps // cfg.record_every + 1 + (n_steps % cfg.record_every > 0)
+    traj = Trajectory(times=np.empty(n_records), states=np.empty((n_records, x.size)),
+                      entropy=np.empty(n_records), grad_norm=np.empty(n_records),
+                      constraint_residual=np.empty(n_records))
+    r = np.empty_like(x)
+    blocks = _blocks(x, r, system.fiber)
 
-    times, states, ents, gnorms, residuals = [], [], [], [], []
+    def record(j, t):
+        traj.times[j] = t
+        traj.states[j] = x
+        traj.entropy[j] = system.entropy(x)
+        traj.grad_norm[j] = system.grad_norm(r)
+        traj.constraint_residual[j] = system.constraint_residual(x)
 
-    def record(t, x, r):
-        times.append(t)
-        states.append(x.copy())
-        ents.append(system.entropy(x))
-        gnorms.append(system.grad_norm(r))
-        residuals.append(system.constraint_residual(x))
-
-    r = system.rhs(x)
-    record(0.0, x, r)
+    for xb, rb in blocks:
+        rb[...] = system.rhs(xb)
+    record(0, 0.0)
+    j = 1
     for i in range(1, n_steps + 1):
-        x = step(system.rhs, x, r, cfg.dt)
-        if not np.all(np.isfinite(x)):
-            raise StepError(f"non-finite state at step {i}")
-        r = system.rhs(x)
+        for xb, rb in blocks:
+            xb[...] = step(system.rhs, xb, rb, cfg.dt)
+            if not np.all(np.isfinite(xb)):
+                raise StepError(f"non-finite state at step {i}")
+            rb[...] = system.rhs(xb)
         if i % cfg.record_every == 0 or i == n_steps:
-            record(i * cfg.dt, x, r)
-
-    return Trajectory(
-        times=np.array(times),
-        states=np.array(states),
-        entropy=np.array(ents),
-        grad_norm=np.array(gnorms),
-        constraint_residual=np.array(residuals),
-    )
+            record(j, i * cfg.dt)
+            j += 1
+    return traj

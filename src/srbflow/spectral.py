@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 DEFAULT_GRID = 1024
+EVAL_CHUNK = 2**15  # rows of y per pass of evaluate
 
 
 @dataclass(frozen=True)
@@ -96,12 +97,23 @@ class TangentVector:
 
 
 def evaluate(rep: FourierRep, y) -> np.ndarray | float:
-    """Evaluate the Fourier series at point(s) y."""
+    """Evaluate the Fourier series at point(s) y.
+
+    The angle and trig arrays are built over EVAL_CHUNK rows of y at a
+    time, so a large grid needs no full (points, modes) tables.  The last
+    chunk takes the rest, up to 2 EVAL_CHUNK - 1 rows: a short tail in a
+    matrix product of its own could round differently from the same rows
+    in one whole-grid product."""
     y = np.asarray(y, dtype=float)
     k = np.arange(1, rep.n_modes + 1)
-    ang = (2.0 * np.pi / rep.period) * np.multiply.outer(y, k)
-    out = rep.mean + (np.cos(ang) @ rep.cos + np.sin(ang) @ rep.sin)
-    return out if out.ndim else float(out)
+    rows = np.atleast_1d(y)
+    out = np.empty(rows.shape)
+    n_chunks = max(1, len(rows) // EVAL_CHUNK)
+    for c in range(n_chunks):
+        part = slice(c * EVAL_CHUNK, None if c == n_chunks - 1 else (c + 1) * EVAL_CHUNK)
+        ang = (2.0 * np.pi / rep.period) * np.multiply.outer(rows[part], k)
+        out[part] = rep.mean + (np.cos(ang) @ rep.cos + np.sin(ang) @ rep.sin)
+    return out if y.ndim else float(out[0])
 
 
 def differentiate(rep: FourierRep) -> FourierRep:

@@ -164,6 +164,10 @@ def test_validation_error_exit_code(capsys):
     # t_end / dt that is not a whole number of steps (would stop at 0.8 / 0.9)
     assert run(["simplex", "--n", "2", "--x", "0.3,0.7", "--t-end", "1", "--dt", "0.4"]) == 3
     assert run(["simplex", "--n", "2", "--x", "0.3,0.7", "--t-end", "1", "--dt", "0.3"]) == 3
+    # a non-positive grid (would silently run on 4 * n nodes)
+    assert run(["riesz", "--n", "2", "--coeffs", "0.1,0", "--grid", "0", "--t-end", "1"]) == 3
+    assert run(["riesz", "--n", "2", "--coeffs", "0.1,0", "--grid", "-4", "--t-end", "1"]) == 3
+    assert run(["entropy", "--n", "2", "--coeffs", "0.1,0", "--grid", "0"]) == 3
 
 
 def test_simplex_ignores_grid(tmp_path):

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from srbflow import flow
 from srbflow.entropy import galerkin_rhs_even, riesz_gradient, simplex_rhs
 from srbflow.errors import DomainError, StepError
 from srbflow.flow import (
@@ -226,3 +227,93 @@ def test_recorded_grad_norm_is_norm_of_rhs(system, x0, norm):
     for state, recorded in zip(traj.states, traj.grad_norm):
         r = system.rhs(state)
         assert recorded == system.grad_norm(r) == norm(r)
+
+
+# ---------------------------------------------------------------------------
+# Fiber-blocked stepping: a small block makes a few thousand nodes span
+# several blocks, the last one ragged; the oracle steps the whole array.
+# ---------------------------------------------------------------------------
+
+BLOCK = 700  # elements; 233 columns of 3-point fibers, 140 of 5-point ones
+
+
+def _whole_array_steps(x0, n, method, dt):
+    """Yield (x, simplex_rhs(x)) at step 0, 1, 2, ... of the plain
+    whole-array Euler or RK4 step."""
+    x = np.array(x0, dtype=float)
+    r = simplex_rhs(x, n)
+    while True:
+        yield x, r
+        if method == "euler":
+            x = x + dt * r
+        else:
+            k2 = simplex_rhs(x + 0.5 * dt * r, n)
+            k3 = simplex_rhs(x + 0.5 * dt * k2, n)
+            k4 = simplex_rhs(x + dt * k3, n)
+            x = x + (dt / 6.0) * (r + 2.0 * k2 + 2.0 * k3 + k4)
+        r = simplex_rhs(x, n)
+
+
+def _counting(system, calls):
+    def rhs(x):
+        calls.append(x.shape)
+        return system.rhs(x)
+    return dataclasses.replace(system, rhs=rhs)
+
+
+@pytest.mark.parametrize("record_every", [1, 3])
+@pytest.mark.parametrize("method", ["euler", "rk4"])
+@pytest.mark.parametrize("n, m", [(3, 1000), (5, 600)])
+def test_blocked_riesz_trajectory_matches_whole_array_oracle(monkeypatch, n, m, method,
+                                                             record_every):
+    monkeypatch.setattr(flow, "BLOCK_ELEMENTS", BLOCK)
+    x0 = _fibers(n, m, 11)
+    cfg = FlowConfig(t_end=1.0, dt=0.1, method=method, record_every=record_every)
+    system, calls = riesz_system(n), []
+    traj = integrate(_counting(system, calls), x0, cfg)
+
+    width = BLOCK // n
+    n_blocks = -(-m // width)
+    assert n_blocks > 1 and m % width  # several blocks, the last one ragged
+    stages = 1 if method == "euler" else 4
+    assert len(calls) == n_blocks * (stages * 10 + 1)
+    assert {shape[1] for shape in calls} == {width, m % width}
+
+    oracle = zip(range(11), _whole_array_steps(x0, n, method, cfg.dt))
+    rows = [(i * cfg.dt, x, r) for i, (x, r) in oracle if i % record_every == 0 or i == 10]
+    assert np.array_equal(traj.times, [t for t, _, _ in rows])
+    assert np.array_equal(traj.states, np.array([x for _, x, _ in rows]))
+    assert np.array_equal(traj.entropy, [system.entropy(x) for _, x, _ in rows])
+    assert np.array_equal(traj.grad_norm, [system.grad_norm(r) for _, _, r in rows])
+    assert np.array_equal(traj.constraint_residual,
+                          [system.constraint_residual(x) for _, x, _ in rows])
+
+
+def test_blocked_riesz_domain_error_at_the_oracle_step(monkeypatch):
+    # explicit Euler at a large step overshoots out of (0, 1) after a few
+    # steps; only the last, ragged block holds the fibers near the boundary
+    monkeypatch.setattr(flow, "BLOCK_ELEMENTS", BLOCK)
+    n, m, dt = 3, 1000, 0.5
+    x0 = _fibers(n, m, 3).reshape(n, m)
+    x0[:, -5:] = [[0.04], [0.443], [0.517]]
+    x0 = x0.ravel()
+    steps = _whole_array_steps(x0, n, "euler", dt)
+    with pytest.raises(DomainError):
+        for failed_at in range(20):
+            next(steps)
+    assert failed_at > 2
+    integrate(riesz_system(n), x0, FlowConfig(t_end=(failed_at - 1) * dt, dt=dt))
+    with pytest.raises(DomainError):
+        integrate(riesz_system(n), x0, FlowConfig(t_end=failed_at * dt, dt=dt))
+
+
+def test_blocked_step_error_on_non_finite_block(monkeypatch):
+    # the rhs is infinite on the last block's columns only
+    monkeypatch.setattr(flow, "BLOCK_ELEMENTS", BLOCK)
+    system = FlowSystem(rhs=lambda x: np.where(x > 2.0, np.inf, 0.0),
+                        entropy=lambda x: 0.0, constraint_residual=lambda x: 0.0,
+                        grad_norm=lambda r: 0.0, fiber=2)
+    x0 = np.ones((2, 1000))
+    x0[:, -1] = 3.0
+    with pytest.raises(StepError, match="step 1"):
+        integrate(system, x0.ravel(), FlowConfig(t_end=1.0, dt=0.1))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from srbflow import spectral
 from srbflow.spectral import (
     FourierRep,
     GridRep,
@@ -30,6 +31,34 @@ def test_eval_cosine():
     rep = FourierRep(2.0, 0.5, [0.25], [0.0])
     assert evaluate(rep, 0.0) == pytest.approx(0.75, abs=1e-15)
     assert evaluate(rep, 1.0) == pytest.approx(0.25, abs=1e-15)  # cos(pi) = -1
+
+
+def _one_shot_evaluate(rep, y):
+    # the whole-array formula: one (points, modes) angle table
+    y = np.asarray(y, dtype=float)
+    k = np.arange(1, rep.n_modes + 1)
+    ang = (2.0 * np.pi / rep.period) * np.multiply.outer(y, k)
+    out = rep.mean + (np.cos(ang) @ rep.cos + np.sin(ang) @ rep.sin)
+    return out if out.ndim else float(out)
+
+
+@pytest.mark.parametrize("period", [2.0, 3.0, 5.0])
+def test_chunked_evaluate_matches_one_shot_bitwise(monkeypatch, period):
+    # a small chunk keeps the BLAS calls single-threaded; sizes below, at
+    # and above one chunk, several chunks and a ragged tail
+    chunk = 64
+    monkeypatch.setattr(spectral, "EVAL_CHUNK", chunk)
+    rng = np.random.default_rng(int(period))
+    for n_modes in range(1, 9):
+        rep = FourierRep(period, 1.0 / period, 0.1 * rng.normal(size=n_modes),
+                         0.1 * rng.normal(size=n_modes))
+        for size in (1, 5, chunk - 1, chunk, chunk + 1, 2 * chunk - 1, 2 * chunk, 3 * chunk + 5):
+            y = np.arange(size) * (period / size)
+            assert np.array_equal(evaluate(rep, y), _one_shot_evaluate(rep, y)), (n_modes, size)
+        y2 = rng.uniform(0.0, period, (3 * chunk + 5, 2))
+        assert np.array_equal(evaluate(rep, y2), _one_shot_evaluate(rep, y2)), n_modes
+        value = evaluate(rep, 0.3)
+        assert type(value) is float and value == _one_shot_evaluate(rep, 0.3)
 
 
 def test_differentiate_constant():

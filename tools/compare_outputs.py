@@ -4,7 +4,7 @@
 
 Each root is a checkout of this repository, holding `src/` and `demos/`.
 Every CLI command of the output gate (figures, Galerkin and diffusion
-modes, Riesz and simplex flows, entropy, verify, and four runs that fail on
+modes, Riesz and simplex flows, entropy, verify, and seven runs that fail on
 purpose) and every demo runs once under each tree. One line per command
 reports IDENTICAL when stdout, stderr and the exit code agree byte for byte. Otherwise it reports DIFFERS with
 the largest |new - old| / max(1, |old|) over the numbers of the two
@@ -46,6 +46,9 @@ COMMANDS = [
     ["riesz", "--n", "3", "--coeffs", "0.1,0.05", "--t-end", "5", "--grid", "999"],
     ["riesz", "--n", "5", "--coeffs", "0.05,0.02,0.03,0.01", "--t-end", "2", "--grid", "2048",
      "--method", "rk4", "--dt", "0.02"],
+    # a grid state of several fiber blocks, the last one ragged
+    ["riesz", "--n", "5", "--coeffs", "0.05,0.02,0.03,0.01", "--grid", "200000", "--t-end", "0.1",
+     "--dt", "0.02", "--method", "rk4", "--record-every", "5"],
     ["simplex", "--n", "2", "--x", "0.3,0.7", "--t-end", "10"],
     ["simplex", "--n", "5", "--x", "0.1,0.15,0.2,0.25,0.3", "--t-end", "20", "--method", "rk4",
      "--dt", "0.01"],
@@ -60,6 +63,9 @@ COMMANDS = [
     ["galerkin", "--B", "0.6,0,0", "--t-end", "1"],
     ["entropy", "--n", "2", "--coeffs", "0.6,0"],
     ["simplex", "--n", "2", "--x", "0.3,0.7", "--t-end", "1", "--dt", "0.4"],
+    ["riesz", "--n", "2", "--coeffs", "0.1,0", "--grid", "0", "--t-end", "1"],
+    ["riesz", "--n", "2", "--coeffs", "0.1,0", "--grid", "-4", "--t-end", "1"],
+    ["entropy", "--n", "2", "--coeffs", "0.1,0", "--grid", "0"],
 ]
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:nan|inf)")
 MAIN = "import sys; from srbflow.cli import main; sys.exit(main(sys.argv[1:]))"
