@@ -19,17 +19,15 @@ from .spectral import (
     to_grid,
 )
 from .entropy import (
-    GalerkinState,
     c_squared,
-    entropy,
-    galerkin_rhs_even,
+    density_entropy,
     gateaux_g,
     gateaux_h,
-    pde_rhs_even,
-    pde_rhs_n2,
+    odd_mode_density,
+    odd_mode_entropy,
+    odd_mode_rhs,
     riesz_gradient,
     simplex_rhs,
-    sobolev_gradient_n2,
 )
 from .flow import (
     FlowConfig,
@@ -45,15 +43,15 @@ from .verify import CheckReport, run_all
 
 __all__ = [
     "CheckReport", "DomainError", "FlowConfig", "FlowSystem", "FourierRep",
-    "GalerkinState", "GridRep", "InverseDerivative", "StepError",
+    "GridRep", "InverseDerivative", "StepError",
     "TangentVector", "Trajectory", "c_squared", "constraint_residual",
-    "derivative_sup_bound", "differentiate", "entropy", "evaluate",
-    "even_galerkin_system", "galerkin_rhs_even", "galerkin_system_n2",
+    "density_entropy", "derivative_sup_bound", "differentiate", "evaluate",
+    "even_galerkin_system", "galerkin_system_n2",
     "gateaux_g", "gateaux_h", "heat_reference", "integrate",
-    "pde_rhs_even", "pde_rhs_n2", "project_constraint", "quadrature",
+    "odd_mode_density", "odd_mode_entropy", "odd_mode_rhs",
+    "project_constraint", "quadrature",
     "riesz_gradient", "riesz_system", "run_all", "simplex_rhs",
-    "sobolev_gradient_n2", "sobolev_norm",
-    "tangent_residual", "to_fourier", "to_grid",
+    "sobolev_norm", "tangent_residual", "to_fourier", "to_grid",
 ]
 
 __version__ = "0.1.0"

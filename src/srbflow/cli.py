@@ -16,14 +16,7 @@ import numpy as np
 
 from . import flow as fl
 from . import verify as vf
-from .entropy import (
-    GalerkinState,
-    _guarded,
-    density_samples,
-    entropy as density_entropy,
-    even_density,
-    flow_density,
-)
+from .entropy import _guarded, density_entropy, density_samples, odd_frequencies, odd_mode_density
 from .errors import DomainError, StepError
 from .spectral import FourierRep, GridRep, InverseDerivative, constraint_residual, \
     grid_points_for, project_constraint, to_grid
@@ -93,6 +86,11 @@ def _integrate(system: fl.FlowSystem, x0: np.ndarray, args, guard=None) -> fl.Tr
                                                   record_every=args.record_every))
 
 
+def _check_grid(grid: int, n_modes: int):
+    if grid < 4 * max(n_modes, 1):
+        raise ValueError("--grid must be at least 4 * the number of modes")
+
+
 def _print_extrema(samples: np.ndarray):
     print(f"h range: [{samples.min():.6g}, {samples.max():.6g}] "
           f"(must stay inside (0, 1))")
@@ -123,7 +121,8 @@ def _galerkin_like(args, use_pde: bool) -> int:
         x0 = _parse_floats(args.B)
         if args.modes and x0.size != args.modes:
             raise ValueError("--B length must equal --modes")
-        _print_extrema(even_density(x0, np.linspace(0, 2 * np.pi, 512)))
+        tau = np.linspace(0, 2 * np.pi, 512)
+        _print_extrema(0.5 + np.cos(np.outer(tau, odd_frequencies(x0.size))) @ x0)
         system = fl.even_galerkin_system(args.grid, use_pde=use_pde)
         n_modes = x0.size
         names = [f"B{k+1}" for k in range(n_modes)]
@@ -131,16 +130,14 @@ def _galerkin_like(args, use_pde: bool) -> int:
         c = _parse_floats(args.coeffs)
         if c.size % 2:
             raise ValueError("--coeffs needs alternating a,b pairs for the odd modes")
-        state = GalerkinState(c[0::2], c[1::2])
-        _print_extrema(flow_density(state, 512))
+        x0 = np.concatenate([c[0::2], c[1::2]])
+        n_modes = c.size // 2
+        _print_extrema(odd_mode_density(np.pi * odd_frequencies(n_modes) * x0.reshape(2, -1), 512))
         system = fl.galerkin_system_n2(args.grid, use_pde=use_pde)
-        x0 = np.concatenate([state.a, state.b])
-        n_modes = state.n_modes
         names = [f"{ab}{2*k+1}" for ab in "ab" for k in range(n_modes)]
     else:
         raise ValueError("provide an initial condition via --B or --coeffs")
-    if args.grid < 4 * max(n_modes, 1):
-        raise ValueError("--grid must be at least 4 * the number of modes")
+    _check_grid(args.grid, n_modes)
     traj = _integrate(system, x0, args)
     header, rows = _trajectory_table(traj, names, with_residual=False)
     _write_table(_resolve_out(args.out), header, rows, args.format)
@@ -211,6 +208,7 @@ def cmd_figure(args) -> int:
     if args.tau_points < 1:
         raise ValueError("--tau-points must be at least 1")
     B0 = np.array([0.25, 0.0, 0.0])
+    _check_grid(args.grid, B0.size)
     tau = np.arange(args.tau_points) * (2.0 * np.pi / args.tau_points)
     system = fl.even_galerkin_system(args.grid)
     if args.which == "fig1":
@@ -220,15 +218,15 @@ def cmd_figure(args) -> int:
         header = ["tau"]
         for t in (0.0, 10.0, 20.0):
             i = int(np.argmin(np.abs(traj.times - t)))
-            cols.append(even_density(traj.states[i], tau) - 0.5)
+            cols.append(odd_mode_density(traj.states[i], args.tau_points) - 0.5)
             header.append(f"t{int(t)}")
     else:
         cfg = fl.FlowConfig(t_end=50.0, dt=0.1, method="euler", record_every=100)
         traj = fl.integrate(system, B0, cfg)
         B = traj.states[-1]
-        dev = even_density(B, tau) - 0.5
+        dev = odd_mode_density(B, args.tau_points) - 0.5
         cosine = B[0] * np.cos(tau)  # matched-amplitude mode-1 cosine
-        heat = even_density(fl.heat_reference(B0, 50.0), tau) - 0.5
+        heat = odd_mode_density(fl.heat_reference(B0, 50.0), args.tau_points) - 0.5
         cols = [tau, 1000.0 * dev, 1000.0 * cosine, 1000.0 * heat]
         header = ["tau", "deviation_x1000", "cosine_x1000", "heat_x1000"]
     _write_table(_resolve_out(args.out), header, np.column_stack(cols), "csv")
@@ -310,12 +308,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(args, argv):
-    """Fill in values from a key=value file for flags not given on the line."""
-    if getattr(args, "config", None) is None:
-        return
-    with open(args.config) as f:
-        entries = {}
+def _config_tokens(path: str, args) -> list[str]:
+    """The key = value lines of a config file as --key=value flags, so that
+    argparse types and checks them and a flag given later on the line wins."""
+    tokens = []
+    with open(path) as f:
         for line in f:
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -323,15 +320,10 @@ def _apply_config(args, argv):
             if "=" not in line:
                 raise ValueError(f"bad config line: {line!r}")
             key, value = (part.strip() for part in line.split("=", 1))
-            entries[key.replace("-", "_")] = value
-    for key, value in entries.items():
-        if not hasattr(args, key):
-            raise ValueError(f"unknown config key: {key}")
-        if f"--{key.replace('_', '-')}" in argv:
-            continue  # explicit flag wins
-        current = getattr(args, key)
-        caster = type(current) if current is not None and not isinstance(current, bool) else str
-        setattr(args, key, caster(value))
+            if not hasattr(args, key.replace("-", "_")):
+                raise ValueError(f"unknown config key: {key.replace('-', '_')}")
+            tokens.append(f"--{key.replace('_', '-')}={value}")
+    return tokens
 
 
 def main(argv=None) -> int:
@@ -339,7 +331,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(args, argv)
+        if getattr(args, "config", None) is not None:
+            # argv[0] is the subcommand; the flags after it override the file's
+            args = parser.parse_args(argv[:1] + _config_tokens(args.config, args) + argv[1:])
         return args.func(args)
     except (DomainError, StepError) as e:
         print(f"runtime error: {e}", file=sys.stderr)

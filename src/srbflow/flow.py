@@ -25,16 +25,12 @@ import numpy as np
 from .errors import StepError
 from .spectral import DEFAULT_GRID, translate_sums
 from .entropy import (
-    GalerkinState,
-    even_entropy,
-    flow_density,
-    galerkin_rhs_even,
+    c_squared,
     gibbs_entropy,
     odd_frequencies,
-    pde_rhs_even,
-    pde_rhs_n2,
+    odd_mode_entropy,
+    odd_mode_rhs,
     simplex_rhs,
-    sobolev_gradient_n2,
 )
 
 
@@ -75,7 +71,8 @@ class FlowSystem:
 
     rhs: Callable[[np.ndarray], np.ndarray]
     entropy: Callable[[np.ndarray], float]
-    constraint_residual: Callable[[np.ndarray], float]
+    # 0 for the degree-2 systems: odd harmonics satisfy the constraint identically
+    constraint_residual: Callable[[np.ndarray], float] = lambda x: 0.0
     # the norm of the gradient from the rhs value r = rhs(x)
     grad_norm: Callable[[np.ndarray], float] = lambda r: float(np.linalg.norm(r))
     # length of the independent fibers, the rows of x.reshape(fiber, -1) whose
@@ -105,29 +102,31 @@ def riesz_system(degree: int) -> FlowSystem:
     )
 
 
+def _weights(n_modes: int, use_pde: bool):
+    """The odd-mode weights: 1 for the diffusion modes, c^2 for the H^2 flow."""
+    return 1.0 if use_pde else c_squared(odd_frequencies(n_modes))
+
+
 def galerkin_system_n2(n_points: int = DEFAULT_GRID, use_pde: bool = False) -> FlowSystem:
-    """Degree-2 flow on the packed state [a_1, a_3, ...; b_1, b_3, ...]."""
-    step_rhs = pde_rhs_n2 if use_pde else sobolev_gradient_n2
+    """Degree-2 flow on the packed state [a_1, a_3, ...; b_1, b_3, ...]: the
+    odd-mode kernel on the amplitudes s [a; b], s = pi k, scaled back by s."""
 
     def rhs(x):
-        g = step_rhs(GalerkinState(*x.reshape(2, -1)), n_points)
-        return np.concatenate([g.a, g.b])
+        s = np.pi * odd_frequencies(x.size // 2)
+        return (odd_mode_rhs(s * x.reshape(2, -1), _weights(s.size, use_pde), n_points) / s).ravel()
 
     return FlowSystem(
         rhs=rhs,
-        entropy=lambda x: gibbs_entropy(flow_density(GalerkinState(*x.reshape(2, -1)), n_points),
-                                        2.0 / n_points),
-        constraint_residual=lambda x: 0.0,  # odd harmonics satisfy it identically
+        entropy=lambda x: odd_mode_entropy(
+            np.pi * odd_frequencies(x.size // 2) * x.reshape(2, -1), n_points),
     )
 
 
 def even_galerkin_system(n_points: int = DEFAULT_GRID, use_pde: bool = False) -> FlowSystem:
-    """Even-case flow on the B variables (pure cosine densities)."""
-    step_rhs = pde_rhs_even if use_pde else galerkin_rhs_even
+    """Even-case flow on the amplitudes B (pure cosine densities)."""
     return FlowSystem(
-        rhs=lambda B: step_rhs(B, n_points),
-        entropy=lambda B: even_entropy(B, n_points),
-        constraint_residual=lambda B: 0.0,
+        rhs=lambda B: odd_mode_rhs(B, _weights(B.size, use_pde), n_points),
+        entropy=lambda B: odd_mode_entropy(B, n_points),
     )
 
 

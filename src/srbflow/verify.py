@@ -18,17 +18,15 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .entropy import (
-    GalerkinState,
     c_squared,
+    density_entropy,
     density_samples,
-    entropy as density_entropy,
     gateaux_g,
     gateaux_h,
     odd_frequencies,
-    pde_rhs_n2,
+    odd_mode_rhs,
     riesz_gradient,
     simplex_rhs,
-    sobolev_gradient_n2,
 )
 from .spectral import (
     DEFAULT_GRID,
@@ -173,9 +171,11 @@ def ode_pde_proportionality_check(n_states: int = 10, seed: int = 0,
     """Mode m of the Galerkin rhs equals c^2_{2m-1} DH_g(phi) and mode m of
     the PDE rhs equals DH_g(phi), for phi = cos, sin((2m-1) pi y) and DH_g
     from gateaux_g: the two mode equations differ only by the factor c^2,
-    and both are checked against a derivative computed without them."""
+    and both are checked against a derivative computed without them.  The
+    rhs is odd_mode_rhs on s [a; b], s = pi k, divided by s."""
     rng = np.random.default_rng(seed)
     k = odd_frequencies(n_modes)
+    s = np.pi * k
     c2 = c_squared(k)
     zero = np.zeros(k[-1])
     odd = np.eye(k[-1])[k - 1]  # unit coefficient vectors of the odd frequencies
@@ -184,17 +184,15 @@ def ode_pde_proportionality_check(n_states: int = 10, seed: int = 0,
     worst = 0.0
     for _ in range(n_states):
         # coefficient box sized so u_y stays inside (0, 1) for 3 modes
-        state = GalerkinState(rng.uniform(-0.004, 0.004, n_modes),
-                              rng.uniform(-0.004, 0.004, n_modes))
+        ab = rng.uniform(-0.004, 0.004, (2, n_modes))
         # g' = 1/2 + pi sum k (-a sin + b cos) as Fourier data
         cos, sin = zero.copy(), zero.copy()
-        cos[k - 1], sin[k - 1] = np.pi * k * state.b, -np.pi * k * state.a
+        cos[k - 1], sin[k - 1] = np.pi * k * ab[1], -np.pi * k * ab[0]
         gprime = InverseDerivative(FourierRep(2.0, 0.5, cos, sin), 2)
         dh = np.array([gateaux_g(gprime, phi, n_points) for phi in basis]).reshape(2, n_modes)
-        g = sobolev_gradient_n2(state, n_points)
-        p = pde_rhs_n2(state, n_points)
-        worst = max(worst, np.max(np.abs(np.stack([g.a, g.b]) - c2 * dh)),
-                    np.max(np.abs(np.stack([p.a, p.b]) - dh)))
+        x = s * ab
+        worst = max(worst, np.max(np.abs(odd_mode_rhs(x, c2, n_points) / s - c2 * dh)),
+                    np.max(np.abs(odd_mode_rhs(x, 1.0, n_points) / s - dh)))
     return _report("ode_pde_proportionality", worst, tol, n_states)
 
 
@@ -207,8 +205,8 @@ def equilibrium_check(n: int, tol: float = 1e-12,
     err = max(err, np.max(np.abs(simplex_rhs(np.full(n, 1.0 / n), n))))
     err = max(err, abs(density_entropy(h, n_points) - np.log(n)))
     if n == 2:
-        g = sobolev_gradient_n2(GalerkinState([0.0], [0.0]), n_points)
-        err = max(err, np.max(np.abs(g.a)), np.max(np.abs(g.b)))
+        g = odd_mode_rhs(np.zeros((2, 1)), c_squared(1), n_points) / np.pi
+        err = max(err, np.max(np.abs(g)))
     return _report(f"equilibrium_n{n}", err, tol, 1)
 
 

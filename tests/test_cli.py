@@ -125,6 +125,18 @@ def test_figure_fig1(tmp_path):
         assert m3 < 5e-2 * m1
 
 
+def test_figure_reads_density_from_the_cached_tables(tmp_path):
+    # --tau-points is the table's N: the t0 column is 1/2 + cos(tau k) B0 - 1/2
+    # on a freshly built cos table, bit for bit
+    out = tmp_path / "fig1.csv"
+    assert run(["figure", "--which", "fig1", "--tau-points", "100", "--out", str(out)]) == 0
+    _, data = read_csv(out)
+    tau = np.arange(100) * (2.0 * np.pi / 100)
+    fresh = 0.5 + np.cos(np.outer(tau, [1, 3, 5])) @ np.array([0.25, 0.0, 0.0]) - 0.5
+    assert np.array_equal(data[:, 0], tau)
+    assert np.array_equal(data[:, 1], fresh)
+
+
 def test_figure_fig2(tmp_path):
     out = tmp_path / "fig2.csv"
     assert run(["figure", "--which", "fig2", "--out", str(out)]) == 0
@@ -168,6 +180,9 @@ def test_validation_error_exit_code(capsys):
     assert run(["riesz", "--n", "2", "--coeffs", "0.1,0", "--grid", "0", "--t-end", "1"]) == 3
     assert run(["riesz", "--n", "2", "--coeffs", "0.1,0", "--grid", "-4", "--t-end", "1"]) == 3
     assert run(["entropy", "--n", "2", "--coeffs", "0.1,0", "--grid", "0"]) == 3
+    # a figure grid below 4 * its 3 modes (0 divided by zero, 2 gave a flat figure)
+    for grid in ("0", "-4", "2"):
+        assert run(["figure", "--which", "fig1", "--grid", grid]) == 3
 
 
 def test_simplex_ignores_grid(tmp_path):
@@ -184,7 +199,7 @@ def test_runtime_error_exit_code(tmp_path):
     assert code == 4
 
 
-def test_config_file_and_flag_override(tmp_path):
+def test_config_file_and_flag_override(tmp_path, capsys):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("dt = 0.5\nt-end = 2\nmethod = rk4\n")
     out = tmp_path / "c.csv"
@@ -193,6 +208,19 @@ def test_config_file_and_flag_override(tmp_path):
     _, data = read_csv(out)
     assert data[1, 0] == 0.25  # flag wins over the file
     assert data[-1, 0] == 2.0  # file supplies t_end
+    assert run(["simplex", "--n", "2", "--x", "0.3,0.7", "--config", str(cfg),
+                "--dt=0.25", "--out", str(out)]) == 0
+    _, data = read_csv(out)
+    assert data[1, 0] == 0.25  # the --flag=value form wins too
+    # file values meet the flags' types and choices
+    cfg.write_text("t-end = 1\nformat = xml\n")
+    with pytest.raises(SystemExit) as exc:  # as `--format xml` on the line
+        run(["simplex", "--n", "2", "--x", "0.3,0.7", "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert "invalid choice: 'xml'" in capsys.readouterr().err
+    cfg.write_text("t-end = 1\nbogus = 3\n")
+    assert run(["simplex", "--n", "2", "--x", "0.3,0.7", "--config", str(cfg)]) == 3
+    assert "unknown config key: bogus" in capsys.readouterr().err
 
 
 def test_outdir_env(tmp_path, monkeypatch):

@@ -3,23 +3,20 @@ import pytest
 from scipy.integrate import quad
 
 from srbflow.entropy import (
-    GalerkinState,
     _odd_tables,
     c_squared,
-    entropy,
-    even_entropy,
-    flow_density,
-    galerkin_rhs_even,
+    density_entropy,
     gateaux_g,
     gateaux_h,
     odd_frequencies,
-    pde_rhs_even,
-    pde_rhs_n2,
+    odd_mode_density,
+    odd_mode_entropy,
+    odd_mode_rhs,
     riesz_gradient,
-    sobolev_gradient_n2,
 )
 from srbflow.errors import DomainError
-from srbflow.spectral import FourierRep, GridRep, InverseDerivative, TangentVector, to_grid
+from srbflow.spectral import (DEFAULT_GRID, FourierRep, GridRep, InverseDerivative,
+                              TangentVector, to_grid)
 from srbflow.verify import random_density, random_tangent
 
 # closed-form value of -int_0^2 pi*cos(pi*y) * ln(1/2 + 1/4 cos(pi*y)) dy,
@@ -33,22 +30,34 @@ def h_cos_quarter():
     return InverseDerivative(COS_QUARTER, 2)
 
 
-def galerkin_to_even(state: GalerkinState) -> np.ndarray:
-    """B_k = pi (2k-1) b_{2k-1}; requires a pure-sine (even-density) state."""
-    if np.any(state.a != 0.0):
+def galerkin_to_even(ab: np.ndarray) -> np.ndarray:
+    """B_k = pi (2k-1) b_{2k-1} of the coefficients ab = [a; b]; requires a
+    pure-sine (even-density) state."""
+    if np.any(ab[0] != 0.0):
         raise ValueError("even-case reduction needs a = 0")
-    return np.pi * odd_frequencies(state.n_modes) * state.b
+    return np.pi * odd_frequencies(ab.shape[1]) * ab[1]
 
 
-def even_to_galerkin(B) -> GalerkinState:
+def even_to_galerkin(B) -> np.ndarray:
     B = np.atleast_1d(np.asarray(B, dtype=float))
-    return GalerkinState(np.zeros(B.size), B / (np.pi * odd_frequencies(B.size)))
+    return np.stack([np.zeros(B.size), B / (np.pi * odd_frequencies(B.size))])
+
+
+def c2(n_modes):
+    """The H^2 weights c^2_k of the odd frequencies k = 1, 3, ..."""
+    return c_squared(odd_frequencies(n_modes))
+
+
+def n2_rhs(ab, w, n_points=DEFAULT_GRID):
+    """odd_mode_rhs on the amplitudes s [a; b], s = pi k, scaled back to [a; b]."""
+    s = np.pi * odd_frequencies(ab.shape[1])
+    return odd_mode_rhs(s * ab, w, n_points) / s
 
 
 def test_entropy_uniform():
-    assert entropy(InverseDerivative(FourierRep(2.0, 0.5, [0.0], [0.0]), 2)) == \
+    assert density_entropy(InverseDerivative(FourierRep(2.0, 0.5, [0.0], [0.0]), 2)) == \
         pytest.approx(np.log(2.0), abs=1e-13)
-    assert entropy(InverseDerivative(FourierRep(3.0, 1 / 3, [0.0], [0.0]), 3)) == \
+    assert density_entropy(InverseDerivative(FourierRep(3.0, 1 / 3, [0.0], [0.0]), 3)) == \
         pytest.approx(np.log(3.0), abs=1e-13)
 
 
@@ -57,14 +66,14 @@ def test_entropy_cos_quarter_against_quadrature_oracle():
                        * np.log(0.5 + 0.25 * np.cos(np.pi * y)), 0.0, 2.0, limit=200)
     assert err < 1e-10
     assert oracle == pytest.approx(0.6285090485394579, abs=1e-12)  # frozen
-    assert entropy(h_cos_quarter()) == pytest.approx(oracle, abs=1e-10)
+    assert density_entropy(h_cos_quarter()) == pytest.approx(oracle, abs=1e-10)
 
 
 def test_entropy_domain_guard():
     with pytest.raises(DomainError):
-        entropy(InverseDerivative(FourierRep(2.0, 0.5, [0.5], [0.0]), 2))
+        density_entropy(InverseDerivative(FourierRep(2.0, 0.5, [0.5], [0.0]), 2))
     with pytest.raises(DomainError):
-        entropy(InverseDerivative(GridRep(2.0, np.full(8, 1e-12)), 2))
+        density_entropy(InverseDerivative(GridRep(2.0, np.full(8, 1e-12)), 2))
 
 
 def test_entropy_upper_bound_random():
@@ -72,7 +81,7 @@ def test_entropy_upper_bound_random():
     for n in (2, 3, 5):
         for _ in range(20):
             h = random_density(rng, n)
-            assert entropy(h) <= np.log(n) + 1e-12
+            assert density_entropy(h) <= np.log(n) + 1e-12
 
 
 def test_gateaux_h_constant_h():
@@ -162,34 +171,34 @@ def test_riesz_gradient_is_tangent():
 
 
 def test_sobolev_gradient_zero_state():
-    g = sobolev_gradient_n2(GalerkinState([0.0], [0.0]))
-    assert np.all(g.a == 0.0) and np.all(g.b == 0.0)
+    g = n2_rhs(np.zeros((2, 1)), c2(1))
+    assert np.all(g[0] == 0.0) and np.all(g[1] == 0.0)
 
 
 def test_sobolev_gradient_even_case_closed_form():
     # B1 = 1/4 means b1 = 1/(4 pi); Bdot1 = -pi c1^2 * 2 pi (2 - sqrt 3)
     state = even_to_galerkin([0.25, 0.0, 0.0])
-    g = sobolev_gradient_n2(state)
+    g = n2_rhs(state, c2(3))
     bdot1_expect = -np.pi * c_squared(1) * 2.0 * np.pi * (2.0 - np.sqrt(3.0)) / np.pi
-    assert g.b[0] == pytest.approx(bdot1_expect, rel=1e-9)
-    assert np.max(np.abs(g.a)) < 1e-15  # parity: no cosine components appear
+    assert g[1][0] == pytest.approx(bdot1_expect, rel=1e-9)
+    assert np.max(np.abs(g[0])) < 1e-15  # parity: no cosine components appear
 
 
 def test_sobolev_gradient_parity_random_even_states():
     rng = np.random.default_rng(40)
     for _ in range(20):
-        state = GalerkinState(np.zeros(3), rng.uniform(-0.01, 0.01, 3))
-        g = sobolev_gradient_n2(state)
-        assert np.max(np.abs(g.a)) < 1e-13
+        state = np.stack([np.zeros(3), rng.uniform(-0.01, 0.01, 3)])
+        g = n2_rhs(state, c2(3))
+        assert np.max(np.abs(g[0])) < 1e-13
 
 
 def test_galerkin_rhs_even_equilibrium():
-    assert np.all(galerkin_rhs_even([0.0, 0.0, 0.0]) == 0.0)
+    assert np.all(odd_mode_rhs([0.0, 0.0, 0.0], c2(3)) == 0.0)
 
 
 def test_galerkin_rhs_even_closed_form_and_oracle():
     B = np.array([0.25, 0.0, 0.0])
-    out = galerkin_rhs_even(B)
+    out = odd_mode_rhs(B, c2(3))
     expect1 = -np.pi * c_squared(1) * 2.0 * np.pi * (2.0 - np.sqrt(3.0))
     assert out[0] == pytest.approx(expect1, rel=1e-10)
     # higher modes via independent adaptive quadrature
@@ -205,7 +214,7 @@ def test_galerkin_rhs_even_closed_form_and_oracle():
 
 def test_galerkin_rhs_even_linearization_rate():
     B = np.array([1e-6, 0.0, 0.0])
-    out = galerkin_rhs_even(B)
+    out = odd_mode_rhs(B, c2(3))
     rate = 2.0 * np.pi**2 * c_squared(1)
     assert rate == pytest.approx(0.1823059, abs=1e-4)
     assert out[0] / B[0] == pytest.approx(-rate, rel=1e-4)
@@ -218,39 +227,38 @@ def test_even_formula_cross_checks_general_formula():
     for _ in range(10):
         B = rng.uniform(-0.05, 0.05, 3)
         state = even_to_galerkin(B)
-        g = sobolev_gradient_n2(state)
-        from_even = galerkin_rhs_even(B)
-        np.testing.assert_allclose(galerkin_to_even(GalerkinState(np.zeros(3), g.b)),
+        g = n2_rhs(state, c2(3))
+        from_even = odd_mode_rhs(B, c2(3))
+        np.testing.assert_allclose(galerkin_to_even(np.stack([np.zeros(3), g[1]])),
                                    from_even, atol=1e-12)
 
 
 def test_pde_proportionality():
     rng = np.random.default_rng(60)
-    c2 = c_squared(odd_frequencies(3))
+    w = c2(3)
     for _ in range(10):
-        state = GalerkinState(rng.uniform(-0.004, 0.004, 3), rng.uniform(-0.004, 0.004, 3))
-        g = sobolev_gradient_n2(state)
-        p = pde_rhs_n2(state)
-        np.testing.assert_allclose(g.a, c2 * p.a, atol=1e-14)
-        np.testing.assert_allclose(g.b, c2 * p.b, atol=1e-14)
+        state = rng.uniform(-0.004, 0.004, (2, 3))
+        g = n2_rhs(state, w)
+        p = n2_rhs(state, 1.0)
+        np.testing.assert_allclose(g[0], w * p[0], atol=1e-14)
+        np.testing.assert_allclose(g[1], w * p[1], atol=1e-14)
         B = rng.uniform(-0.05, 0.05, 3)
-        np.testing.assert_allclose(galerkin_rhs_even(B), c2 * pde_rhs_even(B), atol=1e-14)
+        np.testing.assert_allclose(odd_mode_rhs(B, w), w * odd_mode_rhs(B, 1.0), atol=1e-14)
 
 
-@pytest.mark.parametrize("rhs, weight",
-                         [(sobolev_gradient_n2, c_squared), (pde_rhs_n2, lambda k: 1.0)],
+@pytest.mark.parametrize("weight", [c_squared, lambda k: 1.0],
                          ids=["sobolev_gradient_n2", "pde_rhs_n2"])
-def test_sobolev_gradient_matches_basis_projection(rhs, weight):
+def test_sobolev_gradient_matches_basis_projection(weight):
     # independent route: coefficient m of the gradient flow is
     # c_{2m-1}^2 * DH_g(cos/sin basis vector), with DH_g from gateaux_g, and
     # the diffusion modes carry the weight 1 in place of c^2
     rng = np.random.default_rng(71)
-    state = GalerkinState(rng.uniform(-0.003, 0.003, 3), rng.uniform(-0.003, 0.003, 3))
-    g = rhs(state)
+    state = rng.uniform(-0.003, 0.003, (2, 3))
+    g = n2_rhs(state, weight(odd_frequencies(3)))
     a_full = np.zeros(5)  # frequencies 1..5; odd slots populated
     b_full = np.zeros(5)
-    a_full[0::2] = state.a
-    b_full[0::2] = state.b
+    a_full[0::2] = state[0]
+    b_full[0::2] = state[1]
     # g' = 1/2 + pi sum (2k-1)(-a sin + b cos), written as Fourier data
     k = np.arange(1, 6)
     gp = FourierRep(2.0, 0.5, np.pi * k * b_full, -np.pi * k * a_full)
@@ -261,8 +269,8 @@ def test_sobolev_gradient_matches_basis_projection(rhs, weight):
         e_cos[km - 1] = 1.0
         phi_cos = TangentVector(FourierRep(2.0, 0.0, e_cos, np.zeros(5)), 2)
         phi_sin = TangentVector(FourierRep(2.0, 0.0, np.zeros(5), e_cos), 2)
-        assert g.a[m] == pytest.approx(weight(km) * gateaux_g(gprime, phi_cos), abs=1e-9)
-        assert g.b[m] == pytest.approx(weight(km) * gateaux_g(gprime, phi_sin), abs=1e-9)
+        assert g[0][m] == pytest.approx(weight(km) * gateaux_g(gprime, phi_cos), abs=1e-9)
+        assert g[1][m] == pytest.approx(weight(km) * gateaux_g(gprime, phi_sin), abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -283,24 +291,28 @@ def oracle_even_rhs(B, w, N):
     return -np.pi * k * w * ((2.0 * np.pi / N) * (ratio @ S))
 
 
-def oracle_n2_density(state, N):
-    C, S = fresh_tables(state.n_modes, N)
-    k = odd_frequencies(state.n_modes)
-    return 0.5 + (-S) @ (np.pi * k * state.a) + C @ (np.pi * k * state.b)
+def oracle_n2_density(ab, N):
+    C, S = fresh_tables(ab.shape[1], N)
+    k = odd_frequencies(ab.shape[1])
+    return 0.5 + (-S) @ (np.pi * k * ab[0]) + C @ (np.pi * k * ab[1])
 
 
-def oracle_n2_rhs(state, w, N):
-    C, S = fresh_tables(state.n_modes, N)
-    k = odd_frequencies(state.n_modes)
-    A, B = np.pi * k * state.a, np.pi * k * state.b
-    ratio = (C @ (k * A) + S @ (k * B)) / oracle_n2_density(state, N)
+def oracle_n2_rhs(ab, w, N):
+    C, S = fresh_tables(ab.shape[1], N)
+    k = odd_frequencies(ab.shape[1])
+    A, B = np.pi * k * ab[0], np.pi * k * ab[1]
+    ratio = (C @ (k * A) + S @ (k * B)) / oracle_n2_density(ab, N)
     xdot = -np.pi * k * w * ((2.0 * np.pi / N) * np.stack([ratio @ C, ratio @ S]))
     return xdot / (np.pi * k)
 
 
-def oracle_even_entropy(B, N):
+def oracle_even_density(B, N):
     C, _ = fresh_tables(B.size, N)
-    s = 0.5 + C @ B
+    return 0.5 + C @ B
+
+
+def oracle_even_entropy(B, N):
+    s = oracle_even_density(B, N)
     return float(-(2.0 / N) * np.sum(s * np.log(s)))
 
 
@@ -316,14 +328,13 @@ def test_cached_table_readers_match_fresh_tables_bitwise(K, N):
         B *= rng.uniform(0.05, 0.4) / np.sum(np.abs(B))
         ab = rng.uniform(-1.0, 1.0, (2, K))
         ab *= rng.uniform(0.05, 0.4) / (np.pi * np.sum(k * np.abs(ab)))
-        state = GalerkinState(*ab)
-        assert np.array_equal(galerkin_rhs_even(B, N), oracle_even_rhs(B, c2, N))
-        assert np.array_equal(pde_rhs_even(B, N), oracle_even_rhs(B, 1.0, N))
-        assert even_entropy(B, N) == oracle_even_entropy(B, N)
-        assert np.array_equal(flow_density(state, N), oracle_n2_density(state, N))
-        for rhs, w in ((sobolev_gradient_n2, c2), (pde_rhs_n2, 1.0)):
-            g = rhs(state, N)
-            assert np.array_equal(np.stack([g.a, g.b]), oracle_n2_rhs(state, w, N))
+        assert np.array_equal(odd_mode_rhs(B, c2, N), oracle_even_rhs(B, c2, N))
+        assert np.array_equal(odd_mode_rhs(B, 1.0, N), oracle_even_rhs(B, 1.0, N))
+        assert np.array_equal(odd_mode_density(B, N), oracle_even_density(B, N))
+        assert odd_mode_entropy(B, N) == oracle_even_entropy(B, N)
+        assert np.array_equal(odd_mode_density(np.pi * k * ab, N), oracle_n2_density(ab, N))
+        for w in (c2, 1.0):
+            assert np.array_equal(n2_rhs(ab, w, N), oracle_n2_rhs(ab, w, N))
 
 
 def test_cached_tables_are_read_only():
@@ -343,8 +354,8 @@ def test_table_cache_builds_once_per_grid_and_mode_count():
     # a (K, N) that no other test uses, so the first call is the one miss
     before = _odd_tables.cache_info()
     B = np.array([0.1, 0.02, -0.01, 0.005])
-    first = galerkin_rhs_even(B, 520)
-    second = galerkin_rhs_even(B, 520)
+    first = odd_mode_rhs(B, c2(4), 520)
+    second = odd_mode_rhs(B, c2(4), 520)
     after = _odd_tables.cache_info()
     assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
     assert np.array_equal(first, second)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from srbflow import flow
-from srbflow.entropy import galerkin_rhs_even, riesz_gradient, simplex_rhs
+from srbflow.entropy import riesz_gradient, simplex_rhs
 from srbflow.errors import DomainError, StepError
 from srbflow.flow import (
     FlowConfig,
@@ -55,7 +55,7 @@ def test_simplex_rhs_domain_guard():
 GUARDED = {
     "simplex_rhs": lambda amp: riesz_system(3).rhs(
         0.5 + amp * np.cos(2 * np.pi * np.arange(3) / 3)),
-    "galerkin_rhs_even": lambda amp: galerkin_rhs_even([amp], n_points=3),
+    "galerkin_rhs_even": lambda amp: even_galerkin_system(n_points=3).rhs(np.array([amp])),
     "n2_entropy_monitor": lambda amp: galerkin_system_n2(n_points=3).entropy(
         np.array([0.0, amp / np.pi])),
 }

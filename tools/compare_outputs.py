@@ -4,7 +4,7 @@
 
 Each root is a checkout of this repository, holding `src/` and `demos/`.
 Every CLI command of the output gate (figures, Galerkin and diffusion
-modes, Riesz and simplex flows, entropy, verify, and seven runs that fail on
+modes, Riesz and simplex flows, entropy, verify, and ten runs that fail on
 purpose) and every demo runs once under each tree. One line per command
 reports IDENTICAL when stdout, stderr and the exit code agree byte for byte. Otherwise it reports DIFFERS with
 the largest |new - old| / max(1, |old|) over the numbers of the two
@@ -30,6 +30,7 @@ GAL = "0.01,0.02,0.003,-0.004,0.001,0.002"
 COMMANDS = [
     ["figure", "--which", "fig1"],
     ["figure", "--which", "fig2"],
+    ["figure", "--which", "fig1", "--tau-points", "100"],
     ["galerkin", "--B", "0.25,0,0", "--t-end", "50"],
     ["galerkin", "--B", "0.25,0,0", "--t-end", "20", "--method", "rk4", "--dt", "0.05"],
     ["galerkin", "--B", B8, "--modes", "8", "--t-end", "20"],
@@ -66,6 +67,9 @@ COMMANDS = [
     ["riesz", "--n", "2", "--coeffs", "0.1,0", "--grid", "0", "--t-end", "1"],
     ["riesz", "--n", "2", "--coeffs", "0.1,0", "--grid", "-4", "--t-end", "1"],
     ["entropy", "--n", "2", "--coeffs", "0.1,0", "--grid", "0"],
+    ["figure", "--which", "fig1", "--grid", "0"],
+    ["figure", "--which", "fig1", "--grid", "-4"],
+    ["figure", "--which", "fig1", "--grid", "2"],
 ]
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:nan|inf)")
 MAIN = "import sys; from srbflow.cli import main; sys.exit(main(sys.argv[1:]))"
