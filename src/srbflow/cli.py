@@ -24,6 +24,7 @@ from .spectral import FourierRep, GridRep, InverseDerivative, constraint_residua
 EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, EXIT_RUNTIME, EXIT_IO = 0, 2, 3, 4, 5
 FLOAT_FMT = "%.17g"
 OUTDIR_ENV = "SRBFLOW_OUTDIR"
+DEFAULT_B_MODES = 3  # --B length expected when --modes is not given
 
 
 def _parse_floats(text: str) -> np.ndarray:
@@ -119,7 +120,8 @@ def _galerkin_like(args, use_pde: bool) -> int:
         raise ValueError("the Sobolev-metric Galerkin flow is degree-2 only")
     if args.B is not None:
         x0 = _parse_floats(args.B)
-        if args.modes and x0.size != args.modes:
+        modes = DEFAULT_B_MODES if args.modes is None else args.modes
+        if modes and x0.size != modes:
             raise ValueError("--B length must equal --modes")
         tau = np.linspace(0, 2 * np.pi, 512)
         _print_extrema(0.5 + np.cos(np.outer(tau, odd_frequencies(x0.size))) @ x0)
@@ -132,6 +134,8 @@ def _galerkin_like(args, use_pde: bool) -> int:
             raise ValueError("--coeffs needs alternating a,b pairs for the odd modes")
         x0 = np.concatenate([c[0::2], c[1::2]])
         n_modes = c.size // 2
+        if args.modes is not None and args.modes != n_modes:
+            raise ValueError("--coeffs must hold --modes a,b pairs")
         _print_extrema(odd_mode_density(np.pi * odd_frequencies(n_modes) * x0.reshape(2, -1), 512))
         system = fl.galerkin_system_n2(args.grid, use_pde=use_pde)
         names = [f"{ab}{2*k+1}" for ab in "ab" for k in range(n_modes)]
@@ -268,7 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
                            ("pde", "gradient-dependent diffusion PDE modes")):
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--n", type=int, default=2)
-        p.add_argument("--modes", type=int, default=3)
+        p.add_argument("--modes", type=int, default=None,
+                       help=f"number of odd modes: the length of --B (default "
+                            f"{DEFAULT_B_MODES}) or the number of --coeffs pairs")
         p.add_argument("--B", default=None,
                        help="even-case initial B1,B2,... (rescaled variables)")
         p.add_argument("--coeffs", default=None,

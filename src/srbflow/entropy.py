@@ -24,7 +24,7 @@ from .spectral import (
     TangentVector,
     _as_samples,
     differentiate,
-    evaluate,
+    to_grid,
 )
 
 DELTA_FLOOR = 1e-9
@@ -82,12 +82,12 @@ def gateaux_g(gprime: InverseDerivative, phi: TangentVector, n_points: int = DEF
     """Directional derivative in map coordinates: -int_0^n ln g' phi' dy.
 
     Equals int (g''/g') phi dy by periodic integration by parts; phi must
-    carry a Fourier representation so phi' is available exactly.
+    carry a Fourier representation of period n so phi' is available exactly.
     """
     if not isinstance(phi.rep, FourierRep):
         raise TypeError("gateaux_g needs a Fourier representation of phi")
     s = density_samples(gprime, n_points)
-    dphi = evaluate(differentiate(phi.rep), np.arange(s.size) * (gprime.degree / s.size))
+    dphi = to_grid(differentiate(phi.rep), s.size).samples
     return float(-gprime.degree / s.size * np.sum(np.log(s) * dphi))
 
 

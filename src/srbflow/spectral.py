@@ -9,6 +9,7 @@ exact on the Fourier basis and spectrally accurate for smooth integrands.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -105,15 +106,33 @@ def evaluate(rep: FourierRep, y) -> np.ndarray | float:
     matrix product of its own could round differently from the same rows
     in one whole-grid product."""
     y = np.asarray(y, dtype=float)
-    k = np.arange(1, rep.n_modes + 1)
     rows = np.atleast_1d(y)
     out = np.empty(rows.shape)
     n_chunks = max(1, len(rows) // EVAL_CHUNK)
     for c in range(n_chunks):
         part = slice(c * EVAL_CHUNK, None if c == n_chunks - 1 else (c + 1) * EVAL_CHUNK)
-        ang = (2.0 * np.pi / rep.period) * np.multiply.outer(rows[part], k)
+        ang = _angles(rep.period, rows[part], rep.n_modes)
         out[part] = rep.mean + (np.cos(ang) @ rep.cos + np.sin(ang) @ rep.sin)
     return out if y.ndim else float(out[0])
+
+
+def _angles(period: float, y: np.ndarray, n_modes: int) -> np.ndarray:
+    """2 pi k y / period for k = 1..n_modes, one column per mode."""
+    return (2.0 * np.pi / period) * np.multiply.outer(y, np.arange(1, n_modes + 1))
+
+
+@lru_cache(maxsize=16)
+def _grid_tables(period: float, n_points: int, n_modes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (cos, sin) tables of evaluate on the uniform grid y_j = j*period/N.
+
+    A run samples a few fixed grids many times (one verify run calls
+    to_grid some 2300 times on six of them), so the tables are built once
+    and shared read-only; they are the arrays evaluate builds, bit for bit."""
+    ang = _angles(period, np.arange(n_points) * (period / n_points), n_modes)
+    tables = np.cos(ang), np.sin(ang)
+    for t in tables:
+        t.setflags(write=False)
+    return tables
 
 
 def differentiate(rep: FourierRep) -> FourierRep:
@@ -124,8 +143,13 @@ def differentiate(rep: FourierRep) -> FourierRep:
 
 
 def to_grid(rep: FourierRep, n_points: int = DEFAULT_GRID) -> GridRep:
-    y = np.arange(n_points) * (rep.period / n_points)
-    return GridRep(rep.period, evaluate(rep, y))
+    """Samples at y_j = j*period/N.  Grids of at most EVAL_CHUNK nodes read
+    cached trig tables; a larger grid goes through evaluate's chunks, so no
+    full (N, K) tables of it are ever kept."""
+    if n_points > EVAL_CHUNK:
+        return GridRep(rep.period, evaluate(rep, np.arange(n_points) * (rep.period / n_points)))
+    cos, sin = _grid_tables(rep.period, n_points, rep.n_modes)
+    return GridRep(rep.period, rep.mean + (cos @ rep.cos + sin @ rep.sin))
 
 
 def to_fourier(grid: GridRep, n_modes: int | None = None) -> FourierRep:

@@ -39,6 +39,18 @@ def test_galerkin_general_coeffs(tmp_path):
     assert header[:5] == ["t", "a1", "a3", "b1", "b3"]
 
 
+def test_modes_must_match_initial_condition(capsys):
+    # an explicit --modes is checked against --coeffs pairs as against --B
+    assert run(["galerkin", "--coeffs", "0.01,0.02", "--modes", "5", "--t-end", "0.2"]) == 3
+    assert "--coeffs must hold --modes a,b pairs" in capsys.readouterr().err
+    assert run(["pde", "--coeffs", "0.01,0.02", "--modes", "2", "--dt", "0.002",
+                "--t-end", "0.004"]) == 3
+    assert run(["galerkin", "--coeffs", "0.01,0.02", "--modes", "1", "--t-end", "0.2"]) == 0
+    # without --modes, --B still expects its default length of 3
+    assert run(["galerkin", "--B", "0.1,0.2", "--t-end", "0.2"]) == 3
+    assert run(["galerkin", "--B", "0.1,0.2", "--modes", "2", "--t-end", "0.2"]) == 0
+
+
 def test_simplex_equilibrium_constant(tmp_path):
     out = tmp_path / "s.csv"
     assert run(["simplex", "--n", "2", "--x", "0.5,0.5", "--t-end", "1",

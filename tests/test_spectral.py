@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from srbflow import spectral
+from srbflow import spectral, verify
 from srbflow.spectral import (
     FourierRep,
     GridRep,
@@ -59,6 +59,48 @@ def test_chunked_evaluate_matches_one_shot_bitwise(monkeypatch, period):
         assert np.array_equal(evaluate(rep, y2), _one_shot_evaluate(rep, y2)), n_modes
         value = evaluate(rep, 0.3)
         assert type(value) is float and value == _one_shot_evaluate(rep, 0.3)
+
+
+@pytest.mark.parametrize("period", [2.0, 3.0, 5.0])
+def test_to_grid_matches_evaluate_bitwise(monkeypatch, period):
+    # cached tables below and at one chunk, the chunked evaluate path above
+    chunk = 64
+    monkeypatch.setattr(spectral, "EVAL_CHUNK", chunk)
+    rng = np.random.default_rng(10 + int(period))
+    for n_modes in range(9):
+        rep = FourierRep(period, 1.0 / period, 0.1 * rng.normal(size=n_modes),
+                         0.1 * rng.normal(size=n_modes))
+        for size in (4, chunk, chunk + 1):
+            want = evaluate(rep, np.arange(size) * (period / size))
+            assert np.array_equal(to_grid(rep, size).samples, want), (n_modes, size)
+
+
+def test_grid_tables_read_only():
+    for table in spectral._grid_tables(2.0, 16, 3):
+        assert table.shape == (16, 3) and not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
+
+
+def test_large_grid_not_cached(monkeypatch):
+    chunk = 64
+    monkeypatch.setattr(spectral, "EVAL_CHUNK", chunk)
+    rep = FourierRep(3.0, 0.0, [0.1, 0.2], [0.3, 0.0])
+    before = spectral._grid_tables.cache_info()
+    to_grid(rep, chunk + 1)
+    assert spectral._grid_tables.cache_info() == before
+    to_grid(rep, chunk)
+    assert spectral._grid_tables.cache_info() != before
+
+
+def test_verify_rerun_hits_grid_cache():
+    # the cache holds every grid a verify run samples
+    verify.run_all(0)
+    before = spectral._grid_tables.cache_info()
+    verify.run_all(0)
+    after = spectral._grid_tables.cache_info()
+    assert after.misses == before.misses
+    assert after.hits > before.hits
 
 
 def test_differentiate_constant():

@@ -4,8 +4,8 @@
 
 Each root is a checkout of this repository, holding `src/` and `demos/`.
 Every CLI command of the output gate (figures, Galerkin and diffusion
-modes, Riesz and simplex flows, entropy, verify, and ten runs that fail on
-purpose) and every demo runs once under each tree. One line per command
+modes, Riesz and simplex flows, entropy, verify, and eleven runs that fail
+on purpose) and every demo runs once under each tree. One line per command
 reports IDENTICAL when stdout, stderr and the exit code agree byte for byte. Otherwise it reports DIFFERS with
 the largest |new - old| / max(1, |old|) over the numbers of the two
 outputs, or "text" when they do not line up number for number.
@@ -27,6 +27,7 @@ import numpy as np
 
 B8 = "0.2,0.02,0.01,0.005,0,0,0,0"
 GAL = "0.01,0.02,0.003,-0.004,0.001,0.002"
+C4 = "0.1,0.05,0.02,-0.03,0.04,0.01,-0.01,0.02"
 COMMANDS = [
     ["figure", "--which", "fig1"],
     ["figure", "--which", "fig2"],
@@ -55,13 +56,19 @@ COMMANDS = [
      "--dt", "0.01"],
     ["simplex", "--n", "8", "--x", "0.05,0.1,0.1,0.15,0.15,0.1,0.2,0.15", "--t-end", "5",
      "--format", "json"],
+    # to_grid's largest cached grid (2^15 nodes) and the next degree-2 grid, sampled by evaluate
+    ["riesz", "--n", "2", "--coeffs", C4, "--grid", "32768", "--t-end", "0.2"],
+    ["riesz", "--n", "2", "--coeffs", C4, "--grid", "32770", "--t-end", "0.2"],
     ["entropy", "--n", "2", "--coeffs", "0.25,0"],
     ["entropy", "--n", "3", "--coeffs", "0.1,0.05", "--grid", "999"],
+    ["entropy", "--n", "2", "--coeffs", C4, "--grid", "32768"],
+    ["entropy", "--n", "2", "--coeffs", C4, "--grid", "32770"],
     ["verify", "--seed", "0"],
     ["verify", "--seed", "42"],
     # error paths: stderr and exit code are compared too
     ["pde", "--B", "0.25,0,0", "--dt", "0.1", "--t-end", "1"],
     ["galerkin", "--B", "0.6,0,0", "--t-end", "1"],
+    ["galerkin", "--coeffs", "0.01,0.02", "--modes", "5", "--t-end", "0.2"],
     ["entropy", "--n", "2", "--coeffs", "0.6,0"],
     ["simplex", "--n", "2", "--x", "0.3,0.7", "--t-end", "1", "--dt", "0.4"],
     ["riesz", "--n", "2", "--coeffs", "0.1,0", "--grid", "0", "--t-end", "1"],
