@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -256,7 +257,10 @@ def _add_flow_flags(p):
                    help="key=value file with defaults; flags override it")
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The srbflow parser, built once per process: parse_args does not
+    change it, and building it costs more than a short command's work."""
     parser = argparse.ArgumentParser(
         prog="srbflow",
         description="Gradient flows of the SRB entropy on expanding circle maps")

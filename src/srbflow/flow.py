@@ -9,21 +9,25 @@ tighter monotonicity tolerances are needed.
 
 A state of independent fibers (FlowSystem.fiber; the Riesz flow's n
 translates of each grid node) is stepped in column blocks of its (fiber, M)
-view, BLOCK_ELEMENTS values each: a block runs the stages, their sum and the
-next state's rhs while its arrays stay in cache.  A state of one block is
-stepped flat.  Each value gets the whole-array arithmetic, so no bit of the
-trajectory changes.  Records go into arrays allocated up front.
+view, BLOCK_ELEMENTS values each.  Between two records each block runs all
+the steps (stages, their sum and the next state's rhs) while its arrays stay
+in cache, and the blocks are shared out over the CPU cores (one contiguous
+share per core, spectral._on_cores).  A state of one block is stepped flat
+on the calling thread.  Each value gets the whole-array arithmetic, so no bit
+of the trajectory depends on the blocking or the core count.  Records go
+into arrays allocated up front and are taken on the calling thread.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from .errors import StepError
-from .spectral import DEFAULT_GRID, translate_sums
+from .errors import DomainError, StepError
+from .spectral import DEFAULT_GRID, _on_cores, translate_sums
 from .entropy import (
     c_squared,
     gibbs_entropy,
@@ -76,7 +80,9 @@ class FlowSystem:
     # the norm of the gradient from the rhs value r = rhs(x)
     grad_norm: Callable[[np.ndarray], float] = lambda r: float(np.linalg.norm(r))
     # length of the independent fibers, the rows of x.reshape(fiber, -1) whose
-    # columns evolve apart; None: the state is one coupled system
+    # columns evolve apart; None: the state is one coupled system.  integrate
+    # calls the rhs of a fiber system on several blocks from several threads
+    # at once, so that rhs must keep no state between calls
     fiber: int | None = None
 
 
@@ -176,8 +182,8 @@ def integrate(system: FlowSystem, initial, cfg: FlowConfig) -> Trajectory:
     """Fixed-step integration with monitors sampled at recorded steps.
 
     Raises DomainError if the state leaves the valid region and StepError
-    if a step produces a non-finite value; on a state of several blocks,
-    the block where that happens first.
+    if a step produces a non-finite value, naming the step and its time; on
+    a state of several blocks, the first failure in (step, block) order.
     """
     x = np.array(initial, dtype=float)
     step = _euler_step if cfg.method == "euler" else _rk4_step
@@ -187,7 +193,7 @@ def integrate(system: FlowSystem, initial, cfg: FlowConfig) -> Trajectory:
                       entropy=np.empty(n_records), grad_norm=np.empty(n_records),
                       constraint_residual=np.empty(n_records))
     r = np.empty_like(x)
-    blocks = _blocks(x, r, system.fiber)
+    blocks = list(enumerate(_blocks(x, r, system.fiber)))
 
     def record(j, t):
         traj.times[j] = t
@@ -196,17 +202,39 @@ def integrate(system: FlowSystem, initial, cfg: FlowConfig) -> Trajectory:
         traj.grad_norm[j] = system.grad_norm(r)
         traj.constraint_residual[j] = system.constraint_residual(x)
 
-    for xb, rb in blocks:
-        rb[...] = system.rhs(xb)
+    def run(steps, share):
+        """Run steps (step 0: the initial rhs only) on each block of share,
+        block after block; each block's first failure as (step, block, error)."""
+        failures = []
+        for b, (xb, rb) in share:
+            for i in steps:
+                try:
+                    if i:
+                        xb[...] = step(system.rhs, xb, rb, cfg.dt)
+                        if not np.all(np.isfinite(xb)):
+                            raise StepError("non-finite state")
+                    rb[...] = system.rhs(xb)
+                except Exception as e:  # ranked against the other blocks' failures
+                    failures.append((i, b, e))
+                    break
+        return failures
+
+    def advance(steps):
+        """Run steps on every block; raise the first failure in (step, block)
+        order, the one a step-by-step pass over the blocks would meet."""
+        failures = sum(_on_cores(partial(run, steps), blocks), [])
+        if failures:
+            i, _, e = min(failures, key=lambda f: f[:2])
+            if isinstance(e, (DomainError, StepError)):
+                raise type(e)(f"{e} at step {i} (t = {i * cfg.dt:.6g})") from e
+            raise e
+
+    advance(range(1))
     record(0, 0.0)
-    j = 1
-    for i in range(1, n_steps + 1):
-        for xb, rb in blocks:
-            xb[...] = step(system.rhs, xb, rb, cfg.dt)
-            if not np.all(np.isfinite(xb)):
-                raise StepError(f"non-finite state at step {i}")
-            rb[...] = system.rhs(xb)
-        if i % cfg.record_every == 0 or i == n_steps:
-            record(j, i * cfg.dt)
-            j += 1
+    j, done = 1, 0
+    while done < n_steps:
+        stop = min(done + cfg.record_every, n_steps)
+        advance(range(done + 1, stop + 1))
+        record(j, stop * cfg.dt)
+        j, done = j + 1, stop
     return traj

@@ -8,6 +8,8 @@ exact on the Fourier basis and spectrally accurate for smooth integrands.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -69,6 +71,14 @@ class GridRep:
         return self.samples.size
 
 
+def _check_degree(rep: FourierRep | GridRep, degree: int):
+    """A degree-n function lives on [0, n]: its rep must have period n."""
+    if degree < 2:
+        raise ValueError("degree must be >= 2")
+    if rep.period != degree:
+        raise ValueError(f"rep period {rep.period:g} is not the degree {degree}")
+
+
 @dataclass(frozen=True)
 class InverseDerivative:
     """h = g', the derivative of the inverse of a degree-n expanding map.
@@ -81,8 +91,7 @@ class InverseDerivative:
     degree: int
 
     def __post_init__(self):
-        if self.degree < 2:
-            raise ValueError("degree must be >= 2")
+        _check_degree(self.rep, self.degree)
 
 
 @dataclass(frozen=True)
@@ -93,26 +102,73 @@ class TangentVector:
     degree: int
 
     def __post_init__(self):
-        if self.degree < 2:
-            raise ValueError("degree must be >= 2")
+        _check_degree(self.rep, self.degree)
+
+
+def _cores() -> int:
+    """The number of CPU cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _on_cores(fn, items: list) -> list:
+    """[fn(share), ...] over contiguous shares of items, one per core (at
+    most one per item).  The calling thread runs the first share and a
+    plain thread each other one; numpy releases the interpreter lock inside
+    its array loops, so the shares run at once.  An exception raised on any
+    share is re-raised here once every thread has finished.  Fewer than two
+    items start no thread."""
+    if len(items) < 2:
+        return [fn(items)]
+    n = min(len(items), _cores())
+    shares = [items[len(items) * c // n:len(items) * (c + 1) // n] for c in range(n)]
+    results, errors = [None] * n, [None] * n
+
+    def run(c):
+        try:
+            results[c] = fn(shares[c])
+        except BaseException as e:  # handed to the calling thread below
+            errors[c] = e
+
+    threads = [threading.Thread(target=run, args=(c,)) for c in range(1, n)]
+    for t in threads:
+        t.start()
+    try:
+        results[0] = fn(shares[0])
+    finally:
+        for t in threads:
+            t.join()
+    for e in errors:
+        if e is not None:
+            raise e
+    return results
 
 
 def evaluate(rep: FourierRep, y) -> np.ndarray | float:
     """Evaluate the Fourier series at point(s) y.
 
     The angle and trig arrays are built over EVAL_CHUNK rows of y at a
-    time, so a large grid needs no full (points, modes) tables.  The last
-    chunk takes the rest, up to 2 EVAL_CHUNK - 1 rows: a short tail in a
-    matrix product of its own could round differently from the same rows
-    in one whole-grid product."""
+    time, so a large grid needs no full (points, modes) tables, and the
+    chunks are shared out over the cores (_on_cores); each chunk's
+    arithmetic is the same on any number of cores.  The last chunk takes
+    the rest, up to 2 EVAL_CHUNK - 1 rows: a short tail in a matrix product
+    of its own could round differently from the same rows in one
+    whole-grid product."""
     y = np.asarray(y, dtype=float)
     rows = np.atleast_1d(y)
     out = np.empty(rows.shape)
     n_chunks = max(1, len(rows) // EVAL_CHUNK)
-    for c in range(n_chunks):
-        part = slice(c * EVAL_CHUNK, None if c == n_chunks - 1 else (c + 1) * EVAL_CHUNK)
-        ang = _angles(rep.period, rows[part], rep.n_modes)
-        out[part] = rep.mean + (np.cos(ang) @ rep.cos + np.sin(ang) @ rep.sin)
+    parts = [slice(c * EVAL_CHUNK, None if c == n_chunks - 1 else (c + 1) * EVAL_CHUNK)
+             for c in range(n_chunks)]
+
+    def fill(share):
+        for part in share:
+            ang = _angles(rep.period, rows[part], rep.n_modes)
+            out[part] = rep.mean + (np.cos(ang) @ rep.cos + np.sin(ang) @ rep.sin)
+
+    _on_cores(fill, parts)
     return out if y.ndim else float(out[0])
 
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from srbflow import cli
 from srbflow.cli import main
 from srbflow.spectral import (FourierRep, InverseDerivative, constraint_residual,
                               grid_points_for, project_constraint)
@@ -203,12 +204,13 @@ def test_simplex_ignores_grid(tmp_path):
                 "--t-end", "0.2", "--out", str(tmp_path / "s.csv")]) == 0
 
 
-def test_runtime_error_exit_code(tmp_path):
+def test_runtime_error_exit_code(tmp_path, capsys):
     # valid initial state; explicit Euler at dt = 0.1 is unstable for the
-    # diffusion modes and leaves the domain at step 1
+    # diffusion modes and leaves the domain at step 2
     code = run(["pde", "--B", "0.25,0,0", "--dt", "0.1", "--t-end", "1",
                 "--out", str(tmp_path / "x.csv")])
     assert code == 4
+    assert capsys.readouterr().err.endswith(" at step 2 (t = 0.2)\n")
 
 
 def test_config_file_and_flag_override(tmp_path, capsys):
@@ -240,3 +242,36 @@ def test_outdir_env(tmp_path, monkeypatch):
     assert run(["simplex", "--n", "2", "--x", "0.4,0.6", "--t-end", "1",
                 "--out", "rel.csv"]) == 0
     assert (tmp_path / "rel.csv").exists()
+
+
+def _outcome(argv, capsys):
+    try:
+        code = main(list(argv))
+    except SystemExit as e:
+        code = f"SystemExit {e.code}"
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_parser_built_once_matches_a_fresh_parser(tmp_path, capsys, monkeypatch):
+    # main reuses one parser; a run of subcommands, a --config run and a usage
+    # error in one process give what a parser built for each call gives
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("dt = 0.5\nt-end = 2\nmethod = rk4\n")
+    argvs = [
+        ["entropy", "--n", "3", "--coeffs", "0.1,0.05"],
+        ["simplex", "--n", "2", "--x", "0.3,0.7", "--config", str(cfg), "--dt", "0.25"],
+        ["galerkin", "--bogus-flag", "1"],
+        ["galerkin", "--B", "0.1,0,0", "--t-end", "0.3"],
+        ["simplex", "--n", "2", "--x", "0.3,0.7", "--t-end", "0.3", "--format", "json"],
+        ["figure", "--which", "fig1", "--tau-points", "4"],
+        ["simplex", "--n", "2", "--x", "0.3,0.7", "--config", str(cfg), "--format", "xml"],
+    ]
+    assert cli.build_parser() is cli.build_parser()
+    cached = [_outcome(argv, capsys) for argv in argvs]
+    assert cached[2][0] == cached[-1][0] == "SystemExit 2"
+    for argv in argvs[:2] + argvs[3:-1]:
+        assert vars(cli.build_parser().parse_args(argv)) == \
+            vars(cli.build_parser.__wrapped__().parse_args(argv))
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert [_outcome(argv, capsys) for argv in argvs] == cached

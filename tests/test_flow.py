@@ -1,10 +1,12 @@
 import dataclasses
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from srbflow import flow
+from srbflow import flow, spectral
 from srbflow.entropy import riesz_gradient, simplex_rhs
 from srbflow.errors import DomainError, StepError
 from srbflow.flow import (
@@ -317,3 +319,98 @@ def test_blocked_step_error_on_non_finite_block(monkeypatch):
     x0[:, -1] = 3.0
     with pytest.raises(StepError, match="step 1"):
         integrate(system, x0.ravel(), FlowConfig(t_end=1.0, dt=0.1))
+
+
+@pytest.mark.parametrize("record_every", [1, 3])
+@pytest.mark.parametrize("method", ["euler", "rk4"])
+@pytest.mark.parametrize("n, m", [(3, 1000), (5, 600)])
+def test_blocked_riesz_same_bits_on_any_core_count(monkeypatch, n, m, method, record_every):
+    # five blocks, an odd count with a ragged last one, shared out over 1, 2
+    # and 3 cores; the calling thread steps the first share, 5 // cores blocks
+    monkeypatch.setattr(flow, "BLOCK_ELEMENTS", BLOCK)
+    x0 = _fibers(n, m, 11)
+    cfg = FlowConfig(t_end=1.0, dt=0.1, method=method, record_every=record_every)
+    stages = 1 if method == "euler" else 4
+    trajs = []
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(spectral, "_cores", lambda: cores)
+        threads = []
+
+        def rhs(x):
+            threads.append(threading.get_ident())
+            return simplex_rhs(x, n)
+
+        trajs.append(integrate(dataclasses.replace(riesz_system(n), rhs=rhs), x0, cfg))
+        assert len(threads) == 5 * (stages * 10 + 1)
+        assert threads.count(threading.get_ident()) == 5 // cores * (stages * 10 + 1)
+    for traj in trajs[1:]:
+        for field in dataclasses.fields(traj):
+            assert np.array_equal(getattr(traj, field.name), getattr(trajs[0], field.name))
+
+
+def test_blocks_on_more_threads_than_cores(monkeypatch):
+    # five blocks on five threads of two cores, switching every microsecond:
+    # a write that lands in another block's columns would change the bits
+    monkeypatch.setattr(flow, "BLOCK_ELEMENTS", BLOCK)
+    x0 = _fibers(3, 1000, 17)
+    cfg = FlowConfig(t_end=1.0, dt=0.1, method="rk4", record_every=3)
+    want = integrate(riesz_system(3), x0, cfg)
+    monkeypatch.setattr(spectral, "_cores", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = [integrate(riesz_system(3), x0, cfg) for _ in range(5)]
+    finally:
+        sys.setswitchinterval(interval)
+    for traj in got:
+        assert np.array_equal(traj.states, want.states)
+        assert np.array_equal(traj.grad_norm, want.grad_norm)
+
+
+def _failing_blocks_system(limit, fail):
+    """Five 2-fiber blocks of 350 columns under dx/dt = 1; a state reaching
+    `limit` fails: DomainError names its block's min and max, StepError
+    comes from an infinite rhs."""
+    def rhs(x):
+        if fail == "domain" and x.max() >= limit:
+            raise DomainError(f"density leaves (0, 1): min={x.min():g}, max={x.max():g}")
+        return np.where(x >= limit, np.inf, 1.0)
+    return FlowSystem(rhs=rhs, entropy=lambda x: 0.0, grad_norm=lambda r: 0.0, fiber=2)
+
+
+@pytest.mark.parametrize("fail, starts, message", [
+    # the last block fails first, at step 2; block 0 fails at step 3
+    ("domain", {0: 7.0, 4: 8.5}, "density leaves (0, 1): min=10.5, max=10.5 at step 2 (t = 2)"),
+    ("step", {0: 7.0, 4: 8.5}, "non-finite state at step 3 (t = 3)"),
+    # blocks 1 and 3 both fail at step 3; the lower block is named
+    ("domain", {1: 7.5, 3: 7.0}, "density leaves (0, 1): min=10.5, max=10.5 at step 3 (t = 3)"),
+    ("step", {1: 7.5, 3: 7.0}, "non-finite state at step 4 (t = 4)"),
+])
+def test_first_failure_in_step_then_block_order(monkeypatch, fail, starts, message):
+    # block b holds columns 350 b ... 350 b + 349; under Euler at dt = 1 a
+    # block starting at x is at x + i after step i
+    monkeypatch.setattr(flow, "BLOCK_ELEMENTS", BLOCK)
+    x0 = np.zeros((2, 1750))
+    for b, start in starts.items():
+        x0[:, 350 * b:350 * (b + 1)] = start
+    system = _failing_blocks_system(10.0 if fail == "domain" else 9.9, fail)
+    cfg = FlowConfig(t_end=6.0, dt=1.0, record_every=4)
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(spectral, "_cores", lambda: cores)
+        with pytest.raises(DomainError if fail == "domain" else StepError) as exc:
+            integrate(system, x0.ravel(), cfg)
+        assert str(exc.value) == message, cores
+
+
+def test_one_block_runs_start_no_thread(monkeypatch):
+    # simplex points, Galerkin states and small grids stay on the calling thread
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a one-block state started a thread")
+
+    monkeypatch.setattr(threading, "Thread", no_thread)
+    monkeypatch.setattr(spectral, "_cores", lambda: 3)
+    cfg = FlowConfig(t_end=0.4, dt=0.1, method="rk4")
+    integrate(riesz_system(5), [0.1, 0.15, 0.2, 0.25, 0.3], cfg)
+    integrate(riesz_system(2), cos_quarter_samples(1024), cfg)
+    integrate(even_galerkin_system(), [0.25, 0.0, 0.0], cfg)
+    integrate(galerkin_system_n2(), np.array([0.01, 0.003, 0.02, -0.004]), cfg)

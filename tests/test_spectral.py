@@ -1,7 +1,10 @@
+import threading
+
 import numpy as np
 import pytest
 
 from srbflow import spectral, verify
+from srbflow.entropy import gateaux_h
 from srbflow.spectral import (
     FourierRep,
     GridRep,
@@ -61,6 +64,46 @@ def test_chunked_evaluate_matches_one_shot_bitwise(monkeypatch, period):
         assert type(value) is float and value == _one_shot_evaluate(rep, 0.3)
 
 
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_evaluate_chunks_on_any_core_count_match_one_shot_bitwise(monkeypatch, cores):
+    # one to six chunks (the last one ragged) shared out over 1, 2 or 3 cores
+    chunk = 64
+    monkeypatch.setattr(spectral, "EVAL_CHUNK", chunk)
+    monkeypatch.setattr(spectral, "_cores", lambda: cores)
+    rng = np.random.default_rng(cores)
+    for n_modes in (1, 3, 8):
+        rep = FourierRep(5.0, 0.2, 0.1 * rng.normal(size=n_modes), 0.1 * rng.normal(size=n_modes))
+        for size in (chunk, 2 * chunk + 1, 3 * chunk + 5, 6 * chunk + 63):
+            y = np.arange(size) * (5.0 / size)
+            assert np.array_equal(evaluate(rep, y), _one_shot_evaluate(rep, y)), (n_modes, size)
+
+
+def test_on_cores_splits_contiguous_shares(monkeypatch):
+    # one share per core, the first on the calling thread, in share order
+    monkeypatch.setattr(spectral, "_cores", lambda: 3)
+    caller = threading.get_ident()
+    out = spectral._on_cores(lambda share: (share, threading.get_ident() == caller), list(range(7)))
+    assert out == [([0, 1], True), ([2, 3], False), ([4, 5, 6], False)]
+    assert spectral._on_cores(lambda share: share, [9]) == [[9]]
+    monkeypatch.setattr(spectral, "_cores", lambda: 8)
+    assert spectral._on_cores(len, list(range(3))) == [1, 1, 1]
+
+
+@pytest.mark.parametrize("failing", [0, 2])
+def test_on_cores_reraises_a_share_failure(monkeypatch, failing):
+    monkeypatch.setattr(spectral, "_cores", lambda: 3)
+    done = []
+
+    def fn(share):
+        if failing in share:
+            raise ZeroDivisionError(f"share {share}")
+        done.append(share)
+
+    with pytest.raises(ZeroDivisionError, match=rf"share \[{failing}\]"):
+        spectral._on_cores(fn, [0, 1, 2])
+    assert sorted(done) == [[b] for b in (0, 1, 2) if b != failing]
+
+
 @pytest.mark.parametrize("period", [2.0, 3.0, 5.0])
 def test_to_grid_matches_evaluate_bitwise(monkeypatch, period):
     # cached tables below and at one chunk, the chunked evaluate path above
@@ -101,6 +144,17 @@ def test_verify_rerun_hits_grid_cache():
     after = spectral._grid_tables.cache_info()
     assert after.misses == before.misses
     assert after.hits > before.hits
+
+
+def test_rep_period_must_be_the_degree():
+    # sampled over [0, 3) a period-3 rep would pass for a degree-2 function
+    h = InverseDerivative(FourierRep(2.0, 0.5, [0.1], [0.0]), 2)
+    with pytest.raises(ValueError, match="period 3 is not the degree 2"):
+        gateaux_h(h, TangentVector(FourierRep(3.0, 0.0, [0.2], [0.1]), 2))
+    with pytest.raises(ValueError, match="period 2 is not the degree 3"):
+        InverseDerivative(GridRep(2.0, np.full(6, 1 / 3)), 3)
+    with pytest.raises(ValueError, match="degree must be >= 2"):
+        TangentVector(FourierRep(1.0), 1)
 
 
 def test_differentiate_constant():

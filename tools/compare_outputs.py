@@ -4,7 +4,7 @@
 
 Each root is a checkout of this repository, holding `src/` and `demos/`.
 Every CLI command of the output gate (figures, Galerkin and diffusion
-modes, Riesz and simplex flows, entropy, verify, and eleven runs that fail
+modes, Riesz and simplex flows, entropy, verify, and twelve runs that fail
 on purpose) and every demo runs once under each tree. One line per command
 reports IDENTICAL when stdout, stderr and the exit code agree byte for byte. Otherwise it reports DIFFERS with
 the largest |new - old| / max(1, |old|) over the numbers of the two
@@ -51,6 +51,9 @@ COMMANDS = [
     # a grid state of several fiber blocks, the last one ragged
     ["riesz", "--n", "5", "--coeffs", "0.05,0.02,0.03,0.01", "--grid", "200000", "--t-end", "0.1",
      "--dt", "0.02", "--method", "rk4", "--record-every", "5"],
+    # three blocks, which do not split evenly over two cores, and two evaluate chunks
+    ["riesz", "--n", "2", "--coeffs", C4, "--grid", "70000", "--t-end", "0.2", "--dt", "0.02",
+     "--method", "rk4", "--record-every", "3"],
     ["simplex", "--n", "2", "--x", "0.3,0.7", "--t-end", "10"],
     ["simplex", "--n", "5", "--x", "0.1,0.15,0.2,0.25,0.3", "--t-end", "20", "--method", "rk4",
      "--dt", "0.01"],
@@ -67,6 +70,8 @@ COMMANDS = [
     ["verify", "--seed", "42"],
     # error paths: stderr and exit code are compared too
     ["pde", "--B", "0.25,0,0", "--dt", "0.1", "--t-end", "1"],
+    # every block of a three-block grid state leaves the domain at step 1
+    ["riesz", "--n", "2", "--coeffs", "0.45,0", "--grid", "70000", "--dt", "1", "--t-end", "2"],
     ["galerkin", "--B", "0.6,0,0", "--t-end", "1"],
     ["galerkin", "--coeffs", "0.01,0.02", "--modes", "5", "--t-end", "0.2"],
     ["entropy", "--n", "2", "--coeffs", "0.6,0"],
