@@ -11,15 +11,17 @@ A state of independent fibers (FlowSystem.fiber; the Riesz flow's n
 translates of each grid node) is stepped in column blocks of its (fiber, M)
 view, BLOCK_ELEMENTS values each.  Between two records each block runs all
 the steps (stages, their sum and the next state's rhs) while its arrays stay
-in cache, and the blocks are shared out over the CPU cores (one contiguous
-share per core, spectral._on_cores).  A state of one block is stepped flat
-on the calling thread.  Each value gets the whole-array arithmetic, so no bit
-of the trajectory depends on the blocking or the core count.  Records go
-into arrays allocated up front and are taken on the calling thread.
+in cache, and _on_cores shares the blocks out over the CPU cores, one
+contiguous share per core.  A state of one block is stepped flat on the
+calling thread.  Each value gets the whole-array arithmetic, so no bit of
+the trajectory depends on the blocking or the core count.  Records go into
+arrays allocated up front and are taken on the calling thread.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -27,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, StepError
-from .spectral import DEFAULT_GRID, _on_cores, translate_sums
+from .spectral import DEFAULT_GRID, translate_sums
 from .entropy import (
     c_squared,
     gibbs_entropy,
@@ -154,6 +156,47 @@ def heat_reference(B0, t: float) -> np.ndarray:
 # values per fiber block: 256 KiB per array, so the arrays an RK4 step keeps
 # alive stay in a 2 MiB L2 cache (the fastest of 2^12 ... 2^19 in a sweep)
 BLOCK_ELEMENTS = 2**15
+
+
+def _cores() -> int:
+    """The number of CPU cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _on_cores(fn, items: list) -> list:
+    """[fn(share), ...] over contiguous shares of items, one per core (at
+    most one per item).  The calling thread runs the first share and a
+    plain thread each other one; numpy releases the interpreter lock inside
+    its array loops, so the shares run at once.  An exception raised on any
+    share is re-raised here once every thread has finished.  Fewer than two
+    items start no thread."""
+    if len(items) < 2:
+        return [fn(items)]
+    n = min(len(items), _cores())
+    shares = [items[len(items) * c // n:len(items) * (c + 1) // n] for c in range(n)]
+    results, errors = [None] * n, [None] * n
+
+    def run(c):
+        try:
+            results[c] = fn(shares[c])
+        except BaseException as e:  # handed to the calling thread below
+            errors[c] = e
+
+    threads = [threading.Thread(target=run, args=(c,)) for c in range(1, n)]
+    for t in threads:
+        t.start()
+    try:
+        results[0] = fn(shares[0])
+    finally:
+        for t in threads:
+            t.join()
+    for e in errors:
+        if e is not None:
+            raise e
+    return results
 
 
 def _euler_step(rhs, x, k1, dt):

@@ -8,15 +8,13 @@ exact on the Fourier basis and spectrally accurate for smooth integrands.
 
 from __future__ import annotations
 
-import os
-import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 DEFAULT_GRID = 1024
-EVAL_CHUNK = 2**15  # rows of y per pass of evaluate
+GRID_TABLE_MAX = 2**15  # the largest grid whose trig tables to_grid caches
 
 
 @dataclass(frozen=True)
@@ -105,71 +103,12 @@ class TangentVector:
         _check_degree(self.rep, self.degree)
 
 
-def _cores() -> int:
-    """The number of CPU cores this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on this platform
-        return os.cpu_count() or 1
-
-
-def _on_cores(fn, items: list) -> list:
-    """[fn(share), ...] over contiguous shares of items, one per core (at
-    most one per item).  The calling thread runs the first share and a
-    plain thread each other one; numpy releases the interpreter lock inside
-    its array loops, so the shares run at once.  An exception raised on any
-    share is re-raised here once every thread has finished.  Fewer than two
-    items start no thread."""
-    if len(items) < 2:
-        return [fn(items)]
-    n = min(len(items), _cores())
-    shares = [items[len(items) * c // n:len(items) * (c + 1) // n] for c in range(n)]
-    results, errors = [None] * n, [None] * n
-
-    def run(c):
-        try:
-            results[c] = fn(shares[c])
-        except BaseException as e:  # handed to the calling thread below
-            errors[c] = e
-
-    threads = [threading.Thread(target=run, args=(c,)) for c in range(1, n)]
-    for t in threads:
-        t.start()
-    try:
-        results[0] = fn(shares[0])
-    finally:
-        for t in threads:
-            t.join()
-    for e in errors:
-        if e is not None:
-            raise e
-    return results
-
-
 def evaluate(rep: FourierRep, y) -> np.ndarray | float:
-    """Evaluate the Fourier series at point(s) y.
-
-    The angle and trig arrays are built over EVAL_CHUNK rows of y at a
-    time, so a large grid needs no full (points, modes) tables, and the
-    chunks are shared out over the cores (_on_cores); each chunk's
-    arithmetic is the same on any number of cores.  The last chunk takes
-    the rest, up to 2 EVAL_CHUNK - 1 rows: a short tail in a matrix product
-    of its own could round differently from the same rows in one
-    whole-grid product."""
+    """Evaluate the Fourier series at point(s) y, of any shape."""
     y = np.asarray(y, dtype=float)
-    rows = np.atleast_1d(y)
-    out = np.empty(rows.shape)
-    n_chunks = max(1, len(rows) // EVAL_CHUNK)
-    parts = [slice(c * EVAL_CHUNK, None if c == n_chunks - 1 else (c + 1) * EVAL_CHUNK)
-             for c in range(n_chunks)]
-
-    def fill(share):
-        for part in share:
-            ang = _angles(rep.period, rows[part], rep.n_modes)
-            out[part] = rep.mean + (np.cos(ang) @ rep.cos + np.sin(ang) @ rep.sin)
-
-    _on_cores(fill, parts)
-    return out if y.ndim else float(out[0])
+    ang = _angles(rep.period, y, rep.n_modes)
+    out = rep.mean + (np.cos(ang) @ rep.cos + np.sin(ang) @ rep.sin)
+    return out if y.ndim else float(out)
 
 
 def _angles(period: float, y: np.ndarray, n_modes: int) -> np.ndarray:
@@ -199,13 +138,21 @@ def differentiate(rep: FourierRep) -> FourierRep:
 
 
 def to_grid(rep: FourierRep, n_points: int = DEFAULT_GRID) -> GridRep:
-    """Samples at y_j = j*period/N.  Grids of at most EVAL_CHUNK nodes read
-    cached trig tables; a larger grid goes through evaluate's chunks, so no
-    full (N, K) tables of it are ever kept."""
-    if n_points > EVAL_CHUNK:
-        return GridRep(rep.period, evaluate(rep, np.arange(n_points) * (rep.period / n_points)))
-    cos, sin = _grid_tables(rep.period, n_points, rep.n_modes)
-    return GridRep(rep.period, rep.mean + (cos @ rep.cos + sin @ rep.sin))
+    """Samples at y_j = j*period/N.  Grids of at most GRID_TABLE_MAX nodes
+    read cached trig tables.  A larger grid is the inverse real FFT of the
+    half-spectrum F_0 = mean, F_k = (a_k - i b_k)/2 (unnormalised, so it
+    sums the series as written); it needs fewer than N/2 modes, as more
+    would alias."""
+    if n_points <= GRID_TABLE_MAX:
+        cos, sin = _grid_tables(rep.period, n_points, rep.n_modes)
+        return GridRep(rep.period, rep.mean + (cos @ rep.cos + sin @ rep.sin))
+    if 2 * rep.n_modes >= n_points:
+        raise ValueError(f"{rep.n_modes} modes alias on a grid of {n_points} nodes: "
+                         "need fewer than N/2")
+    F = np.zeros(n_points // 2 + 1, dtype=complex)
+    F[0] = rep.mean
+    F[1:rep.n_modes + 1] = 0.5 * (rep.cos - 1j * rep.sin)
+    return GridRep(rep.period, np.fft.irfft(F, n_points, norm="forward"))
 
 
 def to_fourier(grid: GridRep, n_modes: int | None = None) -> FourierRep:

@@ -1,9 +1,13 @@
-import threading
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from srbflow import spectral, verify
+from srbflow.cli import main
 from srbflow.entropy import gateaux_h
 from srbflow.spectral import (
     FourierRep,
@@ -46,76 +50,97 @@ def _one_shot_evaluate(rep, y):
 
 
 @pytest.mark.parametrize("period", [2.0, 3.0, 5.0])
-def test_chunked_evaluate_matches_one_shot_bitwise(monkeypatch, period):
-    # a small chunk keeps the BLAS calls single-threaded; sizes below, at
-    # and above one chunk, several chunks and a ragged tail
-    chunk = 64
-    monkeypatch.setattr(spectral, "EVAL_CHUNK", chunk)
+def test_fft_to_grid_matches_one_shot_evaluate(monkeypatch, period):
+    # grids just above the table cache (odd and even N) take the inverse
+    # FFT: a different summation order, so equal within a few rounding
+    # errors of the coefficients' total size (the worst seen over N up to
+    # 2^21 is 18 eps)
+    table_max = 64
+    monkeypatch.setattr(spectral, "GRID_TABLE_MAX", table_max)
     rng = np.random.default_rng(int(period))
-    for n_modes in range(1, 9):
+    eps = np.finfo(float).eps
+    for n_modes in range(9):
         rep = FourierRep(period, 1.0 / period, 0.1 * rng.normal(size=n_modes),
                          0.1 * rng.normal(size=n_modes))
-        for size in (1, 5, chunk - 1, chunk, chunk + 1, 2 * chunk - 1, 2 * chunk, 3 * chunk + 5):
-            y = np.arange(size) * (period / size)
-            assert np.array_equal(evaluate(rep, y), _one_shot_evaluate(rep, y)), (n_modes, size)
-        y2 = rng.uniform(0.0, period, (3 * chunk + 5, 2))
+        scale = abs(rep.mean) + np.sum(np.abs(rep.cos) + np.abs(rep.sin))
+        for size in (table_max + 1, table_max + 2, 3 * table_max + 5, 4 * table_max):
+            want = evaluate(rep, np.arange(size) * (period / size))
+            err = np.max(np.abs(to_grid(rep, size).samples - want))
+            assert err <= 32 * eps * scale, (n_modes, size, err / (eps * scale))
+        y2 = rng.uniform(0.0, period, (3 * table_max + 5, 2))
         assert np.array_equal(evaluate(rep, y2), _one_shot_evaluate(rep, y2)), n_modes
         value = evaluate(rep, 0.3)
         assert type(value) is float and value == _one_shot_evaluate(rep, 0.3)
 
 
-@pytest.mark.parametrize("cores", [1, 2, 3])
-def test_evaluate_chunks_on_any_core_count_match_one_shot_bitwise(monkeypatch, cores):
-    # one to six chunks (the last one ragged) shared out over 1, 2 or 3 cores
-    chunk = 64
-    monkeypatch.setattr(spectral, "EVAL_CHUNK", chunk)
-    monkeypatch.setattr(spectral, "_cores", lambda: cores)
-    rng = np.random.default_rng(cores)
-    for n_modes in (1, 3, 8):
-        rep = FourierRep(5.0, 0.2, 0.1 * rng.normal(size=n_modes), 0.1 * rng.normal(size=n_modes))
-        for size in (chunk, 2 * chunk + 1, 3 * chunk + 5, 6 * chunk + 63):
-            y = np.arange(size) * (5.0 / size)
-            assert np.array_equal(evaluate(rep, y), _one_shot_evaluate(rep, y)), (n_modes, size)
-
-
-def test_on_cores_splits_contiguous_shares(monkeypatch):
-    # one share per core, the first on the calling thread, in share order
-    monkeypatch.setattr(spectral, "_cores", lambda: 3)
-    caller = threading.get_ident()
-    out = spectral._on_cores(lambda share: (share, threading.get_ident() == caller), list(range(7)))
-    assert out == [([0, 1], True), ([2, 3], False), ([4, 5, 6], False)]
-    assert spectral._on_cores(lambda share: share, [9]) == [[9]]
-    monkeypatch.setattr(spectral, "_cores", lambda: 8)
-    assert spectral._on_cores(len, list(range(3))) == [1, 1, 1]
-
-
-@pytest.mark.parametrize("failing", [0, 2])
-def test_on_cores_reraises_a_share_failure(monkeypatch, failing):
-    monkeypatch.setattr(spectral, "_cores", lambda: 3)
-    done = []
-
-    def fn(share):
-        if failing in share:
-            raise ZeroDivisionError(f"share {share}")
-        done.append(share)
-
-    with pytest.raises(ZeroDivisionError, match=rf"share \[{failing}\]"):
-        spectral._on_cores(fn, [0, 1, 2])
-    assert sorted(done) == [[b] for b in (0, 1, 2) if b != failing]
-
-
 @pytest.mark.parametrize("period", [2.0, 3.0, 5.0])
-def test_to_grid_matches_evaluate_bitwise(monkeypatch, period):
-    # cached tables below and at one chunk, the chunked evaluate path above
-    chunk = 64
-    monkeypatch.setattr(spectral, "EVAL_CHUNK", chunk)
+def test_to_grid_matches_evaluate_bitwise(period):
+    # cached grids read tables built as evaluate builds them
     rng = np.random.default_rng(10 + int(period))
     for n_modes in range(9):
         rep = FourierRep(period, 1.0 / period, 0.1 * rng.normal(size=n_modes),
                          0.1 * rng.normal(size=n_modes))
-        for size in (4, chunk, chunk + 1):
+        for size in (4, 5, 64, 65):
             want = evaluate(rep, np.arange(size) * (period / size))
             assert np.array_equal(to_grid(rep, size).samples, want), (n_modes, size)
+
+
+@pytest.mark.parametrize("size", [65, 66, 1001, 1002])
+@pytest.mark.parametrize("n_modes", [0, 1, 8])
+def test_fft_grid_round_trips_through_to_fourier(monkeypatch, size, n_modes):
+    monkeypatch.setattr(spectral, "GRID_TABLE_MAX", 64)
+    rng = np.random.default_rng(size + n_modes)
+    rep = FourierRep(3.0, 1.0 / 3.0, 0.1 * rng.normal(size=n_modes), 0.1 * rng.normal(size=n_modes))
+    back = to_fourier(to_grid(rep, size), n_modes)
+    assert back.mean == pytest.approx(rep.mean, abs=1e-15)
+    assert back.n_modes == n_modes
+    np.testing.assert_allclose(back.cos, rep.cos, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(back.sin, rep.sin, rtol=0, atol=1e-15)
+
+
+def test_fft_grid_rejects_aliasing_modes(monkeypatch):
+    # K >= N/2 folds modes onto each other on the FFT path; the cached
+    # tables keep summing the series as written
+    monkeypatch.setattr(spectral, "GRID_TABLE_MAX", 64)
+    for size, n_modes in ((65, 33), (66, 33), (66, 40)):
+        rep = FourierRep(3.0, 0.0, np.full(n_modes, 0.01), np.zeros(n_modes))
+        with pytest.raises(ValueError, match=f"{n_modes} modes alias on a grid of {size} nodes"):
+            to_grid(rep, size)
+    to_grid(FourierRep(3.0, 0.0, np.full(32, 0.01), np.zeros(32)), 65)
+    rep = FourierRep(3.0, 0.0, np.full(40, 0.01), np.zeros(40))
+    assert np.array_equal(to_grid(rep, 64).samples,
+                          _one_shot_evaluate(rep, np.arange(64) * (3.0 / 64)))
+
+
+@pytest.mark.parametrize("cmd", ["riesz", "entropy"])
+def test_cli_rejects_aliasing_modes(capsys, cmd):
+    # 2^15 + 2 nodes take the FFT path; 16385 modes are more than N/2
+    coeffs = ",".join(["0.0001"] + ["0"] * (2 * 16385 - 1))
+    argv = [cmd, "--n", "2", "--coeffs", coeffs, "--grid", str(2**15 + 2)]
+    assert main(argv + (["--t-end", "0.2"] if cmd == "riesz" else [])) == 3
+    assert "16385 modes alias on a grid of 32770 nodes" in capsys.readouterr().err
+
+
+def test_fft_grid_bytes_do_not_depend_on_blas_threads():
+    # the FFT path calls no BLAS, so 8-mode samples are the same on any
+    # thread count (a BLAS matrix product changed their last bit)
+    script = (
+        "import hashlib, numpy as np\n"
+        "from srbflow.spectral import FourierRep, to_grid\n"
+        "rng = np.random.default_rng(8)\n"
+        "for period, size in ((2.0, 98310), (5.0, 2097150)):\n"
+        "    rep = FourierRep(period, 1 / period, 0.05 * rng.normal(size=8), 0.05 * rng.normal(size=8))\n"
+        "    print(hashlib.sha256(to_grid(rep, size).samples.tobytes()).hexdigest())\n"
+    )
+    src = str(Path(spectral.__file__).parents[1])
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        out.append(done.stdout)
+    assert len(out[0].split()) == 2 and out[0] == out[1]
 
 
 def test_grid_tables_read_only():
@@ -126,13 +151,13 @@ def test_grid_tables_read_only():
 
 
 def test_large_grid_not_cached(monkeypatch):
-    chunk = 64
-    monkeypatch.setattr(spectral, "EVAL_CHUNK", chunk)
+    table_max = 64
+    monkeypatch.setattr(spectral, "GRID_TABLE_MAX", table_max)
     rep = FourierRep(3.0, 0.0, [0.1, 0.2], [0.3, 0.0])
     before = spectral._grid_tables.cache_info()
-    to_grid(rep, chunk + 1)
+    to_grid(rep, table_max + 1)
     assert spectral._grid_tables.cache_info() == before
-    to_grid(rep, chunk)
+    to_grid(rep, table_max)
     assert spectral._grid_tables.cache_info() != before
 
 

@@ -51,15 +51,20 @@ COMMANDS = [
     # a grid state of several fiber blocks, the last one ragged
     ["riesz", "--n", "5", "--coeffs", "0.05,0.02,0.03,0.01", "--grid", "200000", "--t-end", "0.1",
      "--dt", "0.02", "--method", "rk4", "--record-every", "5"],
-    # three blocks, which do not split evenly over two cores, and two evaluate chunks
+    # three blocks, which do not split evenly over two cores, sampled by inverse FFT
     ["riesz", "--n", "2", "--coeffs", C4, "--grid", "70000", "--t-end", "0.2", "--dt", "0.02",
      "--method", "rk4", "--record-every", "3"],
+    # odd grids sampled by inverse FFT; the riesz state spans two fiber blocks
+    ["riesz", "--n", "3", "--coeffs", "0.1,0.05,0.02,-0.03", "--grid", "40001", "--t-end", "0.2",
+     "--dt", "0.02", "--method", "rk4", "--record-every", "5"],
+    ["entropy", "--n", "3", "--coeffs", "0.1,0.05,0.02,-0.03", "--grid", "99999"],
     ["simplex", "--n", "2", "--x", "0.3,0.7", "--t-end", "10"],
     ["simplex", "--n", "5", "--x", "0.1,0.15,0.2,0.25,0.3", "--t-end", "20", "--method", "rk4",
      "--dt", "0.01"],
     ["simplex", "--n", "8", "--x", "0.05,0.1,0.1,0.15,0.15,0.1,0.2,0.15", "--t-end", "5",
      "--format", "json"],
-    # to_grid's largest cached grid (2^15 nodes) and the next degree-2 grid, sampled by evaluate
+    # to_grid's largest cached grid (2^15 nodes) and the next degree-2 grid, the smallest
+    # sampled by inverse FFT
     ["riesz", "--n", "2", "--coeffs", C4, "--grid", "32768", "--t-end", "0.2"],
     ["riesz", "--n", "2", "--coeffs", C4, "--grid", "32770", "--t-end", "0.2"],
     ["entropy", "--n", "2", "--coeffs", "0.25,0"],
