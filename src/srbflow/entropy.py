@@ -75,7 +75,13 @@ def gateaux_h(h: InverseDerivative, psi: TangentVector, n_points: int = DEFAULT_
     """Directional derivative DH_h(psi) = -int_0^n psi ln h dy."""
     s = density_samples(h, n_points)
     p = _as_samples(psi.rep, psi.degree, s.size)
-    return float(-h.degree / s.size * np.sum(p * np.log(s)))
+    return float(_gateaux_rows(p, np.log(s), h.degree / s.size))
+
+
+def _gateaux_rows(p: np.ndarray, logs: np.ndarray, w: float) -> np.ndarray:
+    """-w sum psi ln h over the last axis: DH_h of each row of samples p,
+    given logs = ln h on the same grid and the quadrature weight w."""
+    return -w * np.sum(p * logs, axis=-1)
 
 
 def gateaux_g(gprime: InverseDerivative, phi: TangentVector, n_points: int = DEFAULT_GRID) -> float:

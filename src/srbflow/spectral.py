@@ -120,8 +120,8 @@ def _angles(period: float, y: np.ndarray, n_modes: int) -> np.ndarray:
 def _grid_tables(period: float, n_points: int, n_modes: int) -> tuple[np.ndarray, np.ndarray]:
     """The (cos, sin) tables of evaluate on the uniform grid y_j = j*period/N.
 
-    A run samples a few fixed grids many times (one verify run calls
-    to_grid some 2300 times on six of them), so the tables are built once
+    A run samples a few fixed grids many times (a verify run samples six
+    of them, its random trials in blocks), so the tables are built once
     and shared read-only; they are the arrays evaluate builds, bit for bit."""
     ang = _angles(period, np.arange(n_points) * (period / n_points), n_modes)
     tables = np.cos(ang), np.sin(ang)
@@ -138,21 +138,27 @@ def differentiate(rep: FourierRep) -> FourierRep:
 
 
 def to_grid(rep: FourierRep, n_points: int = DEFAULT_GRID) -> GridRep:
-    """Samples at y_j = j*period/N.  Grids of at most GRID_TABLE_MAX nodes
-    read cached trig tables.  A larger grid is the inverse real FFT of the
-    half-spectrum F_0 = mean, F_k = (a_k - i b_k)/2 (unnormalised, so it
-    sums the series as written); it needs fewer than N/2 modes, as more
-    would alias."""
+    """Samples at y_j = j*period/N; fewer than N/2 modes, as more would
+    alias.  Grids of at most GRID_TABLE_MAX nodes read cached trig tables.
+    A larger grid is the inverse real FFT of the half-spectrum F_0 = mean,
+    F_k = (a_k - i b_k)/2 (unnormalised, so it sums the series as written)."""
+    return GridRep(rep.period, _sample(rep.period, n_points, rep.mean, rep.cos, rep.sin))
+
+
+def _sample(period: float, n_points: int, mean: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """to_grid's samples for coefficient rows a, b of shape (..., K), one
+    sample row per row; on the tables that is one matrix-vector product per
+    row, so each row has the bits of to_grid on that row alone."""
+    K = a.shape[-1]
+    if 2 * K >= n_points:
+        raise ValueError(f"{K} modes alias on a grid of {n_points} nodes: need fewer than N/2")
     if n_points <= GRID_TABLE_MAX:
-        cos, sin = _grid_tables(rep.period, n_points, rep.n_modes)
-        return GridRep(rep.period, rep.mean + (cos @ rep.cos + sin @ rep.sin))
-    if 2 * rep.n_modes >= n_points:
-        raise ValueError(f"{rep.n_modes} modes alias on a grid of {n_points} nodes: "
-                         "need fewer than N/2")
-    F = np.zeros(n_points // 2 + 1, dtype=complex)
-    F[0] = rep.mean
-    F[1:rep.n_modes + 1] = 0.5 * (rep.cos - 1j * rep.sin)
-    return GridRep(rep.period, np.fft.irfft(F, n_points, norm="forward"))
+        cos, sin = _grid_tables(period, n_points, K)
+        return mean + ((cos @ a[..., None])[..., 0] + (sin @ b[..., None])[..., 0])
+    F = np.zeros(a.shape[:-1] + (n_points // 2 + 1,), dtype=complex)
+    F[..., 0] = mean
+    F[..., 1:K + 1] = 0.5 * (a - 1j * b)
+    return np.fft.irfft(F, n_points, norm="forward")
 
 
 def to_fourier(grid: GridRep, n_modes: int | None = None) -> FourierRep:

@@ -18,6 +18,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .entropy import (
+    _gateaux_rows,
     c_squared,
     density_entropy,
     density_samples,
@@ -35,7 +36,7 @@ from .spectral import (
     InverseDerivative,
     TangentVector,
     _as_samples,
-    project_constraint,
+    _sample,
     to_grid,
 )
 
@@ -61,18 +62,41 @@ def _report(name: str, err: float, tol: float, samples: int) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
+_TRIAL_CHUNK = 2**13  # sample values per block of random trials; bounds their memory
+
+
+def _tangent_rows(rng: np.random.Generator, degree: int, count: int,
+                  n_modes: int = 5) -> np.ndarray:
+    """(count, 2, n_modes) cos/sin coefficients of unit-L2 tangent vectors:
+    bounded random Fourier modes, constraint projection, then normalization.
+
+    One draw gives the stream of count one-row draws.  A row whose kept
+    modes are all zero is drawn again: it is dropped and the rows drawn
+    after the batch take its place at the end, as in a draw-by-draw loop."""
+    keep = np.arange(1, n_modes + 1) % degree != 0  # as project_constraint
+    rows = np.where(keep, rng.uniform(-1.0, 1.0, (count, 2, n_modes)), 0.0)
+    norm = np.sqrt(degree / 2.0 * np.sum(rows[:, 0]**2 + rows[:, 1]**2, axis=-1))
+    if np.all(norm):
+        return rows / norm[:, None, None]
+    ok = norm != 0.0
+    more = _tangent_rows(rng, degree, count - np.count_nonzero(ok), n_modes)
+    return np.concatenate([rows[ok] / norm[ok, None, None], more])
+
+
 def random_tangent(rng: np.random.Generator, degree: int, n_modes: int = 5) -> TangentVector:
-    """Unit-L2 tangent vector: bounded random Fourier modes, constraint
-    projection, then normalization."""
-    rep = FourierRep(float(degree), 0.0,
-                     rng.uniform(-1.0, 1.0, n_modes),
-                     rng.uniform(-1.0, 1.0, n_modes))
-    rep = project_constraint(rep, degree)
-    norm = np.sqrt(degree / 2.0 * np.sum(rep.cos**2 + rep.sin**2))
-    if norm == 0.0:  # all modes removed; retry
-        return random_tangent(rng, degree, n_modes)
-    rep = FourierRep(rep.period, 0.0, rep.cos / norm, rep.sin / norm)
-    return TangentVector(rep, degree)
+    """Unit-L2 tangent vector: the one-row case of _tangent_rows."""
+    a, b = _tangent_rows(rng, degree, 1, n_modes)[0]
+    return TangentVector(FourierRep(float(degree), 0.0, a, b), degree)
+
+
+def _trial_samples(rng: np.random.Generator, degree: int, trials: int, n_points: int):
+    """Samples on n_points nodes of `trials` random tangents, drawn at once
+    and yielded in blocks of at most _TRIAL_CHUNK values (at least one row),
+    in the order of successive random_tangent draws."""
+    rows = _tangent_rows(rng, degree, trials)
+    step = max(1, _TRIAL_CHUNK // n_points)
+    for i in range(0, trials, step):
+        yield _sample(float(degree), n_points, 0.0, rows[i:i + step, 0], rows[i:i + step, 1])
 
 
 def random_density(rng: np.random.Generator, degree: int, n_modes: int = 5,
@@ -140,10 +164,9 @@ def riesz_identity_check(h: InverseDerivative, trials: int = 100, seed: int = 0,
     R = riesz_gradient(h, n_points).rep.samples
     s = density_samples(h, n_points)
     w = h.degree / s.size
-    worst = 0.0
-    for _ in range(trials):
-        p = to_grid(random_tangent(rng, h.degree).rep, s.size).samples
-        worst = max(worst, abs(w * np.sum(R * p) + w * np.sum(p * np.log(s))))
+    logs = np.log(s)
+    worst = max((np.max(np.abs(w * np.sum(R * P, axis=-1) - _gateaux_rows(P, logs, w)))
+                 for P in _trial_samples(rng, h.degree, trials, s.size)), default=0.0)
     return _report("riesz_identity", worst, tol, trials)
 
 
@@ -153,15 +176,15 @@ def gradient_maximality_check(h: InverseDerivative, trials: int = 1000, seed: in
     the derivative: DH_h(psi) <= DH_h(R_hat) for all unit psi."""
     rng = np.random.default_rng(seed)
     R = riesz_gradient(h, n_points)
-    w = h.degree / density_samples(h, n_points).size
+    s = density_samples(h, n_points)
+    w = h.degree / s.size
     r_norm = np.sqrt(w * np.sum(R.rep.samples**2))
     if r_norm == 0.0:
         raise ValueError("maximality check needs a nonconstant h")
     best = gateaux_h(h, R, n_points) / r_norm  # = ||R_h||, the max value
-    worst = 0.0
-    for _ in range(trials):
-        psi = random_tangent(rng, h.degree)
-        worst = max(worst, gateaux_h(h, psi, n_points) - best)
+    logs = np.log(s)
+    worst = max((np.max(_gateaux_rows(P, logs, w) - best)
+                 for P in _trial_samples(rng, h.degree, trials, s.size)), default=0.0)
     return _report("gradient_maximality", max(worst, 0.0), tol, trials)
 
 

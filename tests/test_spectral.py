@@ -75,12 +75,17 @@ def test_fft_to_grid_matches_one_shot_evaluate(monkeypatch, period):
 
 @pytest.mark.parametrize("period", [2.0, 3.0, 5.0])
 def test_to_grid_matches_evaluate_bitwise(period):
-    # cached grids read tables built as evaluate builds them
+    # cached grids read tables built as evaluate builds them; K >= N/2
+    # modes would alias, and are refused as on the FFT path
     rng = np.random.default_rng(10 + int(period))
     for n_modes in range(9):
         rep = FourierRep(period, 1.0 / period, 0.1 * rng.normal(size=n_modes),
                          0.1 * rng.normal(size=n_modes))
         for size in (4, 5, 64, 65):
+            if 2 * n_modes >= size:
+                with pytest.raises(ValueError, match=f"{n_modes} modes alias on a grid of {size} "):
+                    to_grid(rep, size)
+                continue
             want = evaluate(rep, np.arange(size) * (period / size))
             assert np.array_equal(to_grid(rep, size).samples, want), (n_modes, size)
 
@@ -99,8 +104,8 @@ def test_fft_grid_round_trips_through_to_fourier(monkeypatch, size, n_modes):
 
 
 def test_fft_grid_rejects_aliasing_modes(monkeypatch):
-    # K >= N/2 folds modes onto each other on the FFT path; the cached
-    # tables keep summing the series as written
+    # K >= N/2 folds modes onto each other on either path: the size switch
+    # does not decide whether an input is valid
     monkeypatch.setattr(spectral, "GRID_TABLE_MAX", 64)
     for size, n_modes in ((65, 33), (66, 33), (66, 40)):
         rep = FourierRep(3.0, 0.0, np.full(n_modes, 0.01), np.zeros(n_modes))
@@ -108,8 +113,8 @@ def test_fft_grid_rejects_aliasing_modes(monkeypatch):
             to_grid(rep, size)
     to_grid(FourierRep(3.0, 0.0, np.full(32, 0.01), np.zeros(32)), 65)
     rep = FourierRep(3.0, 0.0, np.full(40, 0.01), np.zeros(40))
-    assert np.array_equal(to_grid(rep, 64).samples,
-                          _one_shot_evaluate(rep, np.arange(64) * (3.0 / 64)))
+    with pytest.raises(ValueError, match="40 modes alias on a grid of 64 nodes"):
+        to_grid(rep, 64)
 
 
 @pytest.mark.parametrize("cmd", ["riesz", "entropy"])
@@ -119,6 +124,24 @@ def test_cli_rejects_aliasing_modes(capsys, cmd):
     argv = [cmd, "--n", "2", "--coeffs", coeffs, "--grid", str(2**15 + 2)]
     assert main(argv + (["--t-end", "0.2"] if cmd == "riesz" else [])) == 3
     assert "16385 modes alias on a grid of 32770 nodes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("size", [1023, 1024, 40000, 40001])
+def test_sampled_stack_rows_are_to_grid_bitwise(size):
+    # a stack of coefficient rows (both sampling paths) gives each row's to_grid bits
+    rng = np.random.default_rng(size)
+    a, b = rng.uniform(-1.0, 1.0, (2, 2, 3, 5))
+    stack = spectral._sample(3.0, size, 0.0, a, b)
+    assert stack.shape == (2, 3, size)
+    for i in np.ndindex(2, 3):
+        assert np.array_equal(stack[i], to_grid(FourierRep(3.0, 0.0, a[i], b[i]), size).samples)
+
+
+def test_cli_rejects_aliasing_modes_on_a_cached_grid(capsys):
+    # mode 5 on 8 nodes would be summed as mode 3
+    argv = ["entropy", "--n", "2", "--coeffs", "0.1,0,0,0,0,0,0,0,0.05,0", "--grid", "8"]
+    assert main(argv) == 3
+    assert "5 modes alias on a grid of 8 nodes" in capsys.readouterr().err
 
 
 def test_fft_grid_bytes_do_not_depend_on_blas_threads():

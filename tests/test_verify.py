@@ -2,7 +2,17 @@ import numpy as np
 import pytest
 
 import srbflow.verify as vf
-from srbflow.spectral import FourierRep, InverseDerivative, TangentVector, tangent_residual, to_grid
+from srbflow.entropy import _gateaux_rows, density_samples, gateaux_h, riesz_gradient
+from srbflow.spectral import (
+    FourierRep,
+    GridRep,
+    InverseDerivative,
+    TangentVector,
+    grid_points_for,
+    project_constraint,
+    tangent_residual,
+    to_grid,
+)
 from srbflow.verify import (
     equilibrium_check,
     fd_derivative_check,
@@ -151,3 +161,133 @@ def test_run_all_passes_and_is_reproducible():
     second = run_all(seed=42)
     assert all(r.passed for r in first)
     assert first == second  # bit-for-bit reproducible given the seed
+
+
+# ---------------------------------------------------------------------------
+# The batched trials against the draw-by-draw loop they replace
+# ---------------------------------------------------------------------------
+
+
+def _loop_tangent(rng, degree, n_modes=5):
+    # the reference: one tangent per draw, drawn again while its kept modes are all zero
+    rep = FourierRep(float(degree), 0.0, rng.uniform(-1.0, 1.0, n_modes),
+                     rng.uniform(-1.0, 1.0, n_modes))
+    rep = project_constraint(rep, degree)
+    norm = np.sqrt(degree / 2.0 * np.sum(rep.cos**2 + rep.sin**2))
+    if norm == 0.0:
+        return _loop_tangent(rng, degree, n_modes)
+    return FourierRep(rep.period, 0.0, rep.cos / norm, rep.sin / norm)
+
+
+class _Stream:
+    """A generator stand-in that serves a fixed value stream in draw order."""
+
+    def __init__(self, values):
+        self.values, self.used = values, 0
+
+    def uniform(self, low, high, size):
+        n = int(np.prod(size))
+        out = self.values[self.used:self.used + n]
+        self.used += n
+        return out.reshape(size)
+
+
+@pytest.mark.parametrize("degree", [2, 3, 5])
+@pytest.mark.parametrize("count", [1, 7, 13, 21])
+def test_tangent_rows_are_successive_draws_bitwise(degree, count):
+    rows = vf._tangent_rows(np.random.default_rng(count), degree, count)
+    loop_rng, one_row_rng = np.random.default_rng(count), np.random.default_rng(count)
+    assert rows.shape == (count, 2, 5)
+    for row in rows:
+        want = _loop_tangent(loop_rng, degree)
+        psi = random_tangent(one_row_rng, degree)
+        assert np.array_equal(row[0], want.cos) and np.array_equal(row[1], want.sin)
+        assert np.array_equal(psi.rep.cos, want.cos) and np.array_equal(psi.rep.sin, want.sin)
+    # the batch left the generator where the loop left it
+    batch_rng = np.random.default_rng(count)
+    vf._tangent_rows(batch_rng, degree, count)
+    assert batch_rng.uniform() == loop_rng.uniform() == one_row_rng.uniform()
+
+
+@pytest.mark.parametrize("degree", [2, 3, 5])
+def test_tangent_rows_draw_a_zero_row_again(degree):
+    # row 2 of the stream is all zero, so trial 2 is the stream's row 3,
+    # and one more row is drawn after the batch
+    values = np.random.default_rng(degree).uniform(-1.0, 1.0, 100)
+    values[20:30] = 0.0
+    batch, loop = _Stream(values), _Stream(values)
+    rows = vf._tangent_rows(batch, degree, 6)
+    for row in rows:
+        want = _loop_tangent(loop, degree)
+        assert np.array_equal(row[0], want.cos) and np.array_equal(row[1], want.sin)
+    assert batch.used == loop.used == 70
+    psi = random_tangent(_Stream(values[20:]), degree)
+    assert np.array_equal(psi.rep.cos, rows[2, 0]) and np.array_equal(psi.rep.sin, rows[2, 1])
+
+
+@pytest.mark.parametrize("degree", [2, 3, 5])
+@pytest.mark.parametrize("trials, grid",
+                         [(5, 1024), (13, 1024), (21, 1024), (3, 10000), (3, 40000)])
+def test_trial_samples_are_to_grid_rows_bitwise(degree, trials, grid):
+    # a block holds at most _TRIAL_CHUNK values (one trial on larger grids);
+    # 40000 nodes are sampled by inverse FFT
+    n = grid_points_for(degree, grid)
+    blocks = list(vf._trial_samples(np.random.default_rng(trials), degree, trials, n))
+    assert all(P.shape[1] == n and P.size <= max(vf._TRIAL_CHUNK, n) for P in blocks)
+    samples = np.concatenate(blocks)
+    rng = np.random.default_rng(trials)
+    assert samples.shape == (trials, n)
+    for row in samples:
+        assert np.array_equal(row, to_grid(_loop_tangent(rng, degree), n).samples)
+
+
+@pytest.mark.parametrize("degree", [2, 3, 5])
+def test_batched_derivatives_are_gateaux_h_bitwise(degree):
+    h = random_density(np.random.default_rng(degree), degree)
+    s = density_samples(h)
+    P = np.concatenate(list(vf._trial_samples(np.random.default_rng(0), degree, 13, s.size)))
+    dh = _gateaux_rows(P, np.log(s), degree / s.size)
+    rng = np.random.default_rng(0)
+    for value in dh:
+        assert value == gateaux_h(h, TangentVector(_loop_tangent(rng, degree), degree))
+
+
+def _loop_riesz_identity(h, trials, seed):
+    # the draw-by-draw form of riesz_identity_check
+    rng = np.random.default_rng(seed)
+    R = riesz_gradient(h).rep.samples
+    s = density_samples(h)
+    w = h.degree / s.size
+    worst = 0.0
+    for _ in range(trials):
+        p = to_grid(_loop_tangent(rng, h.degree), s.size).samples
+        worst = max(worst, abs(w * np.sum(R * p) + w * np.sum(p * np.log(s))))
+    return worst
+
+
+@pytest.mark.parametrize("degree", [2, 3, 5])
+def test_riesz_identity_matches_the_loop_bitwise(degree):
+    h = random_density(np.random.default_rng(20 + degree), degree)
+    for trials in (1, 13, 100):
+        rep = riesz_identity_check(h, trials, seed=degree)
+        assert rep.max_abs_error == _loop_riesz_identity(h, trials, degree)
+        assert rep.samples == trials
+
+
+def _scaled_riesz_gradient(monkeypatch, factor):
+    def scaled(*args, **kwargs):
+        R = riesz_gradient(*args, **kwargs)
+        return TangentVector(GridRep(R.rep.period, factor * R.rep.samples), R.degree)
+    monkeypatch.setattr(vf, "riesz_gradient", scaled)
+
+
+def test_gradient_maximality_catches_negated_gradient(monkeypatch):
+    _scaled_riesz_gradient(monkeypatch, -1.0)
+    reports = [r for r in run_all(0) if r.name == "gradient_maximality"]
+    assert len(reports) == 1 and not reports[0].passed
+
+
+def test_riesz_identity_catches_scaled_gradient(monkeypatch):
+    _scaled_riesz_gradient(monkeypatch, 1.001)
+    reports = [r for r in run_all(0) if r.name == "riesz_identity"]
+    assert len(reports) == 2 and not any(r.passed for r in reports)

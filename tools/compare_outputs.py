@@ -4,7 +4,7 @@
 
 Each root is a checkout of this repository, holding `src/` and `demos/`.
 Every CLI command of the output gate (figures, Galerkin and diffusion
-modes, Riesz and simplex flows, entropy, verify, and twelve runs that fail
+modes, Riesz and simplex flows, entropy, verify, and thirteen runs that fail
 on purpose) and every demo runs once under each tree. One line per command
 reports IDENTICAL when stdout, stderr and the exit code agree byte for byte. Otherwise it reports DIFFERS with
 the largest |new - old| / max(1, |old|) over the numbers of the two
@@ -73,6 +73,7 @@ COMMANDS = [
     ["entropy", "--n", "2", "--coeffs", C4, "--grid", "32770"],
     ["verify", "--seed", "0"],
     ["verify", "--seed", "42"],
+    ["verify", "--seed", "7"],
     # error paths: stderr and exit code are compared too
     ["pde", "--B", "0.25,0,0", "--dt", "0.1", "--t-end", "1"],
     # every block of a three-block grid state leaves the domain at step 1
@@ -87,6 +88,8 @@ COMMANDS = [
     ["figure", "--which", "fig1", "--grid", "0"],
     ["figure", "--which", "fig1", "--grid", "-4"],
     ["figure", "--which", "fig1", "--grid", "2"],
+    # five modes alias on a cached 8-node grid
+    ["entropy", "--n", "2", "--coeffs", "0.1,0,0,0,0,0,0,0,0.05,0", "--grid", "8"],
 ]
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:nan|inf)")
 MAIN = "import sys; from srbflow.cli import main; sys.exit(main(sys.argv[1:]))"
