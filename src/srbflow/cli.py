@@ -89,7 +89,7 @@ def _integrate(system: fl.FlowSystem, x0: np.ndarray, args, guard=None) -> fl.Tr
 
 
 def _check_grid(grid: int, n_modes: int):
-    if grid < 4 * max(n_modes, 1):
+    if grid < 4 * n_modes:
         raise ValueError("--grid must be at least 4 * the number of modes")
 
 
@@ -119,10 +119,11 @@ def cmd_simplex(args) -> int:
 def _galerkin_like(args, use_pde: bool) -> int:
     if args.n != 2:
         raise ValueError("the Sobolev-metric Galerkin flow is degree-2 only")
+    if args.modes is not None and args.modes < 1:
+        raise ValueError("--modes must be at least 1")
     if args.B is not None:
         x0 = _parse_floats(args.B)
-        modes = DEFAULT_B_MODES if args.modes is None else args.modes
-        if modes and x0.size != modes:
+        if x0.size != (DEFAULT_B_MODES if args.modes is None else args.modes):
             raise ValueError("--B length must equal --modes")
         tau = np.linspace(0, 2 * np.pi, 512)
         _print_extrema(0.5 + np.cos(np.outer(tau, odd_frequencies(x0.size))) @ x0)
@@ -131,7 +132,7 @@ def _galerkin_like(args, use_pde: bool) -> int:
         names = [f"B{k+1}" for k in range(n_modes)]
     elif args.coeffs is not None:
         c = _parse_floats(args.coeffs)
-        if c.size % 2:
+        if c.size == 0 or c.size % 2:
             raise ValueError("--coeffs needs alternating a,b pairs for the odd modes")
         x0 = np.concatenate([c[0::2], c[1::2]])
         n_modes = c.size // 2

@@ -6,11 +6,13 @@ H(h) = -int_0^n h ln h dy.  The L2 gradient is the Riesz representer
 R_h = -ln h + (1/n) sum_i ln h(.+i), valid for any degree n.  Under the
 H^2 metric an orthonormal basis is only available for degree 2, where the
 gradient becomes an ODE system on the odd-harmonic coefficients; that system
-and the diffusion modes are one kernel, odd_mode_rhs, on amplitude blocks.
+and the diffusion modes are one kernel, _odd_kernel, on amplitude blocks;
+odd_mode_rhs, odd_mode_density and odd_mode_entropy are its one-shot form.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache, reduce
 
 import numpy as np
@@ -123,7 +125,7 @@ def c_squared(k) -> np.ndarray | float:
 def _odd_tables(n_modes: int, n_points: int, blocks: int) -> np.ndarray:
     """The last blocks + 1 of (-sin, cos, sin)(k tau) on tau_j = 2 pi j / N,
     k = odd_frequencies(n_modes), stacked in one array, so every table of
-    odd_mode_rhs is a view.  The tables depend only on (K, N, blocks) and a
+    _odd_kernel is a view.  The tables depend only on (K, N, blocks) and a
     run uses one (K, N), so they are built once and shared read-only."""
     ang = np.outer(np.arange(n_points) * (2.0 * np.pi / n_points), odd_frequencies(n_modes))
     T = np.empty((blocks + 1,) + ang.shape)
@@ -135,38 +137,64 @@ def _odd_tables(n_modes: int, n_points: int, blocks: int) -> np.ndarray:
     return T
 
 
-def _density(T: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """h = 1/2 + C x on the tables T of the blocks x, C = T[:-1]."""
-    return reduce(np.add, map(np.matmul, T[:-1], x), 0.5)
+# the odd-mode equations of one run, each a function of the amplitudes x
+_OddKernel = namedtuple("_OddKernel", "density rhs entropy")
+
+
+def _odd_kernel(n_modes: int, w, n_points: int, blocks: int) -> _OddKernel:
+    """The odd-mode kernel of the degree-2 flows for K = n_modes modes with
+    the weights w, on the grid tau_j = 2 pi j / N (tau = pi y, k = 2m - 1).
+
+    x = [A; B] = pi k [a; b] holds the amplitudes of a general degree-2
+    density as blocks = 2 rows of K, and blocks = 1 the even amplitudes B;
+    x may have any shape of that size, and the rhs has the shape of x.  With
+    h = 1/2 + C x and h' = dh/dtau = -S (k x), where the blocks of x pair
+    with the tables T as C = T[:-1] and S = T[1:], projecting h'/h on the
+    modes gives dx/dt = -pi k w (dtau ((S (k x)) / h)^T S): the H^2 gradient
+    flow for w = c_squared(k), the diffusion modes of w_t = w_yy / w_y for
+    w = 1.  The entropy is -(1/pi) int_0^{2pi} h ln h dtau.  What a run holds
+    fixed is bound here once: the tables, k, the scale -pi k w, dtau = 2 pi / N
+    and the quadrature weight 2 / N."""
+    k = odd_frequencies(n_modes).astype(float)
+    T = _odd_tables(n_modes, n_points, blocks)
+    S_stack = T[1:]
+    C, S = list(T[:-1]), list(S_stack)
+    scale, dtau, weight = -np.pi * k * w, 2.0 * np.pi / n_points, 2.0 / n_points
+
+    def density(x):
+        return reduce(np.add, map(np.matmul, C, x.reshape(blocks, -1)), 0.5)
+
+    def rhs(x):
+        h = _guarded(density(x))
+        num = reduce(np.add, map(np.matmul, S, k * x.reshape(blocks, -1)))
+        return (scale * (dtau * ((num / h) @ S_stack))).reshape(x.shape)
+
+    return _OddKernel(density, rhs, lambda x: gibbs_entropy(density(x), weight))
+
+
+def _one_shot(part: str, x, w, n_points: int):
+    """The kernel's part ("density", "rhs" or "entropy") at x, from a kernel
+    built for the blocks of x alone (a 1-D x is one block)."""
+    x = np.asarray(x, dtype=float)
+    X = np.atleast_2d(x)
+    if X.ndim > 2 or len(X) > 2:
+        raise ValueError("x must be the amplitudes B or the two blocks [A; B]")
+    return getattr(_odd_kernel(X.shape[1], w, n_points, len(X)), part)(x)
 
 
 def odd_mode_density(x, n_points: int = DEFAULT_GRID) -> np.ndarray:
-    """h(tau) = 1/2 + sum_k (-A_k sin + B_k cos)(k tau) on tau_j = 2 pi j / N.
-
-    x = [A; B] = pi k [a; b] for a general degree-2 density (tau = pi y,
-    k = 2m - 1); a 1-D x = B is the even density 1/2 + sum B_k cos(k tau)."""
-    X = np.atleast_2d(np.asarray(x, dtype=float))
-    return _density(_odd_tables(X.shape[1], n_points, len(X)), X)
+    """h(tau) = 1/2 + sum_k (-A_k sin + B_k cos)(k tau) on tau_j = 2 pi j / N
+    for x = [A; B]; a 1-D x = B is the even density 1/2 + sum B_k cos(k tau).
+    The one-shot form of _odd_kernel, as are the two below."""
+    return _one_shot("density", x, 1.0, n_points)
 
 
 def odd_mode_entropy(x, n_points: int = DEFAULT_GRID) -> float:
-    """H of odd_mode_density(x), i.e. -(1/pi) int_0^{2pi} h ln h dtau."""
-    return gibbs_entropy(odd_mode_density(x, n_points), 2.0 / n_points)
+    """H of odd_mode_density(x)."""
+    return _one_shot("entropy", x, 1.0, n_points)
 
 
 def odd_mode_rhs(x, w, n_points: int = DEFAULT_GRID) -> np.ndarray:
-    """The one odd-mode kernel of the degree-2 flows, on the grid tau = pi y.
-
-    With h = odd_mode_density(x) and h' = dh/dtau = -S (k x), S = [cos | sin]
-    (S = sin for a 1-D x), projecting h'/h on the modes gives
-    dx/dt = -pi k w (dtau ((S (k x)) / h)^T S): the H^2 gradient flow for the
-    weights w = c_squared(k), the diffusion modes of w_t = w_yy / w_y for
-    w = 1.  The result has the shape of x; the blocks of x pair with the
-    tables T as C = T[:-1] and S = T[1:]."""
-    x = np.asarray(x, dtype=float)
-    X = np.atleast_2d(x)
-    k = odd_frequencies(X.shape[1])
-    T = _odd_tables(k.size, n_points, len(X))
-    h = _guarded(_density(T, X))
-    num = reduce(np.add, map(np.matmul, T[1:], k * X))
-    return (-np.pi * k * w * ((2.0 * np.pi / n_points) * ((num / h) @ T[1:]))).reshape(x.shape)
+    """dx/dt of the amplitudes x, in the shape of x: the H^2 gradient flow
+    for w = c_squared(k), the diffusion modes for w = 1."""
+    return _one_shot("rhs", x, w, n_points)

@@ -23,21 +23,14 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, StepError
 from .spectral import DEFAULT_GRID, translate_sums
-from .entropy import (
-    c_squared,
-    gibbs_entropy,
-    odd_frequencies,
-    odd_mode_entropy,
-    odd_mode_rhs,
-    simplex_rhs,
-)
+from .entropy import _odd_kernel, c_squared, gibbs_entropy, odd_frequencies, simplex_rhs
 
 
 @dataclass
@@ -117,24 +110,32 @@ def _weights(n_modes: int, use_pde: bool):
 
 def galerkin_system_n2(n_points: int = DEFAULT_GRID, use_pde: bool = False) -> FlowSystem:
     """Degree-2 flow on the packed state [a_1, a_3, ...; b_1, b_3, ...]: the
-    odd-mode kernel on the amplitudes s [a; b], s = pi k, scaled back by s."""
+    odd-mode kernel on the amplitudes s [a; b], s = pi k, scaled back by s.
+    The kernel of each state size is built on its first use."""
+
+    @lru_cache(maxsize=8)
+    def kernel(size):
+        s = np.pi * odd_frequencies(size // 2)
+        return s, _odd_kernel(s.size, _weights(s.size, use_pde), n_points, 2)
 
     def rhs(x):
-        s = np.pi * odd_frequencies(x.size // 2)
-        return (odd_mode_rhs(s * x.reshape(2, -1), _weights(s.size, use_pde), n_points) / s).ravel()
+        s, f = kernel(x.size)
+        return (f.rhs(s * x.reshape(2, -1)) / s).ravel()
 
-    return FlowSystem(
-        rhs=rhs,
-        entropy=lambda x: odd_mode_entropy(
-            np.pi * odd_frequencies(x.size // 2) * x.reshape(2, -1), n_points),
-    )
+    def entropy(x):
+        s, f = kernel(x.size)
+        return f.entropy(s * x.reshape(2, -1))
+
+    return FlowSystem(rhs=rhs, entropy=entropy)
 
 
 def even_galerkin_system(n_points: int = DEFAULT_GRID, use_pde: bool = False) -> FlowSystem:
-    """Even-case flow on the amplitudes B (pure cosine densities)."""
+    """Even-case flow on the amplitudes B (pure cosine densities).  The
+    kernel of each mode count is built on its first use."""
+    kernel = lru_cache(maxsize=8)(lambda K: _odd_kernel(K, _weights(K, use_pde), n_points, 1))
     return FlowSystem(
-        rhs=lambda B: odd_mode_rhs(B, _weights(B.size, use_pde), n_points),
-        entropy=lambda B: odd_mode_entropy(B, n_points),
+        rhs=lambda B: kernel(B.size).rhs(B),
+        entropy=lambda B: kernel(B.size).entropy(B),
     )
 
 

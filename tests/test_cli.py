@@ -196,6 +196,10 @@ def test_validation_error_exit_code(capsys):
     # a figure grid below 4 * its 3 modes (0 divided by zero, 2 gave a flat figure)
     for grid in ("0", "-4", "2"):
         assert run(["figure", "--which", "fig1", "--grid", grid]) == 3
+    # no modes: --modes 0 was ignored, and an empty list ran a zero-mode flow
+    assert run(["galerkin", "--B", "0.25,0,0", "--modes", "0"]) == 3
+    assert run(["galerkin", "--coeffs=", "--t-end", "0.2"]) == 3
+    assert run(["pde", "--B=", "--modes", "0", "--t-end", "0.2"]) == 3
 
 
 def test_simplex_ignores_grid(tmp_path):

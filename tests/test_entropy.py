@@ -15,6 +15,7 @@ from srbflow.entropy import (
     riesz_gradient,
 )
 from srbflow.errors import DomainError
+from srbflow.flow import even_galerkin_system, galerkin_system_n2
 from srbflow.spectral import (DEFAULT_GRID, FourierRep, GridRep, InverseDerivative,
                               TangentVector, to_grid)
 from srbflow.verify import random_density, random_tangent
@@ -335,6 +336,26 @@ def test_cached_table_readers_match_fresh_tables_bitwise(K, N):
         assert np.array_equal(odd_mode_density(np.pi * k * ab, N), oracle_n2_density(ab, N))
         for w in (c2, 1.0):
             assert np.array_equal(n2_rhs(ab, w, N), oracle_n2_rhs(ab, w, N))
+        # the flow systems' kernels, built once per state size, on the packed [a; b]
+        ab_even = even_to_galerkin(B)
+        for use_pde, w in ((False, c2), (True, 1.0)):
+            even, n2 = even_galerkin_system(N, use_pde), galerkin_system_n2(N, use_pde)
+            for _ in range(2):  # the call that builds the kernel, then one that reuses it
+                assert np.array_equal(even.rhs(B), oracle_even_rhs(B, w, N))
+                assert even.entropy(B) == oracle_even_entropy(B, N)
+                assert np.array_equal(n2.rhs(ab.ravel()), oracle_n2_rhs(ab, w, N).ravel())
+                assert np.array_equal(n2.rhs(ab_even.ravel()), oracle_n2_rhs(ab_even, w, N).ravel())
+                assert n2.entropy(ab_even.ravel()) == oracle_even_entropy(galerkin_to_even(ab_even), N)
+
+
+def test_odd_mode_functions_reject_more_than_two_blocks():
+    # the tables exist for B and [A; B] only; a third block would read unset memory
+    x = np.full((3, 2), 0.01)
+    for f in (odd_mode_density, odd_mode_entropy, lambda x: odd_mode_rhs(x, 1.0)):
+        with pytest.raises(ValueError, match="two blocks"):
+            f(x)
+        with pytest.raises(ValueError, match="two blocks"):
+            f(x[None, :2])
 
 
 def test_cached_tables_are_read_only():

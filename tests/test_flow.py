@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from srbflow import flow
-from srbflow.entropy import riesz_gradient, simplex_rhs
+from srbflow.entropy import _odd_kernel, riesz_gradient, simplex_rhs
 from srbflow.errors import DomainError, StepError
 from srbflow.flow import (
     FlowConfig,
@@ -211,6 +211,31 @@ def test_integrate_evaluates_rhs_once_per_stage(method, stages, record_every):
     cfg = FlowConfig(t_end=5.0, dt=0.1, method=method, record_every=record_every)
     integrate(dataclasses.replace(base, rhs=rhs), [0.25, 0.0, 0.0], cfg)
     assert len(calls) == stages * 50 + 1
+
+
+@pytest.mark.parametrize("use_pde, dt", [(False, 0.1), (True, 0.001)], ids=["h2", "pde"])
+@pytest.mark.parametrize("make, states", [
+    (even_galerkin_system, ([0.1, 0.02, -0.01], [0.1, 0.02], [0.05, 0.01, 0.0])),
+    (galerkin_system_n2, ([0.003, 0.001, -0.002, 0.004], [0.003, -0.002], [0.001, 0.0, 0.002, 0.0])),
+], ids=["even", "n2"])
+def test_galerkin_systems_build_the_kernel_once_per_state_size(monkeypatch, make, states,
+                                                               use_pde, dt):
+    # 200 steps on each state: the kernel and its weights are built on the
+    # first call of each state size, and reused for a size seen before
+    calls = {"kernel": 0, "c_squared": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(flow, "_odd_kernel", counted("kernel", _odd_kernel))
+    monkeypatch.setattr(flow, "c_squared", counted("c_squared", flow.c_squared))
+    system = make(256, use_pde)
+    for x0 in states:
+        integrate(system, x0, FlowConfig(t_end=200 * dt, dt=dt))
+    assert calls == {"kernel": 2, "c_squared": 0 if use_pde else 2}
 
 
 def _fibers(n, m, seed):

@@ -4,7 +4,7 @@
 
 Each root is a checkout of this repository, holding `src/` and `demos/`.
 Every CLI command of the output gate (figures, Galerkin and diffusion
-modes, Riesz and simplex flows, entropy, verify, and thirteen runs that fail
+modes, Riesz and simplex flows, entropy, verify, and sixteen runs that fail
 on purpose) and every demo runs once under each tree. One line per command
 reports IDENTICAL when stdout, stderr and the exit code agree byte for byte. Otherwise it reports DIFFERS with
 the largest |new - old| / max(1, |old|) over the numbers of the two
@@ -28,6 +28,8 @@ import numpy as np
 B8 = "0.2,0.02,0.01,0.005,0,0,0,0"
 GAL = "0.01,0.02,0.003,-0.004,0.001,0.002"
 C4 = "0.1,0.05,0.02,-0.03,0.04,0.01,-0.01,0.02"
+C16 = ("0.02,0.01,0.005,-0.004,0.002,0.001,-0.001,0.0008,0.0005,-0.0004,0.0003,0.0002,"
+       "-0.0002,0.0001,0.0001,-0.0001")
 COMMANDS = [
     ["figure", "--which", "fig1"],
     ["figure", "--which", "fig2"],
@@ -36,6 +38,7 @@ COMMANDS = [
     ["galerkin", "--B", "0.25,0,0", "--t-end", "20", "--method", "rk4", "--dt", "0.05"],
     ["galerkin", "--B", B8, "--modes", "8", "--t-end", "20"],
     ["galerkin", "--B", B8, "--modes", "8", "--t-end", "10", "--method", "rk4"],
+    ["galerkin", "--B", "0.25", "--modes", "1", "--t-end", "5"],
     ["galerkin", "--coeffs", GAL, "--t-end", "20"],
     ["galerkin", "--coeffs", GAL, "--t-end", "10", "--method", "rk4", "--format", "json"],
     # explicit steps below 2 / (2 pi^2 (2K-1)^2), the fastest linearized diffusion rate
@@ -44,6 +47,8 @@ COMMANDS = [
     ["pde", "--B", "0.3,0.05,-0.02", "--dt", "0.002", "--t-end", "0.4"],
     ["pde", "--B", B8, "--modes", "8", "--dt", "0.0002", "--t-end", "0.02", "--method", "rk4"],
     ["pde", "--coeffs", GAL, "--dt", "0.002", "--t-end", "0.5"],
+    # two blocks of eight modes
+    ["pde", "--coeffs", C16, "--dt", "0.0002", "--t-end", "0.02", "--method", "rk4"],
     ["riesz", "--n", "2", "--coeffs", "0.25,0", "--t-end", "5", "--method", "rk4", "--dt", "0.01"],
     ["riesz", "--n", "3", "--coeffs", "0.1,0.05", "--t-end", "5", "--grid", "999"],
     ["riesz", "--n", "5", "--coeffs", "0.05,0.02,0.03,0.01", "--t-end", "2", "--grid", "2048",
@@ -90,6 +95,10 @@ COMMANDS = [
     ["figure", "--which", "fig1", "--grid", "2"],
     # five modes alias on a cached 8-node grid
     ["entropy", "--n", "2", "--coeffs", "0.1,0,0,0,0,0,0,0,0.05,0", "--grid", "8"],
+    # no modes at all
+    ["galerkin", "--B", "0.25,0,0", "--modes", "0"],
+    ["galerkin", "--coeffs=", "--t-end", "0.2"],
+    ["pde", "--B=", "--modes", "0", "--t-end", "0.2"],
 ]
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:nan|inf)")
 MAIN = "import sys; from srbflow.cli import main; sys.exit(main(sys.argv[1:]))"
