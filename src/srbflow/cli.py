@@ -60,7 +60,8 @@ def _write_table(path: str | None, header: list[str], rows: np.ndarray, fmt: str
                    for i, name in enumerate(header)}
         text = json.dumps(payload, indent=2) + "\n"
     else:
-        lines = [",".join(header)] + [",".join(FLOAT_FMT % v for v in row) for row in rows]
+        row_fmt = ",".join([FLOAT_FMT] * rows.shape[1])
+        lines = [",".join(header)] + [row_fmt % tuple(row) for row in rows.tolist()]
         text = "\n".join(lines) + "\n"
     _emit(path, text)
 
@@ -121,6 +122,8 @@ def _galerkin_like(args, use_pde: bool) -> int:
         raise ValueError("the Sobolev-metric Galerkin flow is degree-2 only")
     if args.modes is not None and args.modes < 1:
         raise ValueError("--modes must be at least 1")
+    if args.B is not None and args.coeffs is not None:
+        raise ValueError("give --B or --coeffs, not both")
     if args.B is not None:
         x0 = _parse_floats(args.B)
         if x0.size != (DEFAULT_B_MODES if args.modes is None else args.modes):

@@ -37,16 +37,18 @@ def _guarded(s: np.ndarray) -> np.ndarray:
 
     min/max allocate no temporary array, which matters on large grid states;
     the negated test also rejects NaN."""
-    lo, hi = s.min(), s.max()
+    lo, hi = np.minimum.reduce(s, axis=None), np.maximum.reduce(s, axis=None)
     if not (lo > DELTA_FLOOR and hi < 1.0 - DELTA_FLOOR):
         raise DomainError(f"density leaves (0, 1): min={lo:.3e}, max={hi:.3e}")
     return s
 
 
-def gibbs_entropy(s: np.ndarray, w: float) -> float:
-    """-w sum s ln s: the entropy of density samples s with quadrature weight w."""
+def gibbs_entropy(s: np.ndarray, w: float) -> np.ndarray | float:
+    """-w sum s ln s over the last axis: the entropy of density samples s
+    (of each row of a stack of them) with quadrature weight w."""
     s = _guarded(s)
-    return float(-w * np.sum(s * np.log(s)))
+    out = -w * (s * np.log(s)).sum(axis=-1)
+    return out if out.ndim else float(out)
 
 
 def simplex_rhs(x: np.ndarray, n: int) -> np.ndarray:
@@ -147,7 +149,10 @@ def _odd_kernel(n_modes: int, w, n_points: int, blocks: int) -> _OddKernel:
 
     x = [A; B] = pi k [a; b] holds the amplitudes of a general degree-2
     density as blocks = 2 rows of K, and blocks = 1 the even amplitudes B;
-    x may have any shape of that size, and the rhs has the shape of x.  With
+    x may have any shape of that size, and the rhs has the shape of x.  The
+    entropy takes one state (blocks, K) or a stack (rows, blocks, K): one
+    gemv per state and block, as in density, so each row has the bits of
+    its state alone.  With
     h = 1/2 + C x and h' = dh/dtau = -S (k x), where the blocks of x pair
     with the tables T as C = T[:-1] and S = T[1:], projecting h'/h on the
     modes gives dx/dt = -pi k w (dtau ((S (k x)) / h)^T S): the H^2 gradient
@@ -169,17 +174,20 @@ def _odd_kernel(n_modes: int, w, n_points: int, blocks: int) -> _OddKernel:
         num = reduce(np.add, map(np.matmul, S, k * x.reshape(blocks, -1)))
         return (scale * (dtau * ((num / h) @ S_stack))).reshape(x.shape)
 
-    return _OddKernel(density, rhs, lambda x: gibbs_entropy(density(x), weight))
+    def entropy(x):
+        h = reduce(np.add, ((c @ x[..., b, :, None])[..., 0] for b, c in enumerate(C)), 0.5)
+        return gibbs_entropy(h, weight)
+
+    return _OddKernel(density, rhs, entropy)
 
 
 def _one_shot(part: str, x, w, n_points: int):
-    """The kernel's part ("density", "rhs" or "entropy") at x, from a kernel
-    built for the blocks of x alone (a 1-D x is one block)."""
-    x = np.asarray(x, dtype=float)
-    X = np.atleast_2d(x)
+    """The kernel's part ("density", "rhs" or "entropy") at the blocks of x,
+    from a kernel built for them alone (a 1-D x is one block)."""
+    X = np.atleast_2d(np.asarray(x, dtype=float))
     if X.ndim > 2 or len(X) > 2:
         raise ValueError("x must be the amplitudes B or the two blocks [A; B]")
-    return getattr(_odd_kernel(X.shape[1], w, n_points, len(X)), part)(x)
+    return getattr(_odd_kernel(X.shape[1], w, n_points, len(X)), part)(X)
 
 
 def odd_mode_density(x, n_points: int = DEFAULT_GRID) -> np.ndarray:
@@ -197,4 +205,4 @@ def odd_mode_entropy(x, n_points: int = DEFAULT_GRID) -> float:
 def odd_mode_rhs(x, w, n_points: int = DEFAULT_GRID) -> np.ndarray:
     """dx/dt of the amplitudes x, in the shape of x: the H^2 gradient flow
     for w = c_squared(k), the diffusion modes for w = 1."""
-    return _one_shot("rhs", x, w, n_points)
+    return _one_shot("rhs", x, w, n_points).reshape(np.shape(x))

@@ -211,11 +211,12 @@ def _as_samples(rep: FourierRep | GridRep, degree: int, n_points: int) -> np.nda
 
 
 def translate_sums(samples: np.ndarray, degree: int) -> np.ndarray:
-    """sum_{i=0}^{n-1} f(y+i) at every node; N must be divisible by n."""
-    N = samples.size
+    """sum_{i=0}^{n-1} f(y+i) at every node, of each row of a stack of
+    samples (..., N); N must be divisible by n."""
+    N = samples.shape[-1]
     if N % degree:
         raise ValueError("grid size must be divisible by the degree")
-    return samples.reshape(degree, N // degree).sum(axis=0)
+    return samples.reshape(samples.shape[:-1] + (degree, N // degree)).sum(axis=-2)
 
 
 def constraint_residual(h: InverseDerivative, n_points: int = DEFAULT_GRID) -> float:

@@ -200,6 +200,23 @@ def test_validation_error_exit_code(capsys):
     assert run(["galerkin", "--B", "0.25,0,0", "--modes", "0"]) == 3
     assert run(["galerkin", "--coeffs=", "--t-end", "0.2"]) == 3
     assert run(["pde", "--B=", "--modes", "0", "--t-end", "0.2"]) == 3
+    # two initial conditions: --coeffs was silently ignored
+    assert run(["galerkin", "--B", "0.1,0,0", "--coeffs", "0.01,0.02", "--t-end", "0.2"]) == 3
+    assert run(["pde", "--B", "0.1,0,0", "--coeffs", "0.01,0.02", "--dt", "0.002",
+                "--t-end", "0.004"]) == 3
+
+
+def test_csv_rows_match_the_per_value_format(tmp_path):
+    # one % per row over Python floats writes the bytes of formatting each value alone
+    rows = np.array([[np.inf, -np.inf, np.nan, -0.0, 0.0],
+                     [5e-324, -2.5e-310, 2.2250738585072014e-308, 1e-20, 1e3],
+                     [1.0 / 3.0, -0.1, 123456.789, 1e16 + 2.0, -1.7976931348623157e308]])
+    path = tmp_path / "t.csv"
+    for table in (rows, rows[0]):
+        cli._write_table(str(path), list("abcde"), table, "csv")
+        want = ["a,b,c,d,e"] + [",".join(cli.FLOAT_FMT % v for v in row)
+                                for row in np.atleast_2d(table)]
+        assert path.read_text() == "\n".join(want) + "\n"
 
 
 def test_simplex_ignores_grid(tmp_path):

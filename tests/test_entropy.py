@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from srbflow import flow
 from srbflow.entropy import (
     _odd_tables,
     c_squared,
@@ -312,14 +313,17 @@ def oracle_even_density(B, N):
     return 0.5 + C @ B
 
 
-def oracle_even_entropy(B, N):
-    s = oracle_even_density(B, N)
+def oracle_entropy(s, N):
     return float(-(2.0 / N) * np.sum(s * np.log(s)))
+
+
+def oracle_even_entropy(B, N):
+    return oracle_entropy(oracle_even_density(B, N), N)
 
 
 @pytest.mark.parametrize("N", [256, 1000, 1024])
 @pytest.mark.parametrize("K", [1, 2, 3, 5, 8])
-def test_cached_table_readers_match_fresh_tables_bitwise(K, N):
+def test_cached_table_readers_match_fresh_tables_bitwise(monkeypatch, K, N):
     rng = np.random.default_rng(1000 * K + N)
     k = odd_frequencies(K)
     c2 = c_squared(k)
@@ -346,6 +350,22 @@ def test_cached_table_readers_match_fresh_tables_bitwise(K, N):
                 assert np.array_equal(n2.rhs(ab.ravel()), oracle_n2_rhs(ab, w, N).ravel())
                 assert np.array_equal(n2.rhs(ab_even.ravel()), oracle_n2_rhs(ab_even, w, N).ravel())
                 assert n2.entropy(ab_even.ravel()) == oracle_even_entropy(galerkin_to_even(ab_even), N)
+    # the entropy monitors on a stack of 40 states, in row slices of 7 and a ragged last
+    # one of 5: each row has the bits of the oracle on that state alone
+    monkeypatch.setattr(flow, "MONITOR_ELEMENTS", 7 * N)
+    Bs = rng.uniform(-1.0, 1.0, (40, K))
+    Bs *= rng.uniform(0.05, 0.4, (40, 1)) / np.sum(np.abs(Bs), axis=1, keepdims=True)
+    abs_ = rng.uniform(-1.0, 1.0, (40, 2, K))
+    abs_ *= rng.uniform(0.05, 0.4, (40, 1, 1)) / (np.pi * np.sum(k * np.abs(abs_), axis=(1, 2),
+                                                                 keepdims=True))
+    n2_oracle = [oracle_entropy(oracle_n2_density(ab, N), N) for ab in abs_]
+    for use_pde in (False, True):
+        for system, X, want in ((even_galerkin_system(N, use_pde), Bs,
+                                 [oracle_even_entropy(B, N) for B in Bs]),
+                                (galerkin_system_n2(N, use_pde), abs_.reshape(40, -1), n2_oracle)):
+            one = [system.entropy(x) for x in X]
+            assert all(type(v) is float for v in one) and one == want
+            assert np.array_equal(system.entropy(X), want)
 
 
 def test_odd_mode_functions_reject_more_than_two_blocks():

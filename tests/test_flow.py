@@ -243,6 +243,47 @@ def _fibers(n, m, seed):
     return (x / x.sum(axis=0)).ravel()
 
 
+@pytest.mark.parametrize("n, m, block", [(n, 1, 3 * n) for n in range(2, 9)]
+                         + [(2, 1000, None), (5, 8000, None), (4, 500, 6000)])
+def test_stacked_riesz_monitors_match_one_state_calls_bitwise(monkeypatch, n, m, block):
+    # 11 states of n fibers of m nodes; one-fiber states in row slices of 3 (the last
+    # one ragged), grid states in the slices MONITOR_ELEMENTS gives: 4 rows of 2000
+    # samples, 1 row of 40000, or 3 rows of 2000
+    if block:
+        monkeypatch.setattr(flow, "MONITOR_ELEMENTS", block)
+    system = riesz_system(n)
+    X = np.array([_fibers(n, m, seed) for seed in range(11)])
+    # the one-state formulas as they were before monitors took stacks
+    for monitor, oracle in (
+            (system.entropy, lambda x: float(-(n / x.size) * np.sum(x * np.log(x)))),
+            (system.constraint_residual,
+             lambda x: float(np.max(np.abs(x.reshape(n, -1).sum(axis=0) - 1.0))))):
+        one = [monitor(x) for x in X]
+        assert all(type(v) is float for v in one) and one == [oracle(x) for x in X]
+        assert np.array_equal(monitor(X), one)
+
+
+@pytest.mark.parametrize("system, x0, dt", [
+    (riesz_system(5), [0.1, 0.15, 0.2, 0.25, 0.3], 0.01),
+    (even_galerkin_system(), [0.25, 0.0, 0.0], 0.1),
+], ids=["riesz_system_5", "even_galerkin_system"])
+def test_entropy_and_constraint_monitors_run_once_per_run(system, x0, dt):
+    # 200 steps, each one recorded: grad_norm reads the rhs value at each record,
+    # the other two monitors take the stack of recorded states at the end
+    calls = dict.fromkeys(("entropy", "grad_norm", "constraint_residual"), 0)
+
+    def counted(name):
+        def monitor(x):
+            calls[name] += 1
+            return getattr(system, name)(x)
+        return monitor
+
+    traj = integrate(dataclasses.replace(system, **{name: counted(name) for name in calls}),
+                     x0, FlowConfig(t_end=200 * dt, dt=dt))
+    assert calls == {"entropy": 1, "grad_norm": 201, "constraint_residual": 1}
+    assert np.array_equal(traj.entropy, [system.entropy(x) for x in traj.states])
+
+
 @pytest.mark.parametrize("system, x0, norm", [
     (riesz_system(3), _fibers(3, 8, 5), lambda r: float(np.sqrt(3 / r.size * np.sum(r**2)))),
     (galerkin_system_n2(), np.array([0.01, 0.003, 0.001, 0.02, -0.004, 0.002]),

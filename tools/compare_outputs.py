@@ -4,7 +4,7 @@
 
 Each root is a checkout of this repository, holding `src/` and `demos/`.
 Every CLI command of the output gate (figures, Galerkin and diffusion
-modes, Riesz and simplex flows, entropy, verify, and sixteen runs that fail
+modes, Riesz and simplex flows, entropy, verify, and eighteen runs that fail
 on purpose) and every demo runs once under each tree. One line per command
 reports IDENTICAL when stdout, stderr and the exit code agree byte for byte. Otherwise it reports DIFFERS with
 the largest |new - old| / max(1, |old|) over the numbers of the two
@@ -68,6 +68,9 @@ COMMANDS = [
      "--dt", "0.01"],
     ["simplex", "--n", "8", "--x", "0.05,0.1,0.1,0.15,0.15,0.1,0.2,0.15", "--t-end", "5",
      "--format", "json"],
+    # a row of eight values, where numpy's sums switch to pairwise summation, as CSV
+    ["simplex", "--n", "8", "--x", "0.05,0.1,0.1,0.15,0.15,0.1,0.2,0.15", "--t-end", "2",
+     "--dt", "0.01", "--method", "rk4"],
     # to_grid's largest cached grid (2^15 nodes) and the next degree-2 grid, the smallest
     # sampled by inverse FFT
     ["riesz", "--n", "2", "--coeffs", C4, "--grid", "32768", "--t-end", "0.2"],
@@ -99,6 +102,9 @@ COMMANDS = [
     ["galerkin", "--B", "0.25,0,0", "--modes", "0"],
     ["galerkin", "--coeffs=", "--t-end", "0.2"],
     ["pde", "--B=", "--modes", "0", "--t-end", "0.2"],
+    # --B and --coeffs together
+    ["galerkin", "--B", "0.1,0,0", "--coeffs", "0.01,0.02", "--t-end", "0.2"],
+    ["pde", "--B", "0.1,0,0", "--coeffs", "0.01,0.02", "--dt", "0.002", "--t-end", "0.004"],
 ]
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:nan|inf)")
 MAIN = "import sys; from srbflow.cli import main; sys.exit(main(sys.argv[1:]))"
