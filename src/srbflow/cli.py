@@ -105,6 +105,8 @@ def _print_extrema(samples: np.ndarray):
 
 
 def cmd_simplex(args) -> int:
+    if args.n < 2:
+        raise ValueError("--n must be at least 2")
     x0 = _parse_floats(args.x)
     if x0.size != args.n:
         raise ValueError(f"--x needs {args.n} components")

@@ -21,8 +21,6 @@ arrays allocated up front and are taken on the calling thread.
 
 from __future__ import annotations
 
-import os
-import threading
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Callable
@@ -30,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, StepError
-from .spectral import DEFAULT_GRID, translate_sums
+from .spectral import DEFAULT_GRID, _on_cores, translate_sums
 from .entropy import _odd_kernel, c_squared, gibbs_entropy, odd_frequencies, simplex_rhs
 
 
@@ -170,53 +168,16 @@ def heat_reference(B0, t: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-# values per fiber block: 256 KiB per array, so the arrays an RK4 step keeps
-# alive stay in a 2 MiB L2 cache (the fastest of 2^12 ... 2^19 in a sweep)
-BLOCK_ELEMENTS = 2**15
+# values per fiber block: 512 KiB per array.  A block-step makes about 40 numpy
+# calls, each releasing and retaking the interpreter lock, so on 2 cores small
+# blocks spend their time handing the lock over (2^13: 906 ms wall against
+# 657 ms on 1 core); large ones fall out of the 2 MiB L2.  RK4 on 2^21 values,
+# 8 rounds of integrate, wall on 1 / 2 cores: 2^15 514 / 417 ms, 2^16
+# 498 / 334 ms, 2^17 553 / 376 ms, the fastest of 2^13 ... 2^18 on both
+BLOCK_ELEMENTS = 2**16
 # samples per row slice of a stacked monitor: 64 KiB per temporary, taken from the
 # heap, not fresh pages (2^15 raised a Galerkin run's peak RSS by 1.6 MB, and was slower)
 MONITOR_ELEMENTS = 2**13
-
-
-def _cores() -> int:
-    """The number of CPU cores this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on this platform
-        return os.cpu_count() or 1
-
-
-def _on_cores(fn, items: list) -> list:
-    """[fn(share), ...] over contiguous shares of items, one per core (at
-    most one per item).  The calling thread runs the first share and a
-    plain thread each other one; numpy releases the interpreter lock inside
-    its array loops, so the shares run at once.  An exception raised on any
-    share is re-raised here once every thread has finished.  Fewer than two
-    items start no thread."""
-    if len(items) < 2:
-        return [fn(items)]
-    n = min(len(items), _cores())
-    shares = [items[len(items) * c // n:len(items) * (c + 1) // n] for c in range(n)]
-    results, errors = [None] * n, [None] * n
-
-    def run(c):
-        try:
-            results[c] = fn(shares[c])
-        except BaseException as e:  # handed to the calling thread below
-            errors[c] = e
-
-    threads = [threading.Thread(target=run, args=(c,)) for c in range(1, n)]
-    for t in threads:
-        t.start()
-    try:
-        results[0] = fn(shares[0])
-    finally:
-        for t in threads:
-            t.join()
-    for e in errors:
-        if e is not None:
-            raise e
-    return results
 
 
 def _euler_step(rhs, x, k1, dt):

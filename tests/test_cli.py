@@ -183,6 +183,10 @@ def test_validation_error_exit_code(capsys):
     assert run(["simplex", "--n", "2", "--x", "0.5,0.5", "--t-end", "inf"]) == 3
     assert run(["simplex", "--n", "2", "--x", "0.5,0.5", "--t-end", "1e300", "--dt", "1e-300"]) == 3
     assert run(["entropy", "--n", "0", "--coeffs", "0.1,0"]) == 3
+    # a degree below 2 is named before the state is read
+    capsys.readouterr()
+    assert run(["simplex", "--n", "1", "--x", "1", "--t-end", "1"]) == 3
+    assert "--n must be at least 2" in capsys.readouterr().err
     assert run(["figure", "--which", "fig1", "--tau-points", "0"]) == 3
     # an input density outside (0, 1), with nothing integrated
     assert run(["entropy", "--n", "2", "--coeffs", "0.6,0"]) == 3

@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from srbflow import flow
+from srbflow import flow, spectral
 from srbflow.entropy import _odd_kernel, riesz_gradient, simplex_rhs
 from srbflow.errors import DomainError, StepError
 from srbflow.flow import (
@@ -389,18 +389,18 @@ def test_blocked_step_error_on_non_finite_block(monkeypatch):
 
 def test_on_cores_splits_contiguous_shares(monkeypatch):
     # one share per core, the first on the calling thread, in share order
-    monkeypatch.setattr(flow, "_cores", lambda: 3)
+    monkeypatch.setattr(spectral, "_cores", lambda: 3)
     caller = threading.get_ident()
     out = flow._on_cores(lambda share: (share, threading.get_ident() == caller), list(range(7)))
     assert out == [([0, 1], True), ([2, 3], False), ([4, 5, 6], False)]
     assert flow._on_cores(lambda share: share, [9]) == [[9]]
-    monkeypatch.setattr(flow, "_cores", lambda: 8)
+    monkeypatch.setattr(spectral, "_cores", lambda: 8)
     assert flow._on_cores(len, list(range(3))) == [1, 1, 1]
 
 
 @pytest.mark.parametrize("failing", [0, 2])
 def test_on_cores_reraises_a_share_failure(monkeypatch, failing):
-    monkeypatch.setattr(flow, "_cores", lambda: 3)
+    monkeypatch.setattr(spectral, "_cores", lambda: 3)
     done = []
 
     def fn(share):
@@ -425,7 +425,7 @@ def test_blocked_riesz_same_bits_on_any_core_count(monkeypatch, n, m, method, re
     stages = 1 if method == "euler" else 4
     trajs = []
     for cores in (1, 2, 3):
-        monkeypatch.setattr(flow, "_cores", lambda: cores)
+        monkeypatch.setattr(spectral, "_cores", lambda: cores)
         threads = []
 
         def rhs(x):
@@ -447,7 +447,7 @@ def test_blocks_on_more_threads_than_cores(monkeypatch):
     x0 = _fibers(3, 1000, 17)
     cfg = FlowConfig(t_end=1.0, dt=0.1, method="rk4", record_every=3)
     want = integrate(riesz_system(3), x0, cfg)
-    monkeypatch.setattr(flow, "_cores", lambda: 8)
+    monkeypatch.setattr(spectral, "_cores", lambda: 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -488,7 +488,7 @@ def test_first_failure_in_step_then_block_order(monkeypatch, fail, starts, messa
     system = _failing_blocks_system(10.0 if fail == "domain" else 9.9, fail)
     cfg = FlowConfig(t_end=6.0, dt=1.0, record_every=4)
     for cores in (1, 2, 3):
-        monkeypatch.setattr(flow, "_cores", lambda: cores)
+        monkeypatch.setattr(spectral, "_cores", lambda: cores)
         with pytest.raises(DomainError if fail == "domain" else StepError) as exc:
             integrate(system, x0.ravel(), cfg)
         assert str(exc.value) == message, cores
@@ -500,7 +500,7 @@ def test_one_block_runs_start_no_thread(monkeypatch):
         raise AssertionError("a one-block state started a thread")
 
     monkeypatch.setattr(threading, "Thread", no_thread)
-    monkeypatch.setattr(flow, "_cores", lambda: 3)
+    monkeypatch.setattr(spectral, "_cores", lambda: 3)
     cfg = FlowConfig(t_end=0.4, dt=0.1, method="rk4")
     integrate(riesz_system(5), [0.1, 0.15, 0.2, 0.25, 0.3], cfg)
     integrate(riesz_system(2), cos_quarter_samples(1024), cfg)

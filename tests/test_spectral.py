@@ -51,15 +51,15 @@ def _one_shot_evaluate(rep, y):
 
 @pytest.mark.parametrize("period", [2.0, 3.0, 5.0])
 def test_fft_to_grid_matches_one_shot_evaluate(monkeypatch, period):
-    # grids just above the table cache (odd and even N) take the inverse
-    # FFT: a different summation order, so equal within a few rounding
-    # errors of the coefficients' total size (the worst seen over N up to
-    # 2^21 is 18 eps)
+    # grids just above the table cache (odd and even N) are summed by angle
+    # addition up to K_SPLIT modes and by the inverse FFT above: a different
+    # summation order, so equal within a few rounding errors of the
+    # coefficients' total size (the worst seen over N up to 2^21 is 18 eps)
     table_max = 64
     monkeypatch.setattr(spectral, "GRID_TABLE_MAX", table_max)
     rng = np.random.default_rng(int(period))
     eps = np.finfo(float).eps
-    for n_modes in range(9):
+    for n_modes in range(spectral.K_SPLIT + 4):
         rep = FourierRep(period, 1.0 / period, 0.1 * rng.normal(size=n_modes),
                          0.1 * rng.normal(size=n_modes))
         scale = abs(rep.mean) + np.sum(np.abs(rep.cos) + np.abs(rep.sin))
@@ -76,7 +76,7 @@ def test_fft_to_grid_matches_one_shot_evaluate(monkeypatch, period):
 @pytest.mark.parametrize("period", [2.0, 3.0, 5.0])
 def test_to_grid_matches_evaluate_bitwise(period):
     # cached grids read tables built as evaluate builds them; K >= N/2
-    # modes would alias, and are refused as on the FFT path
+    # modes would alias, and are refused as on the larger grids
     rng = np.random.default_rng(10 + int(period))
     for n_modes in range(9):
         rep = FourierRep(period, 1.0 / period, 0.1 * rng.normal(size=n_modes),
@@ -91,7 +91,7 @@ def test_to_grid_matches_evaluate_bitwise(period):
 
 
 @pytest.mark.parametrize("size", [65, 66, 1001, 1002])
-@pytest.mark.parametrize("n_modes", [0, 1, 8])
+@pytest.mark.parametrize("n_modes", [0, 1, 8, spectral.K_SPLIT + 1])
 def test_fft_grid_round_trips_through_to_fourier(monkeypatch, size, n_modes):
     monkeypatch.setattr(spectral, "GRID_TABLE_MAX", 64)
     rng = np.random.default_rng(size + n_modes)
@@ -119,7 +119,7 @@ def test_fft_grid_rejects_aliasing_modes(monkeypatch):
 
 @pytest.mark.parametrize("cmd", ["riesz", "entropy"])
 def test_cli_rejects_aliasing_modes(capsys, cmd):
-    # 2^15 + 2 nodes take the FFT path; 16385 modes are more than N/2
+    # 2^15 + 2 nodes are above the table cache; 16385 modes are more than N/2
     coeffs = ",".join(["0.0001"] + ["0"] * (2 * 16385 - 1))
     argv = [cmd, "--n", "2", "--coeffs", coeffs, "--grid", str(2**15 + 2)]
     assert main(argv + (["--t-end", "0.2"] if cmd == "riesz" else [])) == 3
@@ -128,13 +128,16 @@ def test_cli_rejects_aliasing_modes(capsys, cmd):
 
 @pytest.mark.parametrize("size", [1023, 1024, 40000, 40001])
 def test_sampled_stack_rows_are_to_grid_bitwise(size):
-    # a stack of coefficient rows (both sampling paths) gives each row's to_grid bits
+    # a stack of coefficient rows (tables, angle addition and, above K_SPLIT
+    # modes, the inverse FFT) gives each row's to_grid bits
     rng = np.random.default_rng(size)
-    a, b = rng.uniform(-1.0, 1.0, (2, 2, 3, 5))
-    stack = spectral._sample(3.0, size, 0.0, a, b)
-    assert stack.shape == (2, 3, size)
-    for i in np.ndindex(2, 3):
-        assert np.array_equal(stack[i], to_grid(FourierRep(3.0, 0.0, a[i], b[i]), size).samples)
+    for n_modes in (5, spectral.K_SPLIT + 1):
+        a, b = rng.uniform(-1.0, 1.0, (2, 2, 3, n_modes))
+        stack = spectral._sample(3.0, size, 0.0, a, b)
+        assert stack.shape == (2, 3, size)
+        for i in np.ndindex(2, 3):
+            want = to_grid(FourierRep(3.0, 0.0, a[i], b[i]), size).samples
+            assert np.array_equal(stack[i], want), (n_modes, i)
 
 
 def test_cli_rejects_aliasing_modes_on_a_cached_grid(capsys):
@@ -145,7 +148,7 @@ def test_cli_rejects_aliasing_modes_on_a_cached_grid(capsys):
 
 
 def test_fft_grid_bytes_do_not_depend_on_blas_threads():
-    # the FFT path calls no BLAS, so 8-mode samples are the same on any
+    # angle addition calls no BLAS, so 8-mode samples are the same on any
     # thread count (a BLAS matrix product changed their last bit)
     script = (
         "import hashlib, numpy as np\n"
@@ -164,6 +167,43 @@ def test_fft_grid_bytes_do_not_depend_on_blas_threads():
                               text=True, timeout=120, check=True)
         out.append(done.stdout)
     assert len(out[0].split()) == 2 and out[0] == out[1]
+
+
+@pytest.mark.parametrize("size", [40001, 2097150])
+@pytest.mark.parametrize("n_modes", [3, 8])
+def test_large_grid_bytes_do_not_depend_on_core_count(monkeypatch, size, n_modes):
+    # angle addition shares row blocks over the cores; each sample gets the
+    # same arithmetic on any share
+    rng = np.random.default_rng(size + n_modes)
+    rep = FourierRep(5.0, 0.2, 0.05 * rng.normal(size=n_modes), 0.05 * rng.normal(size=n_modes))
+    samples = []
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(spectral, "_cores", lambda: cores)
+        samples.append(to_grid(rep, size).samples)
+    assert all(np.array_equal(s, samples[0]) for s in samples[1:])
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="no extended-precision long double for the oracle")
+@pytest.mark.parametrize("size", [40001, 2097150, 2097151])
+@pytest.mark.parametrize("n_modes", [1, 3, 8, spectral.K_SPLIT + 1])
+def test_large_grid_accuracy_against_long_double(size, n_modes):
+    # both large-grid paths (angle addition up to K_SPLIT modes, the inverse
+    # FFT above) within 8 rounding errors of the coefficients' total size,
+    # on random nodes; the oracle reduces k j mod N exactly before the angle
+    rng = np.random.default_rng(size + n_modes)
+    eps = np.finfo(float).eps
+    for period in (2.0, 3.0, 5.0):
+        rep = FourierRep(period, 1.0 / period, 0.1 * rng.normal(size=n_modes),
+                         0.1 * rng.normal(size=n_modes))
+        scale = abs(rep.mean) + np.sum(np.abs(rep.cos) + np.abs(rep.sin))
+        j = rng.integers(0, size, 30000)
+        turns = (np.multiply.outer(j, np.arange(1, n_modes + 1)) % size).astype(np.longdouble)
+        ang = np.longdouble(2) * np.arccos(np.longdouble(-1)) * turns / size
+        want = (np.longdouble(rep.mean) + np.cos(ang) @ rep.cos.astype(np.longdouble)
+                + np.sin(ang) @ rep.sin.astype(np.longdouble))
+        err = float(np.max(np.abs(to_grid(rep, size).samples[j] - want)))
+        assert err <= 8 * eps * scale, (period, err / (eps * scale))
 
 
 def test_grid_tables_read_only():

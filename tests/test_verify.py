@@ -230,7 +230,7 @@ def test_tangent_rows_draw_a_zero_row_again(degree):
                          [(5, 1024), (13, 1024), (21, 1024), (3, 10000), (3, 40000)])
 def test_trial_samples_are_to_grid_rows_bitwise(degree, trials, grid):
     # a block holds at most _TRIAL_CHUNK values (one trial on larger grids);
-    # 40000 nodes are sampled by inverse FFT
+    # 40000 nodes are sampled by angle addition, one row at a time
     n = grid_points_for(degree, grid)
     blocks = list(vf._trial_samples(np.random.default_rng(trials), degree, trials, n))
     assert all(P.shape[1] == n and P.size <= max(vf._TRIAL_CHUNK, n) for P in blocks)

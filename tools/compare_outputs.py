@@ -3,12 +3,13 @@
     python3 tools/compare_outputs.py OLD_ROOT NEW_ROOT
 
 Each root is a checkout of this repository, holding `src/` and `demos/`.
-Every CLI command of the output gate (figures, Galerkin and diffusion
-modes, Riesz and simplex flows, entropy, verify, and eighteen runs that fail
-on purpose) and every demo runs once under each tree. One line per command
-reports IDENTICAL when stdout, stderr and the exit code agree byte for byte. Otherwise it reports DIFFERS with
-the largest |new - old| / max(1, |old|) over the numbers of the two
-outputs, or "text" when they do not line up number for number.
+Each of the 57 CLI commands of the output gate (figures, Galerkin and
+diffusion modes, Riesz and simplex flows, entropy, verify, and eighteen runs
+that fail on purpose) and each demo runs once under each tree. One line per
+command reports IDENTICAL when stdout, stderr and the exit code agree byte
+for byte. Otherwise it reports DIFFERS with the largest
+|new - old| / max(1, |old|) over the numbers of the two outputs, or "text"
+when they do not line up number for number.
 
 Exit status 0 when every command is identical, 1 otherwise. Not part of
 the test suite; single-threaded BLAS, one command at a time.
@@ -28,6 +29,8 @@ import numpy as np
 B8 = "0.2,0.02,0.01,0.005,0,0,0,0"
 GAL = "0.01,0.02,0.003,-0.004,0.001,0.002"
 C4 = "0.1,0.05,0.02,-0.03,0.04,0.01,-0.01,0.02"
+C9 = ("0.05,0.02,0.01,-0.01,0.01,0.005,-0.005,0.004,0.003,-0.002,0.002,0.001,-0.001,0.001,"
+      "0.001,-0.001,0.0005,0.0005")
 C16 = ("0.02,0.01,0.005,-0.004,0.002,0.001,-0.001,0.0008,0.0005,-0.0004,0.0003,0.0002,"
        "-0.0002,0.0001,0.0001,-0.0001")
 COMMANDS = [
@@ -53,16 +56,24 @@ COMMANDS = [
     ["riesz", "--n", "3", "--coeffs", "0.1,0.05", "--t-end", "5", "--grid", "999"],
     ["riesz", "--n", "5", "--coeffs", "0.05,0.02,0.03,0.01", "--t-end", "2", "--grid", "2048",
      "--method", "rk4", "--dt", "0.02"],
-    # a grid state of several fiber blocks, the last one ragged
+    # a grid state of four fiber blocks, the last one ragged
     ["riesz", "--n", "5", "--coeffs", "0.05,0.02,0.03,0.01", "--grid", "200000", "--t-end", "0.1",
      "--dt", "0.02", "--method", "rk4", "--record-every", "5"],
-    # three blocks, which do not split evenly over two cores, sampled by inverse FFT
+    # two blocks, sampled by angle addition
     ["riesz", "--n", "2", "--coeffs", C4, "--grid", "70000", "--t-end", "0.2", "--dt", "0.02",
      "--method", "rk4", "--record-every", "3"],
-    # odd grids sampled by inverse FFT; the riesz state spans two fiber blocks
+    # three uneven blocks, which do not split evenly over two cores
+    ["riesz", "--n", "2", "--coeffs", C4, "--grid", "140000", "--t-end", "0.2", "--dt", "0.02",
+     "--method", "rk4", "--record-every", "3"],
+    # odd grids sampled by angle addition; the riesz state is one fiber block
     ["riesz", "--n", "3", "--coeffs", "0.1,0.05,0.02,-0.03", "--grid", "40001", "--t-end", "0.2",
      "--dt", "0.02", "--method", "rk4", "--record-every", "5"],
     ["entropy", "--n", "3", "--coeffs", "0.1,0.05,0.02,-0.03", "--grid", "99999"],
+    # 2^21 - 1 = 7^2 * 127 * 337 nodes, whose inverse FFT is the slowest near 2^21
+    ["riesz", "--n", "7", "--coeffs", "0.1,0.05,0.02,-0.03", "--grid", "2097152", "--t-end", "0.04",
+     "--dt", "0.02", "--method", "rk4", "--record-every", "2"],
+    # nine modes, one more than angle addition sums: a large grid by inverse FFT
+    ["entropy", "--n", "3", "--coeffs", C9, "--grid", "99999"],
     ["simplex", "--n", "2", "--x", "0.3,0.7", "--t-end", "10"],
     ["simplex", "--n", "5", "--x", "0.1,0.15,0.2,0.25,0.3", "--t-end", "20", "--method", "rk4",
      "--dt", "0.01"],
@@ -72,7 +83,7 @@ COMMANDS = [
     ["simplex", "--n", "8", "--x", "0.05,0.1,0.1,0.15,0.15,0.1,0.2,0.15", "--t-end", "2",
      "--dt", "0.01", "--method", "rk4"],
     # to_grid's largest cached grid (2^15 nodes) and the next degree-2 grid, the smallest
-    # sampled by inverse FFT
+    # sampled by angle addition
     ["riesz", "--n", "2", "--coeffs", C4, "--grid", "32768", "--t-end", "0.2"],
     ["riesz", "--n", "2", "--coeffs", C4, "--grid", "32770", "--t-end", "0.2"],
     ["entropy", "--n", "2", "--coeffs", "0.25,0"],
@@ -84,7 +95,7 @@ COMMANDS = [
     ["verify", "--seed", "7"],
     # error paths: stderr and exit code are compared too
     ["pde", "--B", "0.25,0,0", "--dt", "0.1", "--t-end", "1"],
-    # every block of a three-block grid state leaves the domain at step 1
+    # both blocks of a two-block grid state leave the domain at step 1
     ["riesz", "--n", "2", "--coeffs", "0.45,0", "--grid", "70000", "--dt", "1", "--t-end", "2"],
     ["galerkin", "--B", "0.6,0,0", "--t-end", "1"],
     ["galerkin", "--coeffs", "0.01,0.02", "--modes", "5", "--t-end", "0.2"],
