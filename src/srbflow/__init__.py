@@ -7,15 +7,8 @@ from .spectral import (
     GridRep,
     InverseDerivative,
     TangentVector,
-    constraint_residual,
-    derivative_sup_bound,
     differentiate,
-    evaluate,
     project_constraint,
-    quadrature,
-    sobolev_norm,
-    tangent_residual,
-    to_fourier,
     to_grid,
 )
 from .entropy import (
@@ -43,15 +36,11 @@ from .verify import CheckReport, run_all
 
 __all__ = [
     "CheckReport", "DomainError", "FlowConfig", "FlowSystem", "FourierRep",
-    "GridRep", "InverseDerivative", "StepError",
-    "TangentVector", "Trajectory", "c_squared", "constraint_residual",
-    "density_entropy", "derivative_sup_bound", "differentiate", "evaluate",
-    "even_galerkin_system", "galerkin_system_n2",
-    "gateaux_g", "gateaux_h", "heat_reference", "integrate",
-    "odd_mode_density", "odd_mode_entropy", "odd_mode_rhs",
-    "project_constraint", "quadrature",
-    "riesz_gradient", "riesz_system", "run_all", "simplex_rhs",
-    "sobolev_norm", "tangent_residual", "to_fourier", "to_grid",
+    "GridRep", "InverseDerivative", "StepError", "TangentVector", "Trajectory",
+    "c_squared", "density_entropy", "differentiate", "even_galerkin_system",
+    "galerkin_system_n2", "gateaux_g", "gateaux_h", "heat_reference", "integrate",
+    "odd_mode_density", "odd_mode_entropy", "odd_mode_rhs", "project_constraint",
+    "riesz_gradient", "riesz_system", "run_all", "simplex_rhs", "to_grid",
 ]
 
 __version__ = "0.1.0"

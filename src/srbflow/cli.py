@@ -17,10 +17,9 @@ import numpy as np
 
 from . import flow as fl
 from . import verify as vf
-from .entropy import _guarded, density_entropy, density_samples, odd_frequencies, odd_mode_density
+from .entropy import _guarded, odd_frequencies, odd_mode_density
 from .errors import DomainError, StepError
-from .spectral import FourierRep, GridRep, InverseDerivative, constraint_residual, \
-    grid_points_for, project_constraint, to_grid
+from .spectral import FourierRep, grid_points_for, project_constraint, to_grid
 
 EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, EXIT_RUNTIME, EXIT_IO = 0, 2, 3, 4, 5
 FLOAT_FMT = "%.17g"
@@ -130,10 +129,9 @@ def _galerkin_like(args, use_pde: bool) -> int:
         x0 = _parse_floats(args.B)
         if x0.size != (DEFAULT_B_MODES if args.modes is None else args.modes):
             raise ValueError("--B length must equal --modes")
-        tau = np.linspace(0, 2 * np.pi, 512)
-        _print_extrema(0.5 + np.cos(np.outer(tau, odd_frequencies(x0.size))) @ x0)
         system = fl.even_galerkin_system(args.grid, use_pde=use_pde)
         n_modes = x0.size
+        amplitudes = x0
         names = [f"B{k+1}" for k in range(n_modes)]
     elif args.coeffs is not None:
         c = _parse_floats(args.coeffs)
@@ -143,12 +141,13 @@ def _galerkin_like(args, use_pde: bool) -> int:
         n_modes = c.size // 2
         if args.modes is not None and args.modes != n_modes:
             raise ValueError("--coeffs must hold --modes a,b pairs")
-        _print_extrema(odd_mode_density(np.pi * odd_frequencies(n_modes) * x0.reshape(2, -1), 512))
+        amplitudes = np.pi * odd_frequencies(n_modes) * x0.reshape(2, -1)
         system = fl.galerkin_system_n2(args.grid, use_pde=use_pde)
         names = [f"{ab}{2*k+1}" for ab in "ab" for k in range(n_modes)]
     else:
         raise ValueError("provide an initial condition via --B or --coeffs")
     _check_grid(args.grid, n_modes)
+    _print_extrema(odd_mode_density(amplitudes, 512))
     traj = _integrate(system, x0, args)
     header, rows = _trajectory_table(traj, names, with_residual=False)
     _write_table(_resolve_out(args.out), header, rows, args.format)
@@ -163,9 +162,9 @@ def cmd_pde(args) -> int:
     return _galerkin_like(args, use_pde=True)
 
 
-def _initial_density(args) -> InverseDerivative:
+def _initial_samples(args) -> np.ndarray:
     """Alternating a1,b1,a2,b2,... coefficients around the mean 1/n,
-    projected onto the constraint."""
+    projected onto the constraint, sampled on grid_points_for(n, --grid)."""
     if args.n < 2:
         raise ValueError("--n must be at least 2")
     if args.grid < 1:
@@ -174,12 +173,12 @@ def _initial_density(args) -> InverseDerivative:
     if c.size % 2:
         raise ValueError("--coeffs needs an even-length a,b,... list")
     p = project_constraint(FourierRep(float(args.n), 1.0 / args.n, c[0::2], c[1::2]), args.n)
-    return InverseDerivative(FourierRep(float(args.n), 1.0 / args.n, p.cos, p.sin), args.n)
+    h = FourierRep(float(args.n), 1.0 / args.n, p.cos, p.sin)
+    return to_grid(h, grid_points_for(args.n, args.grid)).samples
 
 
 def cmd_riesz(args) -> int:
-    h0 = _initial_density(args)
-    samples = to_grid(h0.rep, grid_points_for(args.n, args.grid)).samples
+    samples = _initial_samples(args)
     _print_extrema(samples)
     traj = _integrate(fl.riesz_system(args.n), samples, args, guard=_guarded)
     # grid states are large; emit the monitors plus the density extrema
@@ -192,16 +191,15 @@ def cmd_riesz(args) -> int:
 
 
 def cmd_entropy(args) -> int:
-    h = _initial_density(args)
+    samples = _initial_samples(args)
+    system = fl.riesz_system(args.n)
     try:
-        samples = density_samples(h, args.grid)
+        value = system.entropy(samples)
     except DomainError as e:  # nothing is integrated: the input alone is bad
         raise ValueError(f"input {e}") from None
-    h = InverseDerivative(GridRep(float(args.n), samples), args.n)
-    value = density_entropy(h)
-    _print_extrema(h.rep.samples)
+    _print_extrema(samples)
     print(f"entropy = {FLOAT_FMT % value} (max ln n = {FLOAT_FMT % np.log(args.n)})")
-    print(f"constraint residual = {constraint_residual(h):.3e}")
+    print(f"constraint residual = {system.constraint_residual(samples):.3e}")
     return EXIT_OK
 
 
@@ -336,8 +334,10 @@ def _config_tokens(path: str, args) -> list[str]:
             if "=" not in line:
                 raise ValueError(f"bad config line: {line!r}")
             key, value = (part.strip() for part in line.split("=", 1))
-            if not hasattr(args, key.replace("-", "_")):
-                raise ValueError(f"unknown config key: {key.replace('-', '_')}")
+            name = key.replace("-", "_")
+            # func and command are set by the parser itself, not by a flag
+            if name in ("func", "command") or not hasattr(args, name):
+                raise ValueError(f"unknown config key: {name}")
             tokens.append(f"--{key.replace('_', '-')}={value}")
     return tokens
 

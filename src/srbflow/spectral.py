@@ -49,11 +49,7 @@ class FourierRep:
             raise ValueError("period must be positive")
         a, b = self.cos, self.sin
         if a.size != b.size:
-            m = max(a.size, b.size)
-            a = np.concatenate([a, np.zeros(m - a.size)])
-            b = np.concatenate([b, np.zeros(m - b.size)])
-            object.__setattr__(self, "cos", a)
-            object.__setattr__(self, "sin", b)
+            raise ValueError(f"{a.size} cos but {b.size} sin coefficients")
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b)) and np.isfinite(self.mean)):
             raise ValueError("coefficients must be finite")
 
@@ -115,27 +111,14 @@ class TangentVector:
         _check_degree(self.rep, self.degree)
 
 
-def evaluate(rep: FourierRep, y) -> np.ndarray | float:
-    """Evaluate the Fourier series at point(s) y, of any shape."""
-    y = np.asarray(y, dtype=float)
-    ang = _angles(rep.period, y, rep.n_modes)
-    out = rep.mean + (np.cos(ang) @ rep.cos + np.sin(ang) @ rep.sin)
-    return out if y.ndim else float(out)
-
-
-def _angles(period: float, y: np.ndarray, n_modes: int) -> np.ndarray:
-    """2 pi k y / period for k = 1..n_modes, one column per mode."""
-    return (2.0 * np.pi / period) * np.multiply.outer(y, np.arange(1, n_modes + 1))
-
-
 @lru_cache(maxsize=16)
 def _grid_tables(period: float, n_points: int, n_modes: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (cos, sin) tables of evaluate on the uniform grid y_j = j*period/N.
-
-    A run samples a few fixed grids many times (a verify run samples six
-    of them, its random trials in blocks), so the tables are built once
-    and shared read-only; they are the arrays evaluate builds, bit for bit."""
-    ang = _angles(period, np.arange(n_points) * (period / n_points), n_modes)
+    """The (cos, sin)(2 pi k y_j / period) tables, k = 1..K, on the uniform
+    grid y_j = j*period/N.  A run samples a few fixed grids many times (a
+    verify run samples six of them, its random trials in blocks), so the
+    tables are built once and shared read-only."""
+    y = np.arange(n_points) * (period / n_points)
+    ang = (2.0 * np.pi / period) * np.multiply.outer(y, np.arange(1, n_modes + 1))
     tables = np.cos(ang), np.sin(ang)
     for t in tables:
         t.setflags(write=False)
@@ -258,39 +241,6 @@ def _on_cores(fn, items: list) -> list:
     return results
 
 
-def to_fourier(grid: GridRep, n_modes: int | None = None) -> FourierRep:
-    """Least-squares Fourier coefficients from uniform samples (via FFT)."""
-    N = grid.n_points
-    if n_modes is None:
-        n_modes = N // 2 - 1
-    if n_modes > N // 2 - 1:
-        raise ValueError("n_modes too large for grid resolution")
-    F = np.fft.rfft(grid.samples)
-    mean = F[0].real / N
-    a = 2.0 * F[1 : n_modes + 1].real / N
-    b = -2.0 * F[1 : n_modes + 1].imag / N
-    return FourierRep(grid.period, mean, a, b)
-
-
-def quadrature(grid: GridRep) -> float:
-    """Periodic trapezoid rule: (period/N) * sum(samples)."""
-    return float(grid.period / grid.n_points * np.sum(grid.samples))
-
-
-def sobolev_norm(rep: FourierRep, r: int) -> float:
-    """H^r norm: sum over derivative orders j <= r of the L2 norm squared
-    of the j-th derivative, computed by Parseval."""
-    if r < 0:
-        raise ValueError("r must be >= 0")
-    k = np.arange(1, rep.n_modes + 1)
-    w2 = (2.0 * np.pi * k / rep.period) ** 2
-    power = rep.cos**2 + rep.sin**2
-    total = rep.mean**2 * rep.period  # j = 0 contribution of the constant term
-    for j in range(r + 1):
-        total += (rep.period / 2.0) * np.sum(w2**j * power)
-    return float(np.sqrt(total))
-
-
 def grid_points_for(degree: int, n_points: int = DEFAULT_GRID) -> int:
     """Largest multiple of `degree` not above n_points (at least 4*degree),
     so translation by 1 is an exact index shift."""
@@ -316,18 +266,6 @@ def translate_sums(samples: np.ndarray, degree: int) -> np.ndarray:
     return samples.reshape(samples.shape[:-1] + (degree, N // degree)).sum(axis=-2)
 
 
-def constraint_residual(h: InverseDerivative, n_points: int = DEFAULT_GRID) -> float:
-    """max_y |sum_i h(y+i) - 1| over the nodes of one unit interval."""
-    s = _as_samples(h.rep, h.degree, n_points)
-    return float(np.max(np.abs(translate_sums(s, h.degree) - 1.0)))
-
-
-def tangent_residual(psi: TangentVector, n_points: int = DEFAULT_GRID) -> float:
-    """max_y |sum_i psi(y+i)| over the nodes of one unit interval."""
-    s = _as_samples(psi.rep, psi.degree, n_points)
-    return float(np.max(np.abs(translate_sums(s, psi.degree))))
-
-
 def project_constraint(rep: FourierRep, degree: int) -> FourierRep:
     """Remove the modes violating sum_i f(y+i) = const.
 
@@ -339,17 +277,3 @@ def project_constraint(rep: FourierRep, degree: int) -> FourierRep:
     keep = (k % degree) != 0
     return FourierRep(rep.period, 0.0, np.where(keep, rep.cos, 0.0), np.where(keep, rep.sin, 0.0))
 
-
-def sup_derivative_constant() -> float:
-    """2 * sqrt(sum 1/k^2) = 2 * sqrt(pi^2/6), the H^2 sup-derivative bound."""
-    return 2.0 * np.sqrt(np.pi**2 / 6.0)
-
-
-def derivative_sup_bound(rep: FourierRep, n_points: int = 4096) -> tuple[float, float]:
-    """(sup |f'| on a fine grid, 2*sqrt(pi^2/6) * ||f||_{H^2}).
-
-    The first component never exceeds the second for functions with zero mean.
-    """
-    d = differentiate(rep)
-    sup = float(np.max(np.abs(to_grid(d, n_points).samples))) if rep.n_modes else 0.0
-    return sup, sup_derivative_constant() * sobolev_norm(rep, 2)

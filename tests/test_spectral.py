@@ -9,44 +9,41 @@ import pytest
 from srbflow import spectral, verify
 from srbflow.cli import main
 from srbflow.entropy import gateaux_h
+from srbflow.flow import riesz_system
 from srbflow.spectral import (
     FourierRep,
     GridRep,
     InverseDerivative,
     TangentVector,
-    constraint_residual,
-    derivative_sup_bound,
     differentiate,
-    evaluate,
+    grid_points_for,
     project_constraint,
-    quadrature,
-    sobolev_norm,
-    sup_derivative_constant,
-    tangent_residual,
-    to_fourier,
     to_grid,
+    translate_sums,
 )
-
-
-def test_eval_constant():
-    rep = FourierRep(2.0, 0.5, [], [])
-    assert evaluate(rep, 0.3) == 0.5
-    assert evaluate(rep, -7.1) == 0.5
-
-
-def test_eval_cosine():
-    rep = FourierRep(2.0, 0.5, [0.25], [0.0])
-    assert evaluate(rep, 0.0) == pytest.approx(0.75, abs=1e-15)
-    assert evaluate(rep, 1.0) == pytest.approx(0.25, abs=1e-15)  # cos(pi) = -1
+from test_acceptance import derivative_sup_bound, sobolev_norm, sup_derivative_constant
 
 
 def _one_shot_evaluate(rep, y):
-    # the whole-array formula: one (points, modes) angle table
+    # the oracle of to_grid: the whole-array formula, one (points, modes)
+    # angle table, at any points y
     y = np.asarray(y, dtype=float)
     k = np.arange(1, rep.n_modes + 1)
     ang = (2.0 * np.pi / rep.period) * np.multiply.outer(y, k)
     out = rep.mean + (np.cos(ang) @ rep.cos + np.sin(ang) @ rep.sin)
     return out if out.ndim else float(out)
+
+
+def test_eval_constant():
+    rep = FourierRep(2.0, 0.5, [], [])
+    assert _one_shot_evaluate(rep, 0.3) == 0.5
+    assert _one_shot_evaluate(rep, -7.1) == 0.5
+
+
+def test_eval_cosine():
+    rep = FourierRep(2.0, 0.5, [0.25], [0.0])
+    assert _one_shot_evaluate(rep, 0.0) == pytest.approx(0.75, abs=1e-15)
+    assert _one_shot_evaluate(rep, 1.0) == pytest.approx(0.25, abs=1e-15)  # cos(pi) = -1
 
 
 @pytest.mark.parametrize("period", [2.0, 3.0, 5.0])
@@ -64,18 +61,14 @@ def test_fft_to_grid_matches_one_shot_evaluate(monkeypatch, period):
                          0.1 * rng.normal(size=n_modes))
         scale = abs(rep.mean) + np.sum(np.abs(rep.cos) + np.abs(rep.sin))
         for size in (table_max + 1, table_max + 2, 3 * table_max + 5, 4 * table_max):
-            want = evaluate(rep, np.arange(size) * (period / size))
+            want = _one_shot_evaluate(rep, np.arange(size) * (period / size))
             err = np.max(np.abs(to_grid(rep, size).samples - want))
             assert err <= 32 * eps * scale, (n_modes, size, err / (eps * scale))
-        y2 = rng.uniform(0.0, period, (3 * table_max + 5, 2))
-        assert np.array_equal(evaluate(rep, y2), _one_shot_evaluate(rep, y2)), n_modes
-        value = evaluate(rep, 0.3)
-        assert type(value) is float and value == _one_shot_evaluate(rep, 0.3)
 
 
 @pytest.mark.parametrize("period", [2.0, 3.0, 5.0])
 def test_to_grid_matches_evaluate_bitwise(period):
-    # cached grids read tables built as evaluate builds them; K >= N/2
+    # cached grids read tables built as the oracle builds them; K >= N/2
     # modes would alias, and are refused as on the larger grids
     rng = np.random.default_rng(10 + int(period))
     for n_modes in range(9):
@@ -86,8 +79,16 @@ def test_to_grid_matches_evaluate_bitwise(period):
                 with pytest.raises(ValueError, match=f"{n_modes} modes alias on a grid of {size} "):
                     to_grid(rep, size)
                 continue
-            want = evaluate(rep, np.arange(size) * (period / size))
+            want = _one_shot_evaluate(rep, np.arange(size) * (period / size))
             assert np.array_equal(to_grid(rep, size).samples, want), (n_modes, size)
+
+
+def _from_samples(grid, n_modes):
+    # the mean and the first n_modes cos/sin coefficients of uniform samples, by FFT
+    N = grid.n_points
+    F = np.fft.rfft(grid.samples)
+    return FourierRep(grid.period, F[0].real / N, 2.0 * F[1:n_modes + 1].real / N,
+                      -2.0 * F[1:n_modes + 1].imag / N)
 
 
 @pytest.mark.parametrize("size", [65, 66, 1001, 1002])
@@ -96,7 +97,7 @@ def test_fft_grid_round_trips_through_to_fourier(monkeypatch, size, n_modes):
     monkeypatch.setattr(spectral, "GRID_TABLE_MAX", 64)
     rng = np.random.default_rng(size + n_modes)
     rep = FourierRep(3.0, 1.0 / 3.0, 0.1 * rng.normal(size=n_modes), 0.1 * rng.normal(size=n_modes))
-    back = to_fourier(to_grid(rep, size), n_modes)
+    back = _from_samples(to_grid(rep, size), n_modes)
     assert back.mean == pytest.approx(rep.mean, abs=1e-15)
     assert back.n_modes == n_modes
     np.testing.assert_allclose(back.cos, rep.cos, rtol=0, atol=1e-15)
@@ -266,35 +267,11 @@ def test_differentiate_twice_single_harmonic():
         assert dd.cos[k - 1] == pytest.approx(expect, rel=1e-15)
 
 
-def test_quadrature_constant():
-    g = GridRep(2.0, np.full(64, 0.5))
-    assert quadrature(g) == pytest.approx(1.0, abs=1e-15)
-
-
-def test_quadrature_cosine_orthogonality():
-    y = np.arange(64) * (2.0 / 64)
-    assert quadrature(GridRep(2.0, np.cos(np.pi * y))) == pytest.approx(0.0, abs=1e-14)
-    assert quadrature(GridRep(2.0, np.cos(np.pi * y) ** 2)) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_quadrature_exact_on_trig_polynomials():
-    # exact (to roundoff) whenever the max frequency index is < N/2
-    rng = np.random.default_rng(7)
-    N = 64
-    y = np.arange(N) * (2.0 / N)
-    for _ in range(20):
-        a = rng.uniform(-1, 1, 20)
-        b = rng.uniform(-1, 1, 20)
-        mean = rng.uniform(-1, 1)
-        rep = FourierRep(2.0, mean, a, b)
-        assert quadrature(to_grid(rep, N)) == pytest.approx(2.0 * mean, abs=1e-12)
-
-
 def test_grid_fourier_roundtrip():
     rng = np.random.default_rng(3)
     rep = FourierRep(2.0, 0.3, rng.uniform(-1, 1, 10), rng.uniform(-1, 1, 10))
     grid = to_grid(rep, 64)
-    back = to_fourier(grid, 10)
+    back = _from_samples(grid, 10)
     assert back.mean == pytest.approx(rep.mean, abs=1e-12)
     np.testing.assert_allclose(back.cos, rep.cos, atol=1e-12)
     np.testing.assert_allclose(back.sin, rep.sin, atol=1e-12)
@@ -314,6 +291,20 @@ def test_sobolev_norm_cos_h2():
 
 def test_sobolev_norm_sin_l2():
     assert sobolev_norm(FourierRep(2.0, 0.0, [0.0], [1.0]), 0) == pytest.approx(1.0, rel=1e-14)
+
+
+def _samples(f):
+    return to_grid(f.rep, grid_points_for(f.degree)).samples
+
+
+def constraint_residual(h):
+    # max |sum_i h(y+i) - 1| on the default grid, by the Riesz flow's monitor
+    return riesz_system(h.degree).constraint_residual(_samples(h))
+
+
+def tangent_residual(psi):
+    # max |sum_i psi(y+i)| on the default grid
+    return np.max(np.abs(translate_sums(_samples(psi), psi.degree)))
 
 
 def test_constraint_residual_uniform():
@@ -359,11 +350,11 @@ def test_project_constraint_n3_multiple_removed():
     out = project_constraint(rep, 3)
     assert np.all(out.cos == 0.0) and np.all(out.sin == 0.0)
     y = np.linspace(0.0, 1.0, 17)
-    brute = sum(evaluate(rep, y + i) for i in range(3))
+    brute = sum(_one_shot_evaluate(rep, y + i) for i in range(3))
     assert np.max(np.abs(brute)) > 2.9  # the surviving mode really violates it
     # while a non-multiple frequency cancels under the translate sum
     rep2 = FourierRep(3.0, 0.0, [1.0], [0.5])
-    brute2 = sum(evaluate(rep2, y + i) for i in range(3))
+    brute2 = sum(_one_shot_evaluate(rep2, y + i) for i in range(3))
     assert np.max(np.abs(brute2)) < 1e-12
 
 
@@ -390,3 +381,25 @@ def test_derivative_sup_bound_random_property():
 
 def test_sup_derivative_constant_is_computed():
     assert sup_derivative_constant() == pytest.approx(2.0 * np.sqrt(np.pi**2 / 6.0), rel=1e-15)
+
+
+def test_fourier_rep_rejects_unequal_cos_and_sin():
+    # a missing coefficient is not taken as zero
+    with pytest.raises(ValueError, match="2 cos but 1 sin coefficients"):
+        FourierRep(2.0, 0.5, [0.1, 0.2], [0.3])
+    with pytest.raises(ValueError, match="0 cos but 1 sin coefficients"):
+        FourierRep(2.0, 0.5, sin=[0.3])
+
+
+def test_public_api():
+    # the package exports the library and no test-only helper
+    import srbflow
+    assert srbflow.__all__ == [
+        "CheckReport", "DomainError", "FlowConfig", "FlowSystem", "FourierRep",
+        "GridRep", "InverseDerivative", "StepError", "TangentVector", "Trajectory",
+        "c_squared", "density_entropy", "differentiate", "even_galerkin_system",
+        "galerkin_system_n2", "gateaux_g", "gateaux_h", "heat_reference", "integrate",
+        "odd_mode_density", "odd_mode_entropy", "odd_mode_rhs", "project_constraint",
+        "riesz_gradient", "riesz_system", "run_all", "simplex_rhs", "to_grid",
+    ]
+    assert all(getattr(srbflow, name) is not None for name in srbflow.__all__)

@@ -3,8 +3,8 @@
     python3 tools/compare_outputs.py OLD_ROOT NEW_ROOT
 
 Each root is a checkout of this repository, holding `src/` and `demos/`.
-Each of the 57 CLI commands of the output gate (figures, Galerkin and
-diffusion modes, Riesz and simplex flows, entropy, verify, and eighteen runs
+Each of the 58 CLI commands of the output gate (figures, Galerkin and
+diffusion modes, Riesz and simplex flows, entropy, verify, and nineteen runs
 that fail on purpose) and each demo runs once under each tree. One line per
 command reports IDENTICAL when stdout, stderr and the exit code agree byte
 for byte. Otherwise it reports DIFFERS with the largest
@@ -107,6 +107,8 @@ COMMANDS = [
     ["figure", "--which", "fig1", "--grid", "0"],
     ["figure", "--which", "fig1", "--grid", "-4"],
     ["figure", "--which", "fig1", "--grid", "2"],
+    # a grid below 4 * the modes, refused before the h range is printed
+    ["galerkin", "--B", "0.25,0,0", "--grid", "4", "--t-end", "1"],
     # five modes alias on a cached 8-node grid
     ["entropy", "--n", "2", "--coeffs", "0.1,0,0,0,0,0,0,0,0.05,0", "--grid", "8"],
     # no modes at all
