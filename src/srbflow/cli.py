@@ -335,8 +335,8 @@ def _config_tokens(path: str, args) -> list[str]:
                 raise ValueError(f"bad config line: {line!r}")
             key, value = (part.strip() for part in line.split("=", 1))
             name = key.replace("-", "_")
-            # func and command are set by the parser itself, not by a flag
-            if name in ("func", "command") or not hasattr(args, name):
+            # func and command are the parser's own; a nested config goes unread
+            if name in ("func", "command", "config") or not hasattr(args, name):
                 raise ValueError(f"unknown config key: {name}")
             tokens.append(f"--{key.replace('_', '-')}={value}")
     return tokens

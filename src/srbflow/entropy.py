@@ -30,6 +30,8 @@ from .spectral import (
 )
 
 DELTA_FLOOR = 1e-9
+# bound once: ndarray.sum reaches np.add.reduce through a Python wrapper
+_min, _max, _add = np.minimum.reduce, np.maximum.reduce, np.add.reduce
 
 
 def _guarded(s: np.ndarray) -> np.ndarray:
@@ -37,7 +39,7 @@ def _guarded(s: np.ndarray) -> np.ndarray:
 
     min/max allocate no temporary array, which matters on large grid states;
     the negated test also rejects NaN."""
-    lo, hi = np.minimum.reduce(s, axis=None), np.maximum.reduce(s, axis=None)
+    lo, hi = _min(s, None), _max(s, None)
     if not (lo > DELTA_FLOOR and hi < 1.0 - DELTA_FLOOR):
         raise DomainError(f"density leaves (0, 1): min={lo:.3e}, max={hi:.3e}")
     return s
@@ -58,10 +60,15 @@ def simplex_rhs(x: np.ndarray, n: int) -> np.ndarray:
     x.reshape(n, -1), so an n-point x is one point of the simplex and the
     grid samples of a degree-n density are one fiber per node of [0, 1).
     Each fiber's components sum to zero; the result has the shape of x, so
-    an (n, b) block of fibers gives an (n, b) block."""
+    an (n, b) block of fibers gives an (n, b) block.  One fiber is summed
+    flat: its (n, 1) view costs numpy n inner loops of length 1 per call,
+    for the same bits."""
     x = np.asarray(x, dtype=float)
-    logs = np.log(_guarded(x)).reshape(n, -1)
-    return (logs.sum(axis=0) / n - logs).reshape(x.shape)
+    logs = np.log(_guarded(x))
+    if x.size == n:
+        return _add(logs, None) / n - logs
+    logs = logs.reshape(n, -1)
+    return (_add(logs, 0) / n - logs).reshape(x.shape)
 
 
 def density_samples(h: InverseDerivative, n_points: int = DEFAULT_GRID) -> np.ndarray:
@@ -167,11 +174,14 @@ def _odd_kernel(n_modes: int, w, n_points: int, blocks: int) -> _OddKernel:
     scale, dtau, weight = -np.pi * k * w, 2.0 * np.pi / n_points, 2.0 / n_points
 
     def density(x):
-        return reduce(np.add, map(np.matmul, C, x.reshape(blocks, -1)), 0.5)
+        x = x.reshape(blocks, -1)
+        h = 0.5 + C[0] @ x[0]
+        return h + C[1] @ x[1] if blocks == 2 else h
 
     def rhs(x):
         h = _guarded(density(x))
-        num = reduce(np.add, map(np.matmul, S, k * x.reshape(blocks, -1)))
+        kx = k * x.reshape(blocks, -1)
+        num = S[0] @ kx[0] + S[1] @ kx[1] if blocks == 2 else S[0] @ kx[0]
         return (scale * (dtau * ((num / h) @ S_stack))).reshape(x.shape)
 
     def entropy(x):

@@ -6,7 +6,8 @@ residual).  rhs(x) is evaluated once per state: it is the next step's
 first stage, and grad_norm maps it to a float at each record.  integrate
 calls the entropy and constraint monitors once per run, on the stack of
 recorded states.  Explicit Euler is the default stepper; classical RK4 is
-available when tighter monotonicity tolerances are needed.
+available when tighter monotonicity tolerances are needed.  RK4 sums its
+stages in the arrays the rhs returned, so an rhs returns a fresh array.
 
 A state of independent fibers (FlowSystem.fiber; the Riesz flow's n
 translates of each grid node) is stepped in column blocks of its (fiber, M)
@@ -21,8 +22,9 @@ arrays allocated up front and are taken on the calling thread.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -79,6 +81,7 @@ def _monitor(fn, samples: int | None = None) -> Callable:
 class FlowSystem:
     """A right-hand side with its monitors, all on flat state vectors."""
 
+    # returns a fresh array: the RK4 step writes into it
     rhs: Callable[[np.ndarray], np.ndarray]
     # entropy and constraint_residual map one state (dim,) to a float and a
     # stack (rows, dim) to one value per row, the one-state call's bit for bit
@@ -87,7 +90,7 @@ class FlowSystem:
     constraint_residual: Callable[[np.ndarray], np.ndarray | float] = \
         _monitor(lambda X: np.zeros(len(X)))
     # the norm of the gradient from the rhs value r = rhs(x)
-    grad_norm: Callable[[np.ndarray], float] = lambda r: float(np.linalg.norm(r))
+    grad_norm: Callable[[np.ndarray], float] = lambda r: math.sqrt(r.dot(r))
     # length of the independent fibers, the rows of x.reshape(fiber, -1) whose
     # columns evolve apart; None: the state is one coupled system.  integrate
     # calls the rhs of a fiber system on several blocks from several threads
@@ -112,7 +115,7 @@ def riesz_system(degree: int) -> FlowSystem:
         rhs=lambda x: simplex_rhs(x, degree),
         entropy=_monitor(lambda X: gibbs_entropy(X, degree / X.shape[1])),
         constraint_residual=_monitor(lambda X: np.abs(translate_sums(X, degree) - 1.0).max(axis=1)),
-        grad_norm=lambda r: float(np.sqrt(degree / r.size * (r**2).sum())),
+        grad_norm=lambda r: math.sqrt(degree / r.size * np.add.reduce(r * r, None)),
         fiber=degree,
     )
 
@@ -185,10 +188,15 @@ def _euler_step(rhs, x, k1, dt):
 
 
 def _rk4_step(rhs, x, k1, dt):
+    """x + (dt / 6) (k1 + 2 k2 + 2 k3 + k4), summed in that order into k2."""
     k2 = rhs(x + 0.5 * dt * k1)
     k3 = rhs(x + 0.5 * dt * k2)
     k4 = rhs(x + dt * k3)
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 *= 2.0
+    k2 += k1
+    k2 += np.multiply(k3, 2.0, out=k3)
+    k2 += k4
+    return np.add(x, np.multiply(k2, dt / 6.0, out=k2), out=k2)
 
 
 def _blocks(x: np.ndarray, r: np.ndarray, fiber: int | None) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -218,20 +226,19 @@ def integrate(system: FlowSystem, initial, cfg: FlowConfig) -> Trajectory:
     states = np.empty((n_records, x.size))
     r = np.empty_like(x)
     blocks = list(enumerate(_blocks(x, r, system.fiber)))
+    steps = range(0)
 
-    def record(j, t):
-        times[j], states[j], grad_norm[j] = t, x, system.grad_norm(r)
-
-    def run(steps, share):
-        """Run steps (step 0: the initial rhs only) on each block of share,
-        block after block; each block's first failure as (step, block, error)."""
+    def run(share):
+        """Run the steps up to the next record (step 0: the initial rhs only)
+        on each block of share, block after block; each block's first
+        failure as (step, block, error)."""
         failures = []
         for b, (xb, rb) in share:
             for i in steps:
                 try:
                     if i:
                         xb[...] = step(system.rhs, xb, rb, cfg.dt)
-                        if not np.isfinite(xb).all():
+                        if not np.logical_and.reduce(np.isfinite(xb), None):
                             raise StepError("non-finite state")
                     rb[...] = system.rhs(xb)
                 except Exception as e:  # ranked against the other blocks' failures
@@ -239,24 +246,16 @@ def integrate(system: FlowSystem, initial, cfg: FlowConfig) -> Trajectory:
                     break
         return failures
 
-    def advance(steps):
-        """Run steps on every block; raise the first failure in (step, block)
-        order, the one a step-by-step pass over the blocks would meet."""
-        failures = sum(_on_cores(partial(run, steps), blocks), [])
-        if failures:
-            i, _, e = min(failures, key=lambda f: f[:2])
+    for j in range(n_records):
+        stop = min(j * cfg.record_every, n_steps)
+        steps = range(steps.stop, stop + 1)
+        failures = _on_cores(run, blocks)
+        if any(failures):  # the first in (step, block) order, as a step-by-step pass meets it
+            i, _, e = min((f for share in failures for f in share), key=lambda f: f[:2])
             if isinstance(e, (DomainError, StepError)):
                 raise type(e)(f"{e} at step {i} (t = {i * cfg.dt:.6g})") from e
             raise e
-
-    advance(range(1))
-    record(0, 0.0)
-    j, done = 1, 0
-    while done < n_steps:
-        stop = min(done + cfg.record_every, n_steps)
-        advance(range(done + 1, stop + 1))
-        record(j, stop * cfg.dt)
-        j, done = j + 1, stop
+        times[j], states[j], grad_norm[j] = stop * cfg.dt, x, system.grad_norm(r)
     # every recorded state passed the rhs's domain guard, so the monitors' cannot fire
     return Trajectory(times, states, system.entropy(states), grad_norm,
                       system.constraint_residual(states))

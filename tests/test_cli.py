@@ -283,9 +283,10 @@ def test_config_file_and_flag_override(tmp_path, capsys):
     cfg.write_text("t-end = 1\nbogus = 3\n")
     assert run(["simplex", "--n", "2", "--x", "0.3,0.7", "--config", str(cfg)]) == 3
     assert "unknown config key: bogus" in capsys.readouterr().err
-    # the parser's own attributes are no flags either
-    for key in ("func", "command"):
-        cfg.write_text(f"t-end = 1\n{key} = 1\n")
+    # the parser's own attributes are no flags either, and a config file
+    # cannot name another one
+    for key in ("func", "command", "config"):
+        cfg.write_text(f"t-end = 1\n{key} = /nonexistent\n")
         assert run(["simplex", "--n", "2", "--x", "0.3,0.7", "--config", str(cfg)]) == 3
         assert f"unknown config key: {key}\n" in capsys.readouterr().err
 

@@ -1,9 +1,12 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from srbflow import flow
 from srbflow.entropy import (
+    _odd_kernel,
     _odd_tables,
     c_squared,
     density_entropy,
@@ -399,3 +402,37 @@ def test_table_cache_builds_once_per_grid_and_mode_count():
     after = _odd_tables.cache_info()
     assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
     assert np.array_equal(first, second)
+
+
+def _reduce_kernel(K, w, N, blocks):
+    """_odd_kernel's density and rhs as a reduce over the blocks' gemvs."""
+    k = odd_frequencies(K).astype(float)
+    T = _odd_tables(K, N, blocks)
+    C, S = list(T[:-1]), list(T[1:])
+
+    def density(x):
+        return reduce(np.add, map(np.matmul, C, x.reshape(blocks, -1)), 0.5)
+
+    def rhs(x):
+        num = reduce(np.add, map(np.matmul, S, k * x.reshape(blocks, -1)))
+        return (-np.pi * k * w * (2.0 * np.pi / N * ((num / density(x)) @ T[1:]))).reshape(x.shape)
+
+    return density, rhs
+
+
+@pytest.mark.parametrize("blocks", [1, 2])
+@pytest.mark.parametrize("K, N", [(1, 1024), (3, 1024), (3, 512), (8, 1000)])
+def test_odd_kernel_matches_the_reduce_over_blocks_bitwise(K, N, blocks):
+    rng = np.random.default_rng(10 * K + blocks)
+    k = odd_frequencies(K)
+    for w in (c_squared(k), 1.0):
+        kernel = _odd_kernel(K, w, N, blocks)
+        density, rhs = _reduce_kernel(K, w, N, blocks)
+        for _ in range(50):
+            # pi sum k (|a| + |b|) < 1/2 keeps the density in (0, 1)
+            x = rng.uniform(-1.0, 1.0, (blocks, K))
+            x *= rng.uniform(0.05, 0.4) / np.sum(np.abs(x))
+            for state in (x, x.ravel()):
+                assert np.array_equal(kernel.density(state), density(state))
+                got = kernel.rhs(state)
+                assert got.shape == state.shape and np.array_equal(got, rhs(state))

@@ -506,3 +506,98 @@ def test_one_block_runs_start_no_thread(monkeypatch):
     integrate(riesz_system(2), cos_quarter_samples(1024), cfg)
     integrate(even_galerkin_system(), [0.25, 0.0, 0.0], cfg)
     integrate(galerkin_system_n2(), np.array([0.01, 0.003, 0.02, -0.004]), cfg)
+
+
+# ---------------------------------------------------------------------------
+# The small-state path: the same bits as the whole-array expressions
+# ---------------------------------------------------------------------------
+
+
+def _fiber_view_rhs(x, n):
+    """simplex_rhs through the (n, -1) fiber view, for any number of fibers."""
+    logs = np.log(x).reshape(n, -1)
+    return (logs.sum(axis=0) / n - logs).reshape(x.shape)
+
+
+def _interior_points(rng, n, count):
+    eps = 0.02
+    return eps + (1.0 - n * eps) * rng.dirichlet(np.ones(n), count)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_one_fiber_simplex_rhs_matches_the_fiber_view_bitwise(n):
+    # n = 8 is where numpy's sums switch to pairwise summation
+    rng = np.random.default_rng(80 + n)
+    for x in _interior_points(rng, n, 1000):
+        out = simplex_rhs(x, n)
+        assert out.shape == x.shape and np.array_equal(out, _fiber_view_rhs(x, n))
+    # blocks of fibers, a single column and a non-contiguous column block
+    X = _interior_points(rng, n, 300).T.copy()
+    assert not X[:, 7:250].flags.c_contiguous
+    for block in (X, X[:, :1], X[:, 7:250]):
+        assert np.array_equal(simplex_rhs(block, n), _fiber_view_rhs(block, n))
+
+
+def _rk4_expression(rhs, x, k1, dt):
+    k2 = rhs(x + 0.5 * dt * k1)
+    k3 = rhs(x + 0.5 * dt * k2)
+    k4 = rhs(x + dt * k3)
+    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _rk4_cases():
+    rng = np.random.default_rng(29)
+    grid = _fibers(5, 13106, 31).reshape(5, -1)
+    B = rng.uniform(-1.0, 1.0, 3)
+    B *= 0.3 / np.abs(B).sum()
+    return [
+        (riesz_system(5).rhs, np.array([0.1, 0.15, 0.2, 0.25, 0.3]), 0.01),
+        (riesz_system(5).rhs, grid[:, 6553:], 0.02),  # a (5, 6553) non-contiguous block
+        (even_galerkin_system().rhs, B, 0.1),
+    ]
+
+
+@pytest.mark.parametrize("case", range(3), ids=["one_fiber", "grid_block", "galerkin_k3"])
+def test_rk4_step_matches_the_expression_bitwise(case):
+    rhs, x, dt = _rk4_cases()[case]
+    assert x.ndim == 1 or (x.shape == (5, 6553) and not x.flags.c_contiguous)
+    k1 = rhs(x)
+    x0, k10 = x.copy(), k1.copy()
+    want = _rk4_expression(rhs, x, k1, dt)
+    got = flow._rk4_step(rhs, x, k1, dt)
+    assert got.shape == x.shape and np.array_equal(got, want)
+    # the stages are summed in the arrays the rhs returned, never in x or k1
+    assert np.array_equal(x, x0) and np.array_equal(k1, k10)
+    assert not np.shares_memory(got, x) and not np.shares_memory(got, k1)
+
+
+def test_grad_norms_match_the_norm_expressions_bitwise():
+    rng = np.random.default_rng(41)
+    for n in range(2, 9):
+        system = riesz_system(n)
+        for x in list(_interior_points(rng, n, 200)) + [_fibers(n, 999, n)]:
+            r = system.rhs(x)
+            got = system.grad_norm(r)
+            assert type(got) is float and got == float(np.sqrt(n / r.size * (r**2).sum()))
+    default = even_galerkin_system().grad_norm  # FlowSystem's default
+    for K in (1, 3, 8):
+        for _ in range(200):
+            r = rng.normal(size=K) * 10.0 ** rng.uniform(-12, 2)
+            got = default(r)
+            assert type(got) is float and got == float(np.linalg.norm(r))
+
+
+@pytest.mark.parametrize("system, x", [
+    (riesz_system(3), np.array([0.2, 0.3, 0.5])),
+    (riesz_system(2), cos_quarter_samples(1024)),
+    (galerkin_system_n2(), np.array([0.01, 0.003, 0.02, -0.004])),
+    (even_galerkin_system(), np.array([0.25, 0.0, 0.0])),
+    (even_galerkin_system(use_pde=True), np.array([0.1, 0.02, -0.01])),
+], ids=["simplex", "riesz_grid", "n2", "even", "even_pde"])
+def test_rhs_returns_a_fresh_array(system, x):
+    # _rk4_step writes into what the rhs returned, so it must alias neither
+    # the input nor anything the rhs keeps between calls
+    first, second = system.rhs(x), system.rhs(x)
+    assert not np.shares_memory(first, x) and not np.shares_memory(second, x)
+    assert not np.shares_memory(first, second)
+    assert np.array_equal(first, second)
