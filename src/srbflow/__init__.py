@@ -17,7 +17,6 @@ from .entropy import (
     gateaux_g,
     gateaux_h,
     odd_mode_density,
-    odd_mode_entropy,
     odd_mode_rhs,
     riesz_gradient,
     simplex_rhs,
@@ -39,8 +38,8 @@ __all__ = [
     "GridRep", "InverseDerivative", "StepError", "TangentVector", "Trajectory",
     "c_squared", "density_entropy", "differentiate", "even_galerkin_system",
     "galerkin_system_n2", "gateaux_g", "gateaux_h", "heat_reference", "integrate",
-    "odd_mode_density", "odd_mode_entropy", "odd_mode_rhs", "project_constraint",
-    "riesz_gradient", "riesz_system", "run_all", "simplex_rhs", "to_grid",
+    "odd_mode_density", "odd_mode_rhs", "project_constraint", "riesz_gradient",
+    "riesz_system", "run_all", "simplex_rhs", "to_grid",
 ]
 
 __version__ = "0.1.0"

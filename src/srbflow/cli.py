@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from functools import lru_cache
 
 import numpy as np
@@ -19,7 +20,7 @@ from . import flow as fl
 from . import verify as vf
 from .entropy import _guarded, odd_frequencies, odd_mode_density
 from .errors import DomainError, StepError
-from .spectral import FourierRep, grid_points_for, project_constraint, to_grid
+from .spectral import DEFAULT_GRID, FourierRep, grid_points_for, project_constraint, to_grid
 
 EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, EXIT_RUNTIME, EXIT_IO = 0, 2, 3, 4, 5
 FLOAT_FMT = "%.17g"
@@ -77,15 +78,14 @@ def _trajectory_table(traj: fl.Trajectory, state_names: list[str],
 
 
 def _integrate(system: fl.FlowSystem, x0: np.ndarray, args, guard=None) -> fl.Trajectory:
-    """Integrate from x0 after running the domain guard of the first monitor
-    (system.entropy, or `guard` on its samples): a start outside (0, 1) is
-    bad input, not a runtime failure."""
+    """Integrate from x0 by args.flow_config after running the domain guard of
+    the first monitor (system.entropy, or `guard` on its samples): a start
+    outside (0, 1) is bad input, not a runtime failure."""
     try:
         (guard or system.entropy)(x0)
     except DomainError as e:
         raise ValueError(f"initial state: {e}") from None
-    return fl.integrate(system, x0, fl.FlowConfig(t_end=args.t_end, dt=args.dt, method=args.method,
-                                                  record_every=args.record_every))
+    return fl.integrate(system, x0, args.flow_config)
 
 
 def _check_grid(grid: int, n_modes: int):
@@ -118,7 +118,7 @@ def cmd_simplex(args) -> int:
     return EXIT_OK
 
 
-def _galerkin_like(args, use_pde: bool) -> int:
+def _galerkin_like(args) -> int:
     if args.n != 2:
         raise ValueError("the Sobolev-metric Galerkin flow is degree-2 only")
     if args.modes is not None and args.modes < 1:
@@ -129,7 +129,7 @@ def _galerkin_like(args, use_pde: bool) -> int:
         x0 = _parse_floats(args.B)
         if x0.size != (DEFAULT_B_MODES if args.modes is None else args.modes):
             raise ValueError("--B length must equal --modes")
-        system = fl.even_galerkin_system(args.grid, use_pde=use_pde)
+        system = fl.even_galerkin_system(args.grid, use_pde=args.use_pde)
         n_modes = x0.size
         amplitudes = x0
         names = [f"B{k+1}" for k in range(n_modes)]
@@ -142,7 +142,7 @@ def _galerkin_like(args, use_pde: bool) -> int:
         if args.modes is not None and args.modes != n_modes:
             raise ValueError("--coeffs must hold --modes a,b pairs")
         amplitudes = np.pi * odd_frequencies(n_modes) * x0.reshape(2, -1)
-        system = fl.galerkin_system_n2(args.grid, use_pde=use_pde)
+        system = fl.galerkin_system_n2(args.grid, use_pde=args.use_pde)
         names = [f"{ab}{2*k+1}" for ab in "ab" for k in range(n_modes)]
     else:
         raise ValueError("provide an initial condition via --B or --coeffs")
@@ -152,14 +152,6 @@ def _galerkin_like(args, use_pde: bool) -> int:
     header, rows = _trajectory_table(traj, names, with_residual=False)
     _write_table(_resolve_out(args.out), header, rows, args.format)
     return EXIT_OK
-
-
-def cmd_galerkin(args) -> int:
-    return _galerkin_like(args, use_pde=False)
-
-
-def cmd_pde(args) -> int:
-    return _galerkin_like(args, use_pde=True)
 
 
 def _initial_samples(args) -> np.ndarray:
@@ -182,11 +174,9 @@ def cmd_riesz(args) -> int:
     _print_extrema(samples)
     traj = _integrate(fl.riesz_system(args.n), samples, args, guard=_guarded)
     # grid states are large; emit the monitors plus the density extrema
-    rows = np.column_stack([traj.times, traj.entropy, traj.grad_norm, traj.constraint_residual,
-                            traj.states.min(axis=1), traj.states.max(axis=1)])
-    _write_table(_resolve_out(args.out),
-                 ["t", "entropy", "grad_norm", "constraint_residual", "h_min", "h_max"],
-                 rows, args.format)
+    header, rows = _trajectory_table(traj, [], with_residual=True)
+    rows = np.column_stack([rows, traj.states.min(axis=1), traj.states.max(axis=1)])
+    _write_table(_resolve_out(args.out), header + ["h_min", "h_max"], rows, args.format)
     return EXIT_OK
 
 
@@ -205,7 +195,7 @@ def cmd_entropy(args) -> int:
 
 def cmd_verify(args) -> int:
     reports = vf.run_all(args.seed)
-    _emit(_resolve_out(args.out), json.dumps([r.to_dict() for r in reports], indent=2) + "\n")
+    _emit(_resolve_out(args.out), json.dumps([asdict(r) for r in reports], indent=2) + "\n")
     for r in reports:
         status = "PASS" if r.passed else "FAIL"
         print(f"{status} {r.name}: max_abs_error={r.max_abs_error:.3e} "
@@ -219,10 +209,9 @@ def cmd_figure(args) -> int:
     B0 = np.array([0.25, 0.0, 0.0])
     _check_grid(args.grid, B0.size)
     tau = np.arange(args.tau_points) * (2.0 * np.pi / args.tau_points)
-    system = fl.even_galerkin_system(args.grid)
+    cfg = fl.FlowConfig(t_end=20.0 if args.which == "fig1" else 50.0, record_every=100)
+    traj = fl.integrate(fl.even_galerkin_system(args.grid), B0, cfg)
     if args.which == "fig1":
-        cfg = fl.FlowConfig(t_end=20.0, dt=0.1, method="euler", record_every=100)
-        traj = fl.integrate(system, B0, cfg)
         cols = [tau]
         header = ["tau"]
         for t in (0.0, 10.0, 20.0):
@@ -230,12 +219,10 @@ def cmd_figure(args) -> int:
             cols.append(odd_mode_density(traj.states[i], args.tau_points) - 0.5)
             header.append(f"t{int(t)}")
     else:
-        cfg = fl.FlowConfig(t_end=50.0, dt=0.1, method="euler", record_every=100)
-        traj = fl.integrate(system, B0, cfg)
         B = traj.states[-1]
         dev = odd_mode_density(B, args.tau_points) - 0.5
         cosine = B[0] * np.cos(tau)  # matched-amplitude mode-1 cosine
-        heat = odd_mode_density(fl.heat_reference(B0, 50.0), args.tau_points) - 0.5
+        heat = odd_mode_density(fl.heat_reference(B0, cfg.t_end), args.tau_points) - 0.5
         cols = [tau, 1000.0 * dev, 1000.0 * cosine, 1000.0 * heat]
         header = ["tau", "deviation_x1000", "cosine_x1000", "heat_x1000"]
     _write_table(_resolve_out(args.out), header, np.column_stack(cols), "csv")
@@ -253,7 +240,7 @@ def _add_flow_flags(p):
     p.add_argument("--method", choices=("euler", "rk4"), default="euler")
     p.add_argument("--record-every", type=int, default=1,
                    help="record one state every k steps")
-    p.add_argument("--grid", type=int, default=1024,
+    p.add_argument("--grid", type=int, default=DEFAULT_GRID,
                    help="quadrature grid size")
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -288,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--coeffs", default=None,
                        help="general odd-mode initial a1,b1,a3,b3,...")
         _add_flow_flags(p)
-        p.set_defaults(func=cmd_galerkin if name == "galerkin" else cmd_pde)
+        p.set_defaults(func=_galerkin_like, use_pde=name == "pde")
 
     p = sub.add_parser("riesz", help="L2 Riesz gradient flow (any degree)")
     p.add_argument("--n", type=int, default=2)
@@ -301,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("entropy", help="evaluate the entropy of a density")
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--coeffs", required=True)
-    p.add_argument("--grid", type=int, default=1024)
+    p.add_argument("--grid", type=int, default=DEFAULT_GRID)
     p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_entropy)
 
@@ -314,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("figure", help="emit figure data (trajectory snapshots)")
     p.add_argument("--which", choices=("fig1", "fig2"), required=True)
     p.add_argument("--tau-points", type=int, default=256)
-    p.add_argument("--grid", type=int, default=1024)
+    p.add_argument("--grid", type=int, default=DEFAULT_GRID)
     p.add_argument("--out", default=None)
     p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_figure)
@@ -335,8 +322,8 @@ def _config_tokens(path: str, args) -> list[str]:
                 raise ValueError(f"bad config line: {line!r}")
             key, value = (part.strip() for part in line.split("=", 1))
             name = key.replace("-", "_")
-            # func and command are the parser's own; a nested config goes unread
-            if name in ("func", "command", "config") or not hasattr(args, name):
+            # func, command and use_pde are the parser's own; a nested config goes unread
+            if name in ("func", "command", "use_pde", "config") or not hasattr(args, name):
                 raise ValueError(f"unknown config key: {name}")
             tokens.append(f"--{key.replace('_', '-')}={value}")
     return tokens
@@ -350,6 +337,8 @@ def main(argv=None) -> int:
         if getattr(args, "config", None) is not None:
             # argv[0] is the subcommand; the flags after it override the file's
             args = parser.parse_args(argv[:1] + _config_tokens(args.config, args) + argv[1:])
+        if hasattr(args, "t_end"):  # a flow command: its flags are checked before any work
+            args.flow_config = fl.FlowConfig(args.t_end, args.dt, args.method, args.record_every)
         return args.func(args)
     except (DomainError, StepError) as e:
         print(f"runtime error: {e}", file=sys.stderr)

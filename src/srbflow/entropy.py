@@ -7,7 +7,7 @@ R_h = -ln h + (1/n) sum_i ln h(.+i), valid for any degree n.  Under the
 H^2 metric an orthonormal basis is only available for degree 2, where the
 gradient becomes an ODE system on the odd-harmonic coefficients; that system
 and the diffusion modes are one kernel, _odd_kernel, on amplitude blocks;
-odd_mode_rhs, odd_mode_density and odd_mode_entropy are its one-shot form.
+odd_mode_rhs and odd_mode_density are its one-shot form.
 """
 
 from __future__ import annotations
@@ -192,8 +192,8 @@ def _odd_kernel(n_modes: int, w, n_points: int, blocks: int) -> _OddKernel:
 
 
 def _one_shot(part: str, x, w, n_points: int):
-    """The kernel's part ("density", "rhs" or "entropy") at the blocks of x,
-    from a kernel built for them alone (a 1-D x is one block)."""
+    """The kernel's part ("density" or "rhs") at the blocks of x, from a
+    kernel built for them alone (a 1-D x is one block)."""
     X = np.atleast_2d(np.asarray(x, dtype=float))
     if X.ndim > 2 or len(X) > 2:
         raise ValueError("x must be the amplitudes B or the two blocks [A; B]")
@@ -203,13 +203,8 @@ def _one_shot(part: str, x, w, n_points: int):
 def odd_mode_density(x, n_points: int = DEFAULT_GRID) -> np.ndarray:
     """h(tau) = 1/2 + sum_k (-A_k sin + B_k cos)(k tau) on tau_j = 2 pi j / N
     for x = [A; B]; a 1-D x = B is the even density 1/2 + sum B_k cos(k tau).
-    The one-shot form of _odd_kernel, as are the two below."""
+    One-shot _odd_kernel; for x = B its entropy is even_galerkin_system(N).entropy(B)."""
     return _one_shot("density", x, 1.0, n_points)
-
-
-def odd_mode_entropy(x, n_points: int = DEFAULT_GRID) -> float:
-    """H of odd_mode_density(x)."""
-    return _one_shot("entropy", x, 1.0, n_points)
 
 
 def odd_mode_rhs(x, w, n_points: int = DEFAULT_GRID) -> np.ndarray:

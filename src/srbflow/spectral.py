@@ -72,43 +72,33 @@ class GridRep:
         if self.samples.ndim != 1 or self.samples.size < 4:
             raise ValueError("need at least 4 samples")
 
-    @property
-    def n_points(self) -> int:
-        return self.samples.size
 
+@dataclass(frozen=True)
+class _OnDegree:
+    """A function on [0, n] for a degree-n map: its rep must have period n."""
 
-def _check_degree(rep: FourierRep | GridRep, degree: int):
-    """A degree-n function lives on [0, n]: its rep must have period n."""
-    if degree < 2:
-        raise ValueError("degree must be >= 2")
-    if rep.period != degree:
-        raise ValueError(f"rep period {rep.period:g} is not the degree {degree}")
+    rep: FourierRep | GridRep
+    degree: int
+
+    def __post_init__(self):
+        if self.degree < 2:
+            raise ValueError("degree must be >= 2")
+        if self.rep.period != self.degree:
+            raise ValueError(f"rep period {self.rep.period:g} is not the degree {self.degree}")
 
 
 @dataclass(frozen=True)
-class InverseDerivative:
+class InverseDerivative(_OnDegree):
     """h = g', the derivative of the inverse of a degree-n expanding map.
 
     Valid states satisfy 0 < h < 1 and the measure-preservation constraint
     sum_{i=0}^{n-1} h(y + i) = 1.
     """
 
-    rep: FourierRep | GridRep
-    degree: int
-
-    def __post_init__(self):
-        _check_degree(self.rep, self.degree)
-
 
 @dataclass(frozen=True)
-class TangentVector:
+class TangentVector(_OnDegree):
     """A perturbation psi with sum_{i=0}^{n-1} psi(y + i) = 0."""
-
-    rep: FourierRep | GridRep
-    degree: int
-
-    def __post_init__(self):
-        _check_degree(self.rep, self.degree)
 
 
 @lru_cache(maxsize=16)

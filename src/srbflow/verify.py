@@ -13,7 +13,7 @@ algebraic identities 1e-10 .. 1e-12.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,9 +48,6 @@ class CheckReport:
     tolerance: float
     passed: bool
     samples: int
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _report(name: str, err: float, tol: float, samples: int) -> CheckReport:

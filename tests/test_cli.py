@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -224,6 +228,19 @@ def test_bad_grid_prints_nothing(capsys, cmd, start):
     assert "--grid must be at least 4 * the number of modes" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["riesz", "--n", "2", "--coeffs", "0.1,0", "--t-end", "1", "--record-every", "0"],
+    ["galerkin", "--B", "0.25,0,0", "--dt", "0.3", "--t-end", "1"],
+    ["pde", "--B", "0.25,0,0", "--dt", "0", "--t-end", "1"],
+])
+def test_bad_flow_flags_print_nothing(capsys, argv):
+    # the step flags are checked before the grid is sampled or the h range printed
+    assert run(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("validation error: ")
+
+
 def test_galerkin_h_range_on_the_kernel_nodes(capsys, tmp_path):
     # the --B range is that of odd_mode_density on tau_j = 2 pi j / 512
     out = str(tmp_path / "g.csv")
@@ -329,3 +346,38 @@ def test_parser_built_once_matches_a_fresh_parser(tmp_path, capsys, monkeypatch)
             vars(cli.build_parser.__wrapped__().parse_args(argv))
     monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
     assert [_outcome(argv, capsys) for argv in argvs] == cached
+
+
+RUNTIME_IMPORTS = """
+import sys
+import numpy, numpy.random
+before = set(sys.modules)
+import contextlib, io
+from srbflow.cli import main
+argvs = [a.split() for a in sys.argv[1:]]
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [main(a) for a in argvs]
+loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
+print(codes, sorted(loaded - set(sys.stdlib_module_names) - {"srbflow"}))
+"""
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    # numpy is imported first: it loads its own Cython runtime modules, and the
+    # interpreter may load site hooks at startup; every module loaded after it
+    # must be the standard library's or srbflow's
+    argvs = [
+        "simplex --n 3 --x 0.2,0.3,0.5 --t-end 0.2",
+        "galerkin --B 0.25,0,0 --t-end 0.2",
+        "pde --B 0.01,0,0 --dt 0.001 --t-end 0.002",
+        # 2^17 nodes: sampled and stepped in blocks on all cores
+        f"riesz --n 2 --coeffs 0.1,0 --grid {2**17} --t-end 0.2",
+        "entropy --n 3 --coeffs 0.1,0.05",
+        "verify --seed 1",
+        "figure --which fig1 --tau-points 8",
+    ]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", RUNTIME_IMPORTS, *argvs], env=env,
+                          capture_output=True, text=True, check=True, timeout=300)
+    assert done.stdout == f"{[0] * len(argvs)} []\n"

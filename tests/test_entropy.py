@@ -14,7 +14,6 @@ from srbflow.entropy import (
     gateaux_h,
     odd_frequencies,
     odd_mode_density,
-    odd_mode_entropy,
     odd_mode_rhs,
     riesz_gradient,
 )
@@ -338,7 +337,6 @@ def test_cached_table_readers_match_fresh_tables_bitwise(monkeypatch, K, N):
         assert np.array_equal(odd_mode_rhs(B, c2, N), oracle_even_rhs(B, c2, N))
         assert np.array_equal(odd_mode_rhs(B, 1.0, N), oracle_even_rhs(B, 1.0, N))
         assert np.array_equal(odd_mode_density(B, N), oracle_even_density(B, N))
-        assert odd_mode_entropy(B, N) == oracle_even_entropy(B, N)
         assert np.array_equal(odd_mode_density(np.pi * k * ab, N), oracle_n2_density(ab, N))
         for w in (c2, 1.0):
             assert np.array_equal(n2_rhs(ab, w, N), oracle_n2_rhs(ab, w, N))
@@ -373,7 +371,7 @@ def test_cached_table_readers_match_fresh_tables_bitwise(monkeypatch, K, N):
 def test_odd_mode_functions_reject_more_than_two_blocks():
     # the tables exist for B and [A; B] only; a third block would read unset memory
     x = np.full((3, 2), 0.01)
-    for f in (odd_mode_density, odd_mode_entropy, lambda x: odd_mode_rhs(x, 1.0)):
+    for f in (odd_mode_density, lambda x: odd_mode_rhs(x, 1.0)):
         with pytest.raises(ValueError, match="two blocks"):
             f(x)
         with pytest.raises(ValueError, match="two blocks"):

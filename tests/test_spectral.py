@@ -85,7 +85,7 @@ def test_to_grid_matches_evaluate_bitwise(period):
 
 def _from_samples(grid, n_modes):
     # the mean and the first n_modes cos/sin coefficients of uniform samples, by FFT
-    N = grid.n_points
+    N = grid.samples.size
     F = np.fft.rfft(grid.samples)
     return FourierRep(grid.period, F[0].real / N, 2.0 * F[1:n_modes + 1].real / N,
                       -2.0 * F[1:n_modes + 1].imag / N)
@@ -246,6 +246,16 @@ def test_rep_period_must_be_the_degree():
         TangentVector(FourierRep(1.0), 1)
 
 
+def test_density_and_tangent_stay_distinct_types():
+    # the two share their fields and checks, not their identity
+    rep = FourierRep(2.0, 0.0, [0.1], [0.0])
+    psi, h = TangentVector(rep, 2), InverseDerivative(rep, 2)
+    assert psi != h and h != psi
+    assert psi == TangentVector(rep, 2) and h == InverseDerivative(rep, 2)
+    assert repr(psi).startswith("TangentVector(rep=FourierRep(")
+    assert repr(h).startswith("InverseDerivative(rep=FourierRep(")
+
+
 def test_differentiate_constant():
     d = differentiate(FourierRep(2.0, 0.5, [0.0], [0.0]))
     assert d.mean == 0.0
@@ -399,7 +409,7 @@ def test_public_api():
         "GridRep", "InverseDerivative", "StepError", "TangentVector", "Trajectory",
         "c_squared", "density_entropy", "differentiate", "even_galerkin_system",
         "galerkin_system_n2", "gateaux_g", "gateaux_h", "heat_reference", "integrate",
-        "odd_mode_density", "odd_mode_entropy", "odd_mode_rhs", "project_constraint",
-        "riesz_gradient", "riesz_system", "run_all", "simplex_rhs", "to_grid",
+        "odd_mode_density", "odd_mode_rhs", "project_constraint", "riesz_gradient",
+        "riesz_system", "run_all", "simplex_rhs", "to_grid",
     ]
     assert all(getattr(srbflow, name) is not None for name in srbflow.__all__)
