@@ -194,6 +194,8 @@ def cmd_entropy(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.seed < 0:
+        raise ValueError("--seed must be at least 0")
     reports = vf.run_all(args.seed)
     _emit(_resolve_out(args.out), json.dumps([asdict(r) for r in reports], indent=2) + "\n")
     for r in reports:

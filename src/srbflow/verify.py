@@ -3,7 +3,7 @@
 Each check compares an implementation against an identity it must satisfy
 (finite differences vs. the analytic derivative, the Riesz defining
 identity, both degree-2 mode equations vs. the map-form derivative
-gateaux_g, equilibrium degeneracy)
+DH_g, equilibrium degeneracy)
 and emits a CheckReport.  Random inputs are drawn from a seeded generator
 so reports are reproducible bit for bit.
 
@@ -22,8 +22,8 @@ from .entropy import (
     c_squared,
     density_entropy,
     density_samples,
-    gateaux_g,
     gateaux_h,
+    gibbs_entropy,
     odd_frequencies,
     odd_mode_rhs,
     riesz_gradient,
@@ -32,11 +32,11 @@ from .entropy import (
 from .spectral import (
     DEFAULT_GRID,
     FourierRep,
-    GridRep,
     InverseDerivative,
     TangentVector,
     _as_samples,
     _sample,
+    grid_points_for,
     to_grid,
 )
 
@@ -96,6 +96,14 @@ def _trial_samples(rng: np.random.Generator, degree: int, trials: int, n_points:
         yield _sample(float(degree), n_points, 0.0, rows[i:i + step, 0], rows[i:i + step, 1])
 
 
+def _moment_rows(rows: np.ndarray, logs: np.ndarray, degree: int) -> np.ndarray:
+    """DH_h = -w sum_j psi_j ln h_j of each tangent psi = (a, b) of _tangent_rows,
+    as -w (a . m_c + b . m_s), m_c, m_s = sum_j ln h_j (cos, sin)(2 pi k j / N)."""
+    # the 2K unit coefficient rows sample the trig basis: the K cos rows, then the K sin rows
+    m = _sample(float(degree), logs.size, 0.0, *np.hsplit(np.eye(2 * rows.shape[-1]), 2)) @ logs
+    return -degree / logs.size * (rows.reshape(-1, m.size) @ m)
+
+
 def random_density(rng: np.random.Generator, degree: int, n_modes: int = 5,
                    amplitude: float = 0.3, n_points: int = DEFAULT_GRID) -> InverseDerivative:
     """Valid h: 1/n plus a constraint-projected perturbation scaled so the
@@ -108,13 +116,6 @@ def random_density(rng: np.random.Generator, degree: int, n_modes: int = 5,
     return InverseDerivative(rep, degree)
 
 
-def _perturbed(h: InverseDerivative, psi: TangentVector, eps: float,
-               n_points: int) -> InverseDerivative:
-    s = density_samples(h, n_points)
-    s = s + eps * _as_samples(psi.rep, psi.degree, s.size)
-    return InverseDerivative(GridRep(float(h.degree), s), h.degree)
-
-
 # ---------------------------------------------------------------------------
 # Checks
 # ---------------------------------------------------------------------------
@@ -124,11 +125,10 @@ def fd_errors(h: InverseDerivative, psi: TangentVector, eps_list,
               n_points: int = DEFAULT_GRID) -> tuple[float, np.ndarray]:
     """(analytic DH_h(psi), per-epsilon central-difference errors)."""
     analytic = gateaux_h(h, psi, n_points)
-    errs = []
-    for eps in eps_list:
-        plus = density_entropy(_perturbed(h, psi, eps, n_points))
-        minus = density_entropy(_perturbed(h, psi, -eps, n_points))
-        errs.append(abs((plus - minus) / (2.0 * eps) - analytic))
+    s = density_samples(h, n_points)
+    p, w = _as_samples(psi.rep, psi.degree, s.size), h.degree / s.size
+    errs = [abs((gibbs_entropy(s + eps * p, w) - gibbs_entropy(s - eps * p, w)) / (2.0 * eps)
+                - analytic) for eps in eps_list]
     return analytic, np.array(errs)
 
 
@@ -144,6 +144,7 @@ def fd_derivative_check(h: InverseDerivative, psi: TangentVector,
     near 0 while the O(eps^2) difference error is not.  Along R_h,
     DH = ||R_h||^2 > 0, so a relative error in DH cannot hide there.
     """
+    eps_list = tuple(eps_list)  # read once per direction: a generator would run dry
     logs = np.log(density_samples(h, n_points))
     spread = h.degree / logs.size * np.linalg.norm(logs - logs.mean())
     rel = 0.0
@@ -151,7 +152,7 @@ def fd_derivative_check(h: InverseDerivative, psi: TangentVector,
         analytic, errs = fd_errors(h, direction, eps_list, n_points)
         bound = spread * np.linalg.norm(_as_samples(direction.rep, h.degree, logs.size))
         rel = max(rel, np.max(errs) / max(abs(analytic), bound, 1e-30))
-    return _report("fd_derivative", rel, tol, 2 * len(list(eps_list)))
+    return _report("fd_derivative", rel, tol, 2 * len(eps_list))
 
 
 def riesz_identity_check(h: InverseDerivative, trials: int = 100, seed: int = 0,
@@ -170,7 +171,8 @@ def riesz_identity_check(h: InverseDerivative, trials: int = 100, seed: int = 0,
 def gradient_maximality_check(h: InverseDerivative, trials: int = 1000, seed: int = 0,
                               tol: float = 1e-9, n_points: int = DEFAULT_GRID) -> CheckReport:
     """Among unit tangent vectors the normalized Riesz direction maximizes
-    the derivative: DH_h(psi) <= DH_h(R_hat) for all unit psi."""
+    the derivative: DH_h(psi) <= DH_h(R_hat) for all unit psi.  No trial is
+    sampled: _moment_rows costs O(N K) once and O(K) per trial."""
     rng = np.random.default_rng(seed)
     R = riesz_gradient(h, n_points)
     s = density_samples(h, n_points)
@@ -179,10 +181,8 @@ def gradient_maximality_check(h: InverseDerivative, trials: int = 1000, seed: in
     if r_norm == 0.0:
         raise ValueError("maximality check needs a nonconstant h")
     best = gateaux_h(h, R, n_points) / r_norm  # = ||R_h||, the max value
-    logs = np.log(s)
-    worst = max((np.max(_gateaux_rows(P, logs, w) - best)
-                 for P in _trial_samples(rng, h.degree, trials, s.size)), default=0.0)
-    return _report("gradient_maximality", max(worst, 0.0), tol, trials)
+    dh = _moment_rows(_tangent_rows(rng, h.degree, trials), np.log(s), h.degree)
+    return _report("gradient_maximality", np.max(dh - best, initial=0.0), tol, trials)
 
 
 def ode_pde_proportionality_check(n_states: int = 10, seed: int = 0,
@@ -190,27 +190,27 @@ def ode_pde_proportionality_check(n_states: int = 10, seed: int = 0,
                                   n_points: int = DEFAULT_GRID) -> CheckReport:
     """Mode m of the Galerkin rhs equals c^2_{2m-1} DH_g(phi) and mode m of
     the PDE rhs equals DH_g(phi), for phi = cos, sin((2m-1) pi y) and DH_g
-    from gateaux_g: the two mode equations differ only by the factor c^2,
-    and both are checked against a derivative computed without them.  The
-    rhs is odd_mode_rhs on s [a; b], s = pi k, divided by s."""
+    summed as gateaux_g sums it: the two mode equations differ only by the
+    factor c^2, and both are checked against a derivative computed without
+    them.  The rhs is odd_mode_rhs on x = s [a; b], s = pi k, divided by s.
+    The phi' are sampled once: a state costs one ln g' and a (2K, N) product."""
     rng = np.random.default_rng(seed)
     k = odd_frequencies(n_modes)
     s = np.pi * k
     c2 = c_squared(k)
-    zero = np.zeros(k[-1])
-    odd = np.eye(k[-1])[k - 1]  # unit coefficient vectors of the odd frequencies
-    basis = [TangentVector(FourierRep(2.0, 0.0, e, zero), 2) for e in odd] \
-        + [TangentVector(FourierRep(2.0, 0.0, zero, e), 2) for e in odd]
+    d = np.eye(k[-1])[k - 1] * s[:, None]  # phi' = -s sin for phi = cos, s cos for sin
+    dphi = _sample(2.0, grid_points_for(2, n_points), 0.0,
+                   np.vstack([0 * d, d]), np.vstack([-d, 0 * d]))
     worst = 0.0
     for _ in range(n_states):
         # coefficient box sized so u_y stays inside (0, 1) for 3 modes
         ab = rng.uniform(-0.004, 0.004, (2, n_modes))
-        # g' = 1/2 + pi sum k (-a sin + b cos) as Fourier data
-        cos, sin = zero.copy(), zero.copy()
-        cos[k - 1], sin[k - 1] = np.pi * k * ab[1], -np.pi * k * ab[0]
-        gprime = InverseDerivative(FourierRep(2.0, 0.5, cos, sin), 2)
-        dh = np.array([gateaux_g(gprime, phi, n_points) for phi in basis]).reshape(2, n_modes)
         x = s * ab
+        # g' = 1/2 + pi sum k (-a sin + b cos) as Fourier data
+        cs = np.zeros((2, k[-1]))
+        cs[:, k - 1] = x[1], -x[0]
+        g = density_samples(InverseDerivative(FourierRep(2.0, 0.5, *cs), 2), n_points)
+        dh = _gateaux_rows(dphi, np.log(g), 2 / g.size).reshape(2, n_modes)
         worst = max(worst, np.max(np.abs(odd_mode_rhs(x, c2, n_points) / s - c2 * dh)),
                     np.max(np.abs(odd_mode_rhs(x, 1.0, n_points) / s - dh)))
     return _report("ode_pde_proportionality", worst, tol, n_states)
@@ -233,9 +233,7 @@ def equilibrium_check(n: int, tol: float = 1e-12,
 def run_all(seed: int = 0, n_points: int = DEFAULT_GRID) -> list[CheckReport]:
     """The full verification suite with deterministic aggregation order."""
     rng = np.random.default_rng(seed)
-    reports = []
-    for n in (2, 3, 5):
-        reports.append(equilibrium_check(n, n_points=n_points))
+    reports = [equilibrium_check(n, n_points=n_points) for n in (2, 3, 5)]
     for n in (2, 3):
         h = random_density(rng, n)
         psi = random_tangent(rng, n)

@@ -131,6 +131,15 @@ def test_verify_subcommand(tmp_path):
     assert {"name", "max_abs_error", "tolerance", "passed", "samples"} <= set(reports[0])
 
 
+def test_verify_rejects_a_negative_seed(tmp_path, capsys):
+    # refused before any check runs, naming the flag, and no report is written
+    out = tmp_path / "verify.json"
+    assert run(["verify", "--seed", "-1", "--out", str(out)]) == 3
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err == "validation error: --seed must be at least 0\n"
+    assert not out.exists()
+
+
 def test_figure_fig1(tmp_path):
     out = tmp_path / "fig1.csv"
     assert run(["figure", "--which", "fig1", "--out", str(out)]) == 0

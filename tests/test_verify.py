@@ -2,7 +2,16 @@ import numpy as np
 import pytest
 
 import srbflow.verify as vf
-from srbflow.entropy import _gateaux_rows, density_samples, gateaux_h, riesz_gradient
+from srbflow.entropy import (
+    _gateaux_rows,
+    c_squared,
+    density_samples,
+    gateaux_g,
+    gateaux_h,
+    odd_frequencies,
+    odd_mode_rhs,
+    riesz_gradient,
+)
 from srbflow.flow import riesz_system
 from srbflow.spectral import (
     FourierRep,
@@ -94,6 +103,14 @@ def test_fd_check_catches_scaled_derivative_where_psi_is_blind(monkeypatch):
     assert not fd_derivative_check(cos_quarter(), psi, (1e-4, 1e-5)).passed
 
 
+def test_fd_derivative_check_reads_a_generator_once_per_direction():
+    rng = np.random.default_rng(4)
+    h, psi = random_density(rng, 2), random_tangent(rng, 2)
+    want = fd_derivative_check(h, psi, (1e-4, 1e-5))
+    assert fd_derivative_check(h, psi, (eps for eps in (1e-4, 1e-5))) == want
+    assert want.samples == 4
+
+
 def test_fd_derivative_check_report():
     rng = np.random.default_rng(4)
     rep = fd_derivative_check(random_density(rng, 2), random_tangent(rng, 2),
@@ -117,6 +134,11 @@ def test_riesz_identity_constant_density():
 def test_gradient_maximality():
     rep = gradient_maximality_check(cos_quarter(), trials=200, seed=0)
     assert rep.passed
+
+
+def test_gradient_maximality_without_trials():
+    rep = gradient_maximality_check(cos_quarter(), trials=0, seed=0)
+    assert rep.passed and rep.max_abs_error == 0.0 and rep.samples == 0
 
 
 def test_gradient_maximality_orthogonal_direction():
@@ -292,3 +314,81 @@ def test_riesz_identity_catches_scaled_gradient(monkeypatch):
     _scaled_riesz_gradient(monkeypatch, 1.001)
     reports = [r for r in run_all(0) if r.name == "riesz_identity"]
     assert len(reports) == 2 and not any(r.passed for r in reports)
+
+
+@pytest.mark.parametrize("degree", [2, 3, 5])
+def test_moment_rows_are_the_sampled_derivatives(degree):
+    # the same trapezoid sum in another order: within 1e-13 of the largest |DH|
+    for seed in range(10):
+        h = random_density(np.random.default_rng(seed), degree)
+        s = density_samples(h)
+        w, logs = degree / s.size, np.log(s)
+        trials = vf._trial_samples(np.random.default_rng(seed), degree, 50, s.size)
+        sampled = np.concatenate([_gateaux_rows(P, logs, w) for P in trials])
+        rows = vf._tangent_rows(np.random.default_rng(seed), degree, 50)
+        moments = vf._moment_rows(rows, logs, degree)
+        assert np.max(np.abs(moments - sampled)) <= 1e-13 * np.max(np.abs(sampled))
+
+
+def _sampled_maximality(h, trials, seed):
+    # gradient_maximality_check's error from the sampled trials
+    rng = np.random.default_rng(seed)
+    R = vf.riesz_gradient(h)
+    s = density_samples(h)
+    w = h.degree / s.size
+    best = gateaux_h(h, R) / np.sqrt(w * np.sum(R.rep.samples**2))
+    worst = max((np.max(_gateaux_rows(P, np.log(s), w) - best)
+                 for P in vf._trial_samples(rng, h.degree, trials, s.size)), default=0.0)
+    return max(worst, 0.0)
+
+
+@pytest.mark.parametrize("factor", [1.0, -1.0])
+def test_run_all_maximality_matches_the_sampled_trials(monkeypatch, factor):
+    # with R_h negated the error is max DH + ||R_h|| > 0, so every trial's DH counts
+    _scaled_riesz_gradient(monkeypatch, factor)
+    calls = []
+    real = vf.gradient_maximality_check
+
+    def recorded(h, trials, seed, **kwargs):
+        calls.append((h, trials, seed))
+        return real(h, trials, seed=seed, **kwargs)
+
+    monkeypatch.setattr(vf, "gradient_maximality_check", recorded)
+    for seed in range(20):
+        report = next(r for r in run_all(seed) if r.name == "gradient_maximality")
+        want = _sampled_maximality(*calls[-1])
+        assert (report.passed, report.samples) == (want <= report.tolerance, 1000)
+        if factor > 0:
+            assert report.max_abs_error == want
+        else:
+            assert report.max_abs_error == pytest.approx(want, rel=1e-13)
+
+
+def _loop_ode_pde(n_states, seed, n_modes=3):
+    # ode_pde_proportionality_check with one gateaux_g call per state and basis vector
+    rng = np.random.default_rng(seed)
+    k = odd_frequencies(n_modes)
+    s = np.pi * k
+    c2 = c_squared(k)
+    zero = np.zeros(k[-1])
+    odd = np.eye(k[-1])[k - 1]
+    basis = [TangentVector(FourierRep(2.0, 0.0, e, zero), 2) for e in odd] \
+        + [TangentVector(FourierRep(2.0, 0.0, zero, e), 2) for e in odd]
+    worst = 0.0
+    for _ in range(n_states):
+        ab = rng.uniform(-0.004, 0.004, (2, n_modes))
+        cos, sin = zero.copy(), zero.copy()
+        cos[k - 1], sin[k - 1] = np.pi * k * ab[1], -np.pi * k * ab[0]
+        gprime = InverseDerivative(FourierRep(2.0, 0.5, cos, sin), 2)
+        dh = np.array([gateaux_g(gprime, phi) for phi in basis]).reshape(2, n_modes)
+        x = s * ab
+        worst = max(worst, np.max(np.abs(odd_mode_rhs(x, c2) / s - c2 * dh)),
+                    np.max(np.abs(odd_mode_rhs(x, 1.0) / s - dh)))
+    return worst
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_ode_pde_proportionality_matches_the_loop_bitwise(seed):
+    rep = ode_pde_proportionality_check(10, seed=seed)
+    assert rep.max_abs_error == _loop_ode_pde(10, seed)
+    assert rep.samples == 10
