@@ -105,7 +105,7 @@ class TangentVector(_OnDegree):
 def _grid_tables(period: float, n_points: int, n_modes: int) -> tuple[np.ndarray, np.ndarray]:
     """The (cos, sin)(2 pi k y_j / period) tables, k = 1..K, on the uniform
     grid y_j = j*period/N.  A run samples a few fixed grids many times (a
-    verify run samples six of them, its random trials in blocks), so the
+    verify run samples six of them and reads two for its moments), so the
     tables are built once and shared read-only."""
     y = np.arange(n_points) * (period / n_points)
     ang = (2.0 * np.pi / period) * np.multiply.outer(y, np.arange(1, n_modes + 1))

@@ -5,7 +5,9 @@ Each check compares an implementation against an identity it must satisfy
 identity, both degree-2 mode equations vs. the map-form derivative
 DH_g, equilibrium degeneracy)
 and emits a CheckReport.  Random inputs are drawn from a seeded generator
-so reports are reproducible bit for bit.
+so reports are reproducible bit for bit.  The Riesz identity and the
+maximality of R_h are checked in closed form on the whole tangent span
+that random_tangent draws from, not on random draws from it.
 
 Tolerance classes: quadrature-limited identities use 1e-8, purely
 algebraic identities 1e-10 .. 1e-12.
@@ -19,6 +21,7 @@ import numpy as np
 
 from .entropy import (
     _gateaux_rows,
+    _guarded,
     c_squared,
     density_entropy,
     density_samples,
@@ -35,6 +38,7 @@ from .spectral import (
     InverseDerivative,
     TangentVector,
     _as_samples,
+    _grid_tables,
     _sample,
     grid_points_for,
     to_grid,
@@ -59,49 +63,16 @@ def _report(name: str, err: float, tol: float, samples: int) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-_TRIAL_CHUNK = 2**13  # sample values per block of random trials; bounds their memory
-
-
-def _tangent_rows(rng: np.random.Generator, degree: int, count: int,
-                  n_modes: int = 5) -> np.ndarray:
-    """(count, 2, n_modes) cos/sin coefficients of unit-L2 tangent vectors:
-    bounded random Fourier modes, constraint projection, then normalization.
-
-    One draw gives the stream of count one-row draws.  A row whose kept
-    modes are all zero is drawn again: it is dropped and the rows drawn
-    after the batch take its place at the end, as in a draw-by-draw loop."""
-    keep = np.arange(1, n_modes + 1) % degree != 0  # as project_constraint
-    rows = np.where(keep, rng.uniform(-1.0, 1.0, (count, 2, n_modes)), 0.0)
-    norm = np.sqrt(degree / 2.0 * np.sum(rows[:, 0]**2 + rows[:, 1]**2, axis=-1))
-    if np.all(norm):
-        return rows / norm[:, None, None]
-    ok = norm != 0.0
-    more = _tangent_rows(rng, degree, count - np.count_nonzero(ok), n_modes)
-    return np.concatenate([rows[ok] / norm[ok, None, None], more])
-
-
 def random_tangent(rng: np.random.Generator, degree: int, n_modes: int = 5) -> TangentVector:
-    """Unit-L2 tangent vector: the one-row case of _tangent_rows."""
-    a, b = _tangent_rows(rng, degree, 1, n_modes)[0]
-    return TangentVector(FourierRep(float(degree), 0.0, a, b), degree)
-
-
-def _trial_samples(rng: np.random.Generator, degree: int, trials: int, n_points: int):
-    """Samples on n_points nodes of `trials` random tangents, drawn at once
-    and yielded in blocks of at most _TRIAL_CHUNK values (at least one row),
-    in the order of successive random_tangent draws."""
-    rows = _tangent_rows(rng, degree, trials)
-    step = max(1, _TRIAL_CHUNK // n_points)
-    for i in range(0, trials, step):
-        yield _sample(float(degree), n_points, 0.0, rows[i:i + step, 0], rows[i:i + step, 1])
-
-
-def _moment_rows(rows: np.ndarray, logs: np.ndarray, degree: int) -> np.ndarray:
-    """DH_h = -w sum_j psi_j ln h_j of each tangent psi = (a, b) of _tangent_rows,
-    as -w (a . m_c + b . m_s), m_c, m_s = sum_j ln h_j (cos, sin)(2 pi k j / N)."""
-    # the 2K unit coefficient rows sample the trig basis: the K cos rows, then the K sin rows
-    m = _sample(float(degree), logs.size, 0.0, *np.hsplit(np.eye(2 * rows.shape[-1]), 2)) @ logs
-    return -degree / logs.size * (rows.reshape(-1, m.size) @ m)
+    """Unit-L2 tangent vector: bounded random Fourier modes, constraint
+    projection, then normalization; drawn again while its kept modes are
+    all zero."""
+    keep = np.arange(1, n_modes + 1) % degree != 0  # as project_constraint
+    while True:
+        a, b = np.where(keep, rng.uniform(-1.0, 1.0, (2, n_modes)), 0.0)
+        norm = np.sqrt(degree / 2.0 * np.sum(a**2 + b**2))
+        if norm:
+            return TangentVector(FourierRep(float(degree), 0.0, a / norm, b / norm), degree)
 
 
 def random_density(rng: np.random.Generator, degree: int, n_modes: int = 5,
@@ -155,34 +126,47 @@ def fd_derivative_check(h: InverseDerivative, psi: TangentVector,
     return _report("fd_derivative", rel, tol, 2 * len(eps_list))
 
 
-def riesz_identity_check(h: InverseDerivative, trials: int = 100, seed: int = 0,
-                         tol: float = 1e-8, n_points: int = DEFAULT_GRID) -> CheckReport:
-    """int R_h psi dy = -int psi ln h dy for random tangent vectors."""
-    rng = np.random.default_rng(seed)
+def _span_moments(f: np.ndarray, degree: int) -> np.ndarray:
+    """(rows, 2, K) moments w sum_j f_j (cos, sin)(2 pi k y_j / n) of each
+    row of the (rows, N) samples f, for the K kept modes k % n != 0 among
+    k = 1..5: the span random_tangent draws from by default.  A tangent
+    psi = (a, b) in it has int f psi dy = (a, b) . m(f) on the grid."""
+    cos, sin = _grid_tables(float(degree), f.shape[-1], 5)
+    keep = np.arange(1, 6) % degree != 0
+    return degree / f.shape[-1] * np.stack([f @ cos, f @ sin], axis=1)[..., keep]
+
+
+def riesz_identity_check(h: InverseDerivative, tol: float = 1e-8,
+                         n_points: int = DEFAULT_GRID) -> CheckReport:
+    """int R_h psi dy = -int psi ln h dy on the tangent span of
+    _span_moments.  The error (a, b) . e, e = m(R_h) + m(ln h), is linear in
+    psi, and ||psi||^2 = (n/2) |(a, b)|^2, so by Cauchy-Schwarz its supremum
+    over unit psi is sqrt(2/n) ||e||: the report bounds every tangent a
+    random draw could give.  samples counts the 2K per-mode errors."""
+    R = riesz_gradient(h, n_points).rep.samples
+    m = _span_moments(np.stack([R, np.log(density_samples(h, n_points))]), h.degree)
+    e = m[0] + m[1]
+    return _report("riesz_identity", np.sqrt(2.0 / h.degree) * np.linalg.norm(e), tol, e.size)
+
+
+def gradient_maximality_check(h: InverseDerivative, tol: float = 1e-9,
+                              n_points: int = DEFAULT_GRID) -> CheckReport:
+    """Among unit tangent vectors the normalized Riesz direction maximizes
+    the derivative: DH_h(psi) <= DH_h(R_hat) for all unit psi.  On the span
+    of _span_moments DH_h(psi) = -(a, b) . m(ln h), so its supremum over
+    unit psi is sqrt(2/n) ||m(ln h)||, attained at psi* ~ -m(ln h): the
+    check holds on the whole span, with no trial drawn."""
     R = riesz_gradient(h, n_points).rep.samples
     s = density_samples(h, n_points)
     w = h.degree / s.size
-    logs = np.log(s)
-    worst = max((np.max(np.abs(w * np.sum(R * P, axis=-1) - _gateaux_rows(P, logs, w)))
-                 for P in _trial_samples(rng, h.degree, trials, s.size)), default=0.0)
-    return _report("riesz_identity", worst, tol, trials)
-
-
-def gradient_maximality_check(h: InverseDerivative, trials: int = 1000, seed: int = 0,
-                              tol: float = 1e-9, n_points: int = DEFAULT_GRID) -> CheckReport:
-    """Among unit tangent vectors the normalized Riesz direction maximizes
-    the derivative: DH_h(psi) <= DH_h(R_hat) for all unit psi.  No trial is
-    sampled: _moment_rows costs O(N K) once and O(K) per trial."""
-    rng = np.random.default_rng(seed)
-    R = riesz_gradient(h, n_points)
-    s = density_samples(h, n_points)
-    w = h.degree / s.size
-    r_norm = np.sqrt(w * np.sum(R.rep.samples**2))
+    r_norm = np.sqrt(w * np.sum(R**2))
     if r_norm == 0.0:
         raise ValueError("maximality check needs a nonconstant h")
-    best = gateaux_h(h, R, n_points) / r_norm  # = ||R_h||, the max value
-    dh = _moment_rows(_tangent_rows(rng, h.degree, trials), np.log(s), h.degree)
-    return _report("gradient_maximality", np.max(dh - best, initial=0.0), tol, trials)
+    logs = np.log(s)
+    best = _gateaux_rows(R, logs, w) / r_norm  # = ||R_h||, the max value
+    m = _span_moments(logs[None], h.degree)
+    sup = np.sqrt(2.0 / h.degree) * np.linalg.norm(m)
+    return _report("gradient_maximality", max(sup - best, 0.0), tol, m.size)
 
 
 def ode_pde_proportionality_check(n_states: int = 10, seed: int = 0,
@@ -193,26 +177,26 @@ def ode_pde_proportionality_check(n_states: int = 10, seed: int = 0,
     summed as gateaux_g sums it: the two mode equations differ only by the
     factor c^2, and both are checked against a derivative computed without
     them.  The rhs is odd_mode_rhs on x = s [a; b], s = pi k, divided by s.
-    The phi' are sampled once: a state costs one ln g' and a (2K, N) product."""
+    The phi' are sampled once and the g' of all states as one stack, whose
+    rows have the bits of to_grid; a state costs one (2K, N) product."""
     rng = np.random.default_rng(seed)
     k = odd_frequencies(n_modes)
     s = np.pi * k
     c2 = c_squared(k)
+    N = grid_points_for(2, n_points)
     d = np.eye(k[-1])[k - 1] * s[:, None]  # phi' = -s sin for phi = cos, s cos for sin
-    dphi = _sample(2.0, grid_points_for(2, n_points), 0.0,
-                   np.vstack([0 * d, d]), np.vstack([-d, 0 * d]))
+    dphi = _sample(2.0, N, 0.0, np.vstack([0 * d, d]), np.vstack([-d, 0 * d]))
+    # coefficient box sized so u_y stays inside (0, 1) for 3 modes
+    x = s * rng.uniform(-0.004, 0.004, (n_states, 2, n_modes))
+    # g' = 1/2 + pi sum k (-a sin + b cos) as Fourier data, one row per state
+    cs = np.zeros((2, n_states, k[-1]))
+    cs[:, :, k - 1] = x[:, 1], -x[:, 0]
+    logs = np.log(_guarded(_sample(2.0, N, 0.5, *cs)))
     worst = 0.0
-    for _ in range(n_states):
-        # coefficient box sized so u_y stays inside (0, 1) for 3 modes
-        ab = rng.uniform(-0.004, 0.004, (2, n_modes))
-        x = s * ab
-        # g' = 1/2 + pi sum k (-a sin + b cos) as Fourier data
-        cs = np.zeros((2, k[-1]))
-        cs[:, k - 1] = x[1], -x[0]
-        g = density_samples(InverseDerivative(FourierRep(2.0, 0.5, *cs), 2), n_points)
-        dh = _gateaux_rows(dphi, np.log(g), 2 / g.size).reshape(2, n_modes)
-        worst = max(worst, np.max(np.abs(odd_mode_rhs(x, c2, n_points) / s - c2 * dh)),
-                    np.max(np.abs(odd_mode_rhs(x, 1.0, n_points) / s - dh)))
+    for xi, log_g in zip(x, logs):
+        dh = _gateaux_rows(dphi, log_g, 2 / N).reshape(2, n_modes)
+        worst = max(worst, np.max(np.abs(odd_mode_rhs(xi, c2, n_points) / s - c2 * dh)),
+                    np.max(np.abs(odd_mode_rhs(xi, 1.0, n_points) / s - dh)))
     return _report("ode_pde_proportionality", worst, tol, n_states)
 
 
@@ -238,8 +222,8 @@ def run_all(seed: int = 0, n_points: int = DEFAULT_GRID) -> list[CheckReport]:
         h = random_density(rng, n)
         psi = random_tangent(rng, n)
         reports.append(fd_derivative_check(h, psi, (1e-4, 1e-5), n_points=n_points))
-        reports.append(riesz_identity_check(h, 100, seed=seed + n, n_points=n_points))
+        reports.append(riesz_identity_check(h, n_points=n_points))
     h2 = random_density(rng, 2)
-    reports.append(gradient_maximality_check(h2, 1000, seed=seed, n_points=n_points))
+    reports.append(gradient_maximality_check(h2, n_points=n_points))
     reports.append(ode_pde_proportionality_check(10, seed=seed, n_points=n_points))
     return reports

@@ -367,14 +367,15 @@ argvs = [a.split() for a in sys.argv[1:]]
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     codes = [main(a) for a in argvs]
 loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
-print(codes, sorted(loaded - set(sys.stdlib_module_names) - {"srbflow"}))
+print(codes, sorted(loaded - set(sys.stdlib_module_names) - {"srbflow", "numpy"}))
 """
 
 
 def test_numpy_is_the_only_runtime_dependency():
     # numpy is imported first: it loads its own Cython runtime modules, and the
     # interpreter may load site hooks at startup; every module loaded after it
-    # must be the standard library's or srbflow's
+    # must be the standard library's, srbflow's or numpy's own (numpy.fft is
+    # loaded on first use)
     argvs = [
         "simplex --n 3 --x 0.2,0.3,0.5 --t-end 0.2",
         "galerkin --B 0.25,0,0 --t-end 0.2",
@@ -382,6 +383,8 @@ def test_numpy_is_the_only_runtime_dependency():
         # 2^17 nodes: sampled and stepped in blocks on all cores
         f"riesz --n 2 --coeffs 0.1,0 --grid {2**17} --t-end 0.2",
         "entropy --n 3 --coeffs 0.1,0.05",
+        # 9 modes on 2^16 nodes: sampled by the inverse real FFT
+        "entropy --n 2 --coeffs " + ",".join(["0.01,0"] * 9) + f" --grid {2**16}",
         "verify --seed 1",
         "figure --which fig1 --tau-points 8",
     ]

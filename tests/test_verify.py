@@ -18,6 +18,7 @@ from srbflow.spectral import (
     GridRep,
     InverseDerivative,
     TangentVector,
+    _sample,
     grid_points_for,
     project_constraint,
     to_grid,
@@ -121,24 +122,19 @@ def test_fd_derivative_check_report():
 def test_riesz_identity_check_passes():
     for n in (2, 3):
         rng = np.random.default_rng(100 + n)
-        rep = riesz_identity_check(random_density(rng, n), trials=100, seed=n)
-        assert rep.passed and rep.samples == 100
+        rep = riesz_identity_check(random_density(rng, n))
+        assert rep.passed and rep.samples == {2: 6, 3: 8}[n]  # 2K kept modes
 
 
 def test_riesz_identity_constant_density():
     h = InverseDerivative(FourierRep(2.0, 0.5, [0.0], [0.0]), 2)
-    rep = riesz_identity_check(h, trials=10, seed=0)
+    rep = riesz_identity_check(h)
     assert rep.max_abs_error <= 1e-14  # roundoff of int psi dy = 0
 
 
 def test_gradient_maximality():
-    rep = gradient_maximality_check(cos_quarter(), trials=200, seed=0)
-    assert rep.passed
-
-
-def test_gradient_maximality_without_trials():
-    rep = gradient_maximality_check(cos_quarter(), trials=0, seed=0)
-    assert rep.passed and rep.max_abs_error == 0.0 and rep.samples == 0
+    rep = gradient_maximality_check(cos_quarter())
+    assert rep.passed and rep.samples == 6
 
 
 def test_gradient_maximality_orthogonal_direction():
@@ -187,7 +183,7 @@ def test_run_all_passes_and_is_reproducible():
 
 
 # ---------------------------------------------------------------------------
-# The batched trials against the draw-by-draw loop they replace
+# The closed-form checks against draw-by-draw random trials
 # ---------------------------------------------------------------------------
 
 
@@ -218,46 +214,46 @@ class _Stream:
 @pytest.mark.parametrize("degree", [2, 3, 5])
 @pytest.mark.parametrize("count", [1, 7, 13, 21])
 def test_tangent_rows_are_successive_draws_bitwise(degree, count):
-    rows = vf._tangent_rows(np.random.default_rng(count), degree, count)
     loop_rng, one_row_rng = np.random.default_rng(count), np.random.default_rng(count)
-    assert rows.shape == (count, 2, 5)
-    for row in rows:
+    for _ in range(count):
         want = _loop_tangent(loop_rng, degree)
         psi = random_tangent(one_row_rng, degree)
-        assert np.array_equal(row[0], want.cos) and np.array_equal(row[1], want.sin)
         assert np.array_equal(psi.rep.cos, want.cos) and np.array_equal(psi.rep.sin, want.sin)
-    # the batch left the generator where the loop left it
-    batch_rng = np.random.default_rng(count)
-    vf._tangent_rows(batch_rng, degree, count)
-    assert batch_rng.uniform() == loop_rng.uniform() == one_row_rng.uniform()
+    # the draws left the generator where the loop left it
+    assert one_row_rng.uniform() == loop_rng.uniform()
 
 
 @pytest.mark.parametrize("degree", [2, 3, 5])
 def test_tangent_rows_draw_a_zero_row_again(degree):
-    # row 2 of the stream is all zero, so trial 2 is the stream's row 3,
-    # and one more row is drawn after the batch
+    # row 2 of the stream is all zero, so draw 2 is the stream's row 3,
+    # and one more row is drawn after the sixth draw
     values = np.random.default_rng(degree).uniform(-1.0, 1.0, 100)
     values[20:30] = 0.0
-    batch, loop = _Stream(values), _Stream(values)
-    rows = vf._tangent_rows(batch, degree, 6)
+    draws, loop = _Stream(values), _Stream(values)
+    rows = [random_tangent(draws, degree).rep for _ in range(6)]
     for row in rows:
         want = _loop_tangent(loop, degree)
-        assert np.array_equal(row[0], want.cos) and np.array_equal(row[1], want.sin)
-    assert batch.used == loop.used == 70
+        assert np.array_equal(row.cos, want.cos) and np.array_equal(row.sin, want.sin)
+    assert draws.used == loop.used == 70
     psi = random_tangent(_Stream(values[20:]), degree)
-    assert np.array_equal(psi.rep.cos, rows[2, 0]) and np.array_equal(psi.rep.sin, rows[2, 1])
+    assert np.array_equal(psi.rep.cos, rows[2].cos) and np.array_equal(psi.rep.sin, rows[2].sin)
+
+
+def _trials(degree, count, n_points, seed):
+    # samples of count successive random tangents, as one stack through _sample
+    rng = np.random.default_rng(seed)
+    reps = [random_tangent(rng, degree).rep for _ in range(count)]
+    return _sample(float(degree), n_points, 0.0,
+                   np.array([r.cos for r in reps]), np.array([r.sin for r in reps]))
 
 
 @pytest.mark.parametrize("degree", [2, 3, 5])
 @pytest.mark.parametrize("trials, grid",
                          [(5, 1024), (13, 1024), (21, 1024), (3, 10000), (3, 40000)])
 def test_trial_samples_are_to_grid_rows_bitwise(degree, trials, grid):
-    # a block holds at most _TRIAL_CHUNK values (one trial on larger grids);
     # 40000 nodes are sampled by angle addition, one row at a time
     n = grid_points_for(degree, grid)
-    blocks = list(vf._trial_samples(np.random.default_rng(trials), degree, trials, n))
-    assert all(P.shape[1] == n and P.size <= max(vf._TRIAL_CHUNK, n) for P in blocks)
-    samples = np.concatenate(blocks)
+    samples = _trials(degree, trials, n, trials)
     rng = np.random.default_rng(trials)
     assert samples.shape == (trials, n)
     for row in samples:
@@ -268,40 +264,57 @@ def test_trial_samples_are_to_grid_rows_bitwise(degree, trials, grid):
 def test_batched_derivatives_are_gateaux_h_bitwise(degree):
     h = random_density(np.random.default_rng(degree), degree)
     s = density_samples(h)
-    P = np.concatenate(list(vf._trial_samples(np.random.default_rng(0), degree, 13, s.size)))
-    dh = _gateaux_rows(P, np.log(s), degree / s.size)
+    dh = _gateaux_rows(_trials(degree, 13, s.size, 0), np.log(s), degree / s.size)
     rng = np.random.default_rng(0)
     for value in dh:
         assert value == gateaux_h(h, TangentVector(_loop_tangent(rng, degree), degree))
 
 
-def _loop_riesz_identity(h, trials, seed):
-    # the draw-by-draw form of riesz_identity_check
-    rng = np.random.default_rng(seed)
-    R = riesz_gradient(h).rep.samples
+def _scaled_riesz_gradient(monkeypatch, factor, shift=0.0):
+    # R_h -> factor R_h + shift phi_1, phi_1 = cos(2 pi y / n)
+    def scaled(h, *args, **kwargs):
+        R = riesz_gradient(h, *args, **kwargs)
+        y = np.arange(R.rep.samples.size) * (h.degree / R.rep.samples.size)
+        phi = np.cos(2.0 * np.pi / h.degree * y)
+        return TangentVector(GridRep(R.rep.period, factor * R.rep.samples + shift * phi),
+                             R.degree)
+    monkeypatch.setattr(vf, "riesz_gradient", scaled)
+
+
+def _identity_errors(h, R, trials, seed):
+    # |int R psi + int psi ln h| of each of `trials` draw-by-draw random tangents
     s = density_samples(h)
-    w = h.degree / s.size
-    worst = 0.0
-    for _ in range(trials):
-        p = to_grid(_loop_tangent(rng, h.degree), s.size).samples
-        worst = max(worst, abs(w * np.sum(R * p) + w * np.sum(p * np.log(s))))
-    return worst
+    w, logs = h.degree / s.size, np.log(s)
+    rng = np.random.default_rng(seed)
+    P = np.array([to_grid(_loop_tangent(rng, h.degree), s.size).samples for _ in range(trials)])
+    return np.abs(w * (P @ R) + w * (P @ logs))
 
 
 @pytest.mark.parametrize("degree", [2, 3, 5])
-def test_riesz_identity_matches_the_loop_bitwise(degree):
-    h = random_density(np.random.default_rng(20 + degree), degree)
-    for trials in (1, 13, 100):
-        rep = riesz_identity_check(h, trials, seed=degree)
-        assert rep.max_abs_error == _loop_riesz_identity(h, trials, degree)
-        assert rep.samples == trials
+def test_riesz_identity_bounds_every_sampled_trial(monkeypatch, degree):
+    # the trials come from the seed that drew h, so trial 0 is the direction
+    # of h - 1/n, close to that of R_h: under 1.001 R_h it nearly attains
+    # the supremum, which shows the bound is tight
+    for seed in range(5):
+        h = random_density(np.random.default_rng(seed), degree)
+        R = riesz_gradient(h).rep.samples
+        for factor in (1.0, 1.001):
+            _scaled_riesz_gradient(monkeypatch, factor)
+            rep = riesz_identity_check(h)
+            errs = _identity_errors(h, factor * R, 100, seed)
+            assert np.max(errs) <= rep.max_abs_error + 1e-14
+            if factor != 1.0:
+                assert not rep.passed
+                assert np.max(errs) >= 0.99 * rep.max_abs_error
 
 
-def _scaled_riesz_gradient(monkeypatch, factor):
-    def scaled(*args, **kwargs):
-        R = riesz_gradient(*args, **kwargs)
-        return TangentVector(GridRep(R.rep.period, factor * R.rep.samples), R.degree)
-    monkeypatch.setattr(vf, "riesz_gradient", scaled)
+def test_riesz_identity_catches_a_shifted_gradient(monkeypatch):
+    # R_h + 1e-5 phi_1 misses the identity by 1e-5 sqrt(n/2) along phi_1
+    _scaled_riesz_gradient(monkeypatch, 1.0, 1e-5)
+    reports = [r for r in run_all(0) if r.name == "riesz_identity"]
+    assert len(reports) == 2 and not any(r.passed for r in reports)
+    for n, r in zip((2, 3), reports):
+        assert r.max_abs_error == pytest.approx(1e-5 * np.sqrt(n / 2), rel=1e-6)
 
 
 def test_gradient_maximality_catches_negated_gradient(monkeypatch):
@@ -316,52 +329,80 @@ def test_riesz_identity_catches_scaled_gradient(monkeypatch):
     assert len(reports) == 2 and not any(r.passed for r in reports)
 
 
+def _trapezoid_moments(h):
+    # w sum_j ln h_j (cos, sin)(2 pi k y_j / n) of the kept modes, from np.cos/np.sin
+    s = density_samples(h)
+    n, w = h.degree, h.degree / s.size
+    k = np.array([k for k in range(1, 6) if k % n])
+    ang = 2.0 * np.pi / n * np.multiply.outer(np.arange(s.size) * (n / s.size), k)
+    return k, w * (np.log(s) @ np.cos(ang)), w * (np.log(s) @ np.sin(ang))
+
+
 @pytest.mark.parametrize("degree", [2, 3, 5])
 def test_moment_rows_are_the_sampled_derivatives(degree):
-    # the same trapezoid sum in another order: within 1e-13 of the largest |DH|
+    # DH_h(psi) = -(a . m_c + b . m_s) on the span: the same trapezoid sum in
+    # another order, within 1e-13 of the largest |DH|
     for seed in range(10):
         h = random_density(np.random.default_rng(seed), degree)
         s = density_samples(h)
-        w, logs = degree / s.size, np.log(s)
-        trials = vf._trial_samples(np.random.default_rng(seed), degree, 50, s.size)
-        sampled = np.concatenate([_gateaux_rows(P, logs, w) for P in trials])
-        rows = vf._tangent_rows(np.random.default_rng(seed), degree, 50)
-        moments = vf._moment_rows(rows, logs, degree)
+        m = vf._span_moments(np.log(s)[None], degree)[0]
+        k, m_c, m_s = _trapezoid_moments(h)
+        assert np.allclose(m, [m_c, m_s], rtol=0.0, atol=1e-15)
+        rng = np.random.default_rng(seed)
+        reps = [_loop_tangent(rng, degree) for _ in range(50)]
+        sampled = np.array([gateaux_h(h, TangentVector(r, degree)) for r in reps])
+        moments = np.array([-(r.cos[k - 1] @ m[0] + r.sin[k - 1] @ m[1]) for r in reps])
         assert np.max(np.abs(moments - sampled)) <= 1e-13 * np.max(np.abs(sampled))
 
 
-def _sampled_maximality(h, trials, seed):
-    # gradient_maximality_check's error from the sampled trials
-    rng = np.random.default_rng(seed)
-    R = vf.riesz_gradient(h)
-    s = density_samples(h)
-    w = h.degree / s.size
-    best = gateaux_h(h, R) / np.sqrt(w * np.sum(R.rep.samples**2))
-    worst = max((np.max(_gateaux_rows(P, np.log(s), w) - best)
-                 for P in vf._trial_samples(rng, h.degree, trials, s.size)), default=0.0)
-    return max(worst, 0.0)
+@pytest.mark.parametrize("degree", [2, 3, 5])
+def test_gradient_maximality_is_attained_on_the_span(monkeypatch, degree):
+    # psi* ~ -(m_c, m_s) attains sup = sqrt(2/n) ||m||, and no sampled trial
+    # exceeds it; with R_h negated the report is sup + ||R_h||, which shows the sup
+    for seed in range(5):
+        h = random_density(np.random.default_rng(seed), degree)
+        k, m_c, m_s = _trapezoid_moments(h)
+        sup = np.sqrt(2.0 / degree) * np.sqrt(np.sum(m_c**2 + m_s**2))
+        a, b = np.zeros(5), np.zeros(5)
+        a[k - 1], b[k - 1] = -m_c, -m_s
+        norm = np.sqrt(degree / 2.0 * np.sum(a**2 + b**2))
+        best = TangentVector(FourierRep(float(degree), 0.0, a / norm, b / norm), degree)
+        assert gateaux_h(h, best) == pytest.approx(sup, rel=1e-13)
+        s = density_samples(h)
+        trials = _trials(degree, 1000, s.size, seed)
+        assert np.max(_gateaux_rows(trials, np.log(s), degree / s.size)) <= sup
+        R = riesz_gradient(h)
+        r_norm = np.sqrt(degree / s.size * np.sum(R.rep.samples**2))
+        assert gradient_maximality_check(h).passed
+        _scaled_riesz_gradient(monkeypatch, -1.0)
+        rep = gradient_maximality_check(h)
+        assert rep.max_abs_error - r_norm == pytest.approx(sup, rel=1e-13)
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("factor", [1.0, -1.0])
-def test_run_all_maximality_matches_the_sampled_trials(monkeypatch, factor):
-    # with R_h negated the error is max DH + ||R_h|| > 0, so every trial's DH counts
+def test_run_all_maximality_bounds_the_sampled_trials(monkeypatch, factor):
+    # the report is max(sup DH - DH(R_hat), 0); every one of 1000 sampled
+    # trials has DH(psi) - DH(R_hat) at or below it
     _scaled_riesz_gradient(monkeypatch, factor)
     calls = []
     real = vf.gradient_maximality_check
 
-    def recorded(h, trials, seed, **kwargs):
-        calls.append((h, trials, seed))
-        return real(h, trials, seed=seed, **kwargs)
+    def recorded(h, **kwargs):
+        calls.append(h)
+        return real(h, **kwargs)
 
     monkeypatch.setattr(vf, "gradient_maximality_check", recorded)
     for seed in range(20):
         report = next(r for r in run_all(seed) if r.name == "gradient_maximality")
-        want = _sampled_maximality(*calls[-1])
-        assert (report.passed, report.samples) == (want <= report.tolerance, 1000)
-        if factor > 0:
-            assert report.max_abs_error == want
-        else:
-            assert report.max_abs_error == pytest.approx(want, rel=1e-13)
+        h = calls[-1]
+        s = density_samples(h)
+        w, logs = 2 / s.size, np.log(s)
+        R = vf.riesz_gradient(h).rep.samples
+        best = _gateaux_rows(R, logs, w) / np.sqrt(w * np.sum(R**2))
+        dh = _gateaux_rows(_trials(2, 1000, s.size, seed), logs, w)
+        assert (report.passed, report.samples) == (factor > 0, 6)
+        assert np.max(dh - best) <= report.max_abs_error + 1e-15
 
 
 def _loop_ode_pde(n_states, seed, n_modes=3):
