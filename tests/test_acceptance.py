@@ -83,11 +83,11 @@ def test_criterion_03_riesz_identity_and_maximality():
     worst = 0.0
     for n in (2, 3, 5):
         rng = np.random.default_rng(300 + n)
-        rep = riesz_identity_check(random_density(rng, n), tol=1e-8)
+        rep = riesz_identity_check(random_density(rng, n))
         worst = max(worst, rep.max_abs_error)
         assert rep.passed
     maxi = gradient_maximality_check(
-        InverseDerivative(FourierRep(2.0, 0.5, [0.25], [0.0]), 2), tol=1e-9)
+        InverseDerivative(FourierRep(2.0, 0.5, [0.25], [0.0]), 2))
     ok = worst <= 1e-8 and maxi.passed
     report(3, "Riesz identity + gradient maximality", ok,
            f"identity err {worst:.2e}, maximality err {maxi.max_abs_error:.2e}")
@@ -224,7 +224,7 @@ def test_criterion_07_linearized_decay_rates():
 
 
 def test_criterion_08_mode_equation_proportionality():
-    rep = ode_pde_proportionality_check(50, seed=808, tol=1e-10)
+    rep = ode_pde_proportionality_check(50, seed=808)
     report(8, "Sobolev-metric rhs = c^2 * diffusion rhs per mode", rep.passed,
            f"max err {rep.max_abs_error:.2e} over {rep.samples} states")
     assert rep.passed

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import srbflow.flow as flow
 import srbflow.verify as vf
 from srbflow.entropy import (
     _gateaux_rows,
@@ -155,8 +156,13 @@ def test_ode_pde_proportionality_check():
 def test_ode_pde_proportionality_catches_scaled_kernel(monkeypatch):
     # a common factor in both mode equations keeps their ratio at c^2, but
     # not their agreement with gateaux_g
-    real = vf.odd_mode_rhs
-    monkeypatch.setattr(vf, "odd_mode_rhs", lambda *a: 1.001 * real(*a))
+    real = flow._odd_kernel
+
+    def scaled(*args):
+        f = real(*args)
+        return f._replace(rhs=lambda x: 1.001 * f.rhs(x))
+
+    monkeypatch.setattr(flow, "_odd_kernel", scaled)
     assert not ode_pde_proportionality_check(10, seed=0).passed
 
 

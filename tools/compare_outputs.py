@@ -9,7 +9,9 @@ runs that fail on purpose) and each demo runs once under each tree. One line per
 command reports IDENTICAL when stdout, stderr and the exit code agree byte
 for byte. Otherwise it reports DIFFERS with the largest
 |new - old| / max(1, |old|) over the numbers of the two outputs, or "text"
-when they do not line up number for number.
+when they do not line up number for number. A last line sums up:
+`N identical, M differ; src/srbflow lines OLD → NEW`, the lines counted
+over each root's src/srbflow/*.py.
 
 Exit status 0 when every command is identical, 1 otherwise. Not part of
 the test suite; single-threaded BLAS, one command at a time.
@@ -154,6 +156,10 @@ def command(label: str, root: Path) -> list[str]:
     return ["-c", MAIN, *label.split(" ")]
 
 
+def source_lines(root: Path) -> int:
+    return sum(len(p.read_bytes().splitlines()) for p in (root / "src" / "srbflow").glob("*.py"))
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print("usage: python3 tools/compare_outputs.py OLD_ROOT NEW_ROOT", file=sys.stderr)
@@ -173,6 +179,8 @@ def main(argv: list[str]) -> int:
             rel = max_rel_diff(old, new)
             detail = "text" if rel is None else f"max_rel={rel:.2e}"
             print(f"{'DIFFERS ' + detail:<25}{label}", flush=True)
+    print(f"{len(labels) - differs} identical, {differs} differ; src/srbflow lines "
+          f"{source_lines(old_root)} → {source_lines(new_root)}")
     return 1 if differs else 0
 
 
