@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -199,19 +200,33 @@ def _cores() -> int:
 
 def _on_cores(fn, items: list) -> list:
     """[fn(share), ...] over contiguous shares of items, one per core (at
-    most one per item).  The calling thread runs the first share and a pool
-    of worker threads the others; numpy releases the interpreter lock inside
+    most one per item).  The calling thread runs the first share and a
+    plain thread each other one; numpy releases the interpreter lock inside
     its array loops, so the shares run at once.  Once every share has
     finished, the first exception in share order is re-raised here.  One
     share starts no thread."""
     n = min(len(items), _cores())
     if n < 2:
         return [fn(items)]
-    from concurrent.futures import ThreadPoolExecutor  # ~10 ms to import; one share never needs it
     shares = [items[len(items) * c // n:len(items) * (c + 1) // n] for c in range(n)]
-    with ThreadPoolExecutor(n - 1) as pool:
-        rest = [pool.submit(fn, share) for share in shares[1:]]
-        return [fn(shares[0])] + [f.result() for f in rest]
+    results, errors = [None] * n, [None] * n
+
+    def run(c):
+        try:
+            results[c] = fn(shares[c])
+        except BaseException as e:  # re-raised on the calling thread below
+            errors[c] = e
+
+    threads = [threading.Thread(target=run, args=(c,)) for c in range(1, n)]
+    for t in threads:
+        t.start()
+    run(0)
+    for t in threads:
+        t.join()
+    for e in errors:
+        if e is not None:
+            raise e
+    return results
 
 
 def grid_points_for(degree: int, n_points: int = DEFAULT_GRID) -> int:

@@ -394,32 +394,3 @@ def test_numpy_is_the_only_runtime_dependency():
                           capture_output=True, text=True, check=True, timeout=300)
     assert done.stdout == f"{[0] * len(argvs)} []\n"
 
-
-POOL_IMPORT = """
-import sys, contextlib, io
-import srbflow.spectral
-from srbflow.cli import main
-srbflow.spectral._cores = lambda: 2
-loaded = []
-for argv in sys.argv[1:]:
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(argv.split()) == 0, argv
-    loaded.append("concurrent.futures" in sys.modules)
-print(loaded)
-"""
-
-
-def test_thread_pool_is_imported_only_for_grids_of_several_blocks():
-    # _on_cores imports concurrent.futures on first use: runs of one share
-    # (simplex points, Galerkin states, 1024-node grids, verify) never load it
-    argvs = [
-        "simplex --n 3 --x 0.2,0.3,0.5 --t-end 0.2",
-        "galerkin --B 0.25,0,0 --t-end 0.2",
-        "entropy --n 3 --coeffs 0.1,0.05",
-        "verify --seed 0",
-        f"riesz --n 2 --coeffs 0.1,0 --grid {2**17} --t-end 0.2",
-    ]
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-    done = subprocess.run([sys.executable, "-c", POOL_IMPORT, *argvs], env=env,
-                          capture_output=True, text=True, check=True, timeout=300)
-    assert done.stdout == "[False, False, False, False, True]\n"
