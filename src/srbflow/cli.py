@@ -77,12 +77,12 @@ def _trajectory_table(traj: fl.Trajectory, state_names: list[str],
     return header, np.column_stack(cols)
 
 
-def _integrate(system: fl.FlowSystem, x0: np.ndarray, args, guard=None) -> fl.Trajectory:
+def _integrate(system: fl.FlowSystem, x0: np.ndarray, args) -> fl.Trajectory:
     """Integrate from x0 by args.flow_config after running the domain guard of
-    the first monitor (system.entropy, or `guard` on its samples): a start
-    outside (0, 1) is bad input, not a runtime failure."""
+    the first monitor (_guarded on the samples of a fiber system, else
+    system.entropy): a start outside (0, 1) is bad input, not a runtime failure."""
     try:
-        (guard or system.entropy)(x0)
+        (_guarded if system.fiber else system.entropy)(x0)
     except DomainError as e:
         raise ValueError(f"initial state: {e}") from None
     return fl.integrate(system, x0, args.flow_config)
@@ -172,7 +172,7 @@ def _initial_samples(args) -> np.ndarray:
 def cmd_riesz(args) -> int:
     samples = _initial_samples(args)
     _print_extrema(samples)
-    traj = _integrate(fl.riesz_system(args.n), samples, args, guard=_guarded)
+    traj = _integrate(fl.riesz_system(args.n), samples, args)
     # grid states are large; emit the monitors plus the density extrema
     header, rows = _trajectory_table(traj, [], with_residual=True)
     rows = np.column_stack([rows, traj.states.min(axis=1), traj.states.max(axis=1)])

@@ -6,8 +6,9 @@ H(h) = -int_0^n h ln h dy.  The L2 gradient is the Riesz representer
 R_h = -ln h + (1/n) sum_i ln h(.+i), valid for any degree n.  Under the
 H^2 metric an orthonormal basis is only available for degree 2, where the
 gradient becomes an ODE system on the odd-harmonic coefficients; that system
-and the diffusion modes are one kernel, _odd_kernel, on amplitude blocks;
-odd_mode_rhs and odd_mode_density are its one-shot form.
+and the diffusion modes are one kernel on amplitude blocks, built and cached
+in one place, _odd_kernel(K, N, blocks, use_pde); the flow systems and the
+one-shot odd_mode_rhs and odd_mode_density all read it.
 """
 
 from __future__ import annotations
@@ -130,12 +131,10 @@ def c_squared(k) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
-@lru_cache(maxsize=8)
 def _odd_tables(n_modes: int, n_points: int, blocks: int) -> np.ndarray:
     """The last blocks + 1 of (-sin, cos, sin)(k tau) on tau_j = 2 pi j / N,
-    k = odd_frequencies(n_modes), stacked in one array, so every table of
-    _odd_kernel is a view.  The tables depend only on (K, N, blocks) and a
-    run uses one (K, N), so they are built once and shared read-only."""
+    k = odd_frequencies(n_modes), stacked read-only in one array, so every
+    table of _odd_kernel is a view."""
     ang = np.outer(np.arange(n_points) * (2.0 * np.pi / n_points), odd_frequencies(n_modes))
     T = np.empty((blocks + 1,) + ang.shape)
     np.cos(ang, out=T[-2])
@@ -146,31 +145,32 @@ def _odd_tables(n_modes: int, n_points: int, blocks: int) -> np.ndarray:
     return T
 
 
-# the odd-mode equations of one run, each a function of the amplitudes x
-_OddKernel = namedtuple("_OddKernel", "density rhs entropy")
+# the odd-mode equations of one run on the amplitudes x, and s = pi k: x = s [a; b]
+_OddKernel = namedtuple("_OddKernel", "density rhs entropy s")
 
 
-def _odd_kernel(n_modes: int, w, n_points: int, blocks: int) -> _OddKernel:
-    """The odd-mode kernel of the degree-2 flows for K = n_modes modes with
-    the weights w, on the grid tau_j = 2 pi j / N (tau = pi y, k = 2m - 1).
+@lru_cache(maxsize=16)
+def _odd_kernel(n_modes: int, n_points: int, blocks: int, use_pde: bool) -> _OddKernel:
+    """The odd-mode kernel of the degree-2 flows for K = n_modes modes on the
+    grid tau_j = 2 pi j / N (tau = pi y, k = 2m - 1), built once per
+    (K, N, blocks, use_pde) and shared: its functions keep no state.
 
     x = [A; B] = pi k [a; b] holds the amplitudes of a general degree-2
     density as blocks = 2 rows of K, and blocks = 1 the even amplitudes B;
     x may have any shape of that size, and the rhs has the shape of x.  The
     entropy takes one state (blocks, K) or a stack (rows, blocks, K): one
     gemv per state and block, as in density, so each row has the bits of
-    its state alone.  With
-    h = 1/2 + C x and h' = dh/dtau = -S (k x), where the blocks of x pair
-    with the tables T as C = T[:-1] and S = T[1:], projecting h'/h on the
-    modes gives dx/dt = -pi k w (dtau ((S (k x)) / h)^T S): the H^2 gradient
-    flow for w = c_squared(k), the diffusion modes of w_t = w_yy / w_y for
-    w = 1.  The entropy is -(1/pi) int_0^{2pi} h ln h dtau.  What a run holds
-    fixed is bound here once: the tables, k, the scale -pi k w, dtau = 2 pi / N
-    and the quadrature weight 2 / N."""
+    its state alone.  With h = 1/2 + C x and h' = dh/dtau = -S (k x), where
+    the blocks of x pair with the tables T as C = T[:-1] and S = T[1:],
+    projecting h'/h on the modes gives dx/dt = -pi k w (dtau ((S (k x)) / h)^T S):
+    the H^2 gradient flow for w = c_squared(k), the diffusion modes of
+    w_t = w_yy / w_y for w = 1 (use_pde).  The entropy is -(1/pi) int_0^{2pi}
+    h ln h dtau.  What a run holds fixed is bound here once: the tables, k,
+    the scale -pi k w, dtau = 2 pi / N and the quadrature weight 2 / N."""
     k = odd_frequencies(n_modes).astype(float)
     T = _odd_tables(n_modes, n_points, blocks)
-    S_stack = T[1:]
-    C, S = list(T[:-1]), list(S_stack)
+    C, S, S_stack = list(T[:-1]), list(T[1:]), T[1:]
+    w = 1.0 if use_pde else c_squared(k)
     scale, dtau, weight = -np.pi * k * w, 2.0 * np.pi / n_points, 2.0 / n_points
 
     def density(x):
@@ -188,26 +188,26 @@ def _odd_kernel(n_modes: int, w, n_points: int, blocks: int) -> _OddKernel:
         h = reduce(np.add, ((c @ x[..., b, :, None])[..., 0] for b, c in enumerate(C)), 0.5)
         return gibbs_entropy(h, weight)
 
-    return _OddKernel(density, rhs, entropy)
+    return _OddKernel(density, rhs, entropy, np.pi * k)
 
 
-def _one_shot(part: str, x, w, n_points: int):
-    """The kernel's part ("density" or "rhs") at the blocks of x, from a
-    kernel built for them alone (a 1-D x is one block)."""
+def _one_shot(x, n_points: int, use_pde: bool = False):
+    """The kernel for the blocks of x (a 1-D x is one block), and x as blocks."""
     X = np.atleast_2d(np.asarray(x, dtype=float))
     if X.ndim > 2 or len(X) > 2:
         raise ValueError("x must be the amplitudes B or the two blocks [A; B]")
-    return getattr(_odd_kernel(X.shape[1], w, n_points, len(X)), part)(X)
+    return _odd_kernel(X.shape[1], n_points, len(X), use_pde), X
 
 
 def odd_mode_density(x, n_points: int = DEFAULT_GRID) -> np.ndarray:
     """h(tau) = 1/2 + sum_k (-A_k sin + B_k cos)(k tau) on tau_j = 2 pi j / N
-    for x = [A; B]; a 1-D x = B is the even density 1/2 + sum B_k cos(k tau).
-    One-shot _odd_kernel; for x = B its entropy is even_galerkin_system(N).entropy(B)."""
-    return _one_shot("density", x, 1.0, n_points)
+    for x = [A; B]; a 1-D x = B is the even density 1/2 + sum B_k cos(k tau)."""
+    f, X = _one_shot(x, n_points)
+    return f.density(X)
 
 
-def odd_mode_rhs(x, w, n_points: int = DEFAULT_GRID) -> np.ndarray:
-    """dx/dt of the amplitudes x, in the shape of x: the H^2 gradient flow
-    for w = c_squared(k), the diffusion modes for w = 1."""
-    return _one_shot("rhs", x, w, n_points).reshape(np.shape(x))
+def odd_mode_rhs(x, use_pde: bool = False, n_points: int = DEFAULT_GRID) -> np.ndarray:
+    """dx/dt of the amplitudes x, in the shape of x: the H^2 gradient flow,
+    or the diffusion modes if use_pde."""
+    f, X = _one_shot(x, n_points, use_pde)
+    return f.rhs(X).reshape(np.shape(x))

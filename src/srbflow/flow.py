@@ -24,14 +24,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, StepError
 from .spectral import DEFAULT_GRID, _on_cores, translate_sums
-from .entropy import _odd_kernel, c_squared, gibbs_entropy, odd_frequencies, simplex_rhs
+from .entropy import _odd_kernel, gibbs_entropy, odd_frequencies, simplex_rhs
 
 
 @dataclass
@@ -45,8 +44,8 @@ class FlowConfig:
     record_every: int = 1
 
     def __post_init__(self):
-        if not (0 < self.dt < self.t_end and np.isfinite(self.t_end / self.dt)):
-            raise ValueError("need 0 < dt < t_end and a finite t_end / dt")
+        if not (0 < self.dt <= self.t_end and np.isfinite(self.t_end / self.dt)):
+            raise ValueError("need 0 < dt <= t_end and a finite t_end / dt")
         steps = self.t_end / self.dt
         if abs(steps - round(steps)) > 1e-9 * steps:
             raise ValueError(f"t_end / dt = {steps:.6g} is not a whole number of steps")
@@ -120,39 +119,27 @@ def riesz_system(degree: int) -> FlowSystem:
     )
 
 
-def _weights(n_modes: int, use_pde: bool):
-    """The odd-mode weights: 1 for the diffusion modes, c^2 for the H^2 flow."""
-    return 1.0 if use_pde else c_squared(odd_frequencies(n_modes))
-
-
 def galerkin_system_n2(n_points: int = DEFAULT_GRID, use_pde: bool = False) -> FlowSystem:
     """Degree-2 flow on the packed state [a_1, a_3, ...; b_1, b_3, ...]: the
-    odd-mode kernel on the amplitudes s [a; b], s = pi k, scaled back by s.
-    The kernel of each state size is built on its first use."""
-
-    @lru_cache(maxsize=8)
-    def kernel(size):
-        s = np.pi * odd_frequencies(size // 2)
-        return s, _odd_kernel(s.size, _weights(s.size, use_pde), n_points, 2)
+    odd-mode kernel on the amplitudes s [a; b], s = pi k, scaled back by s."""
 
     def rhs(x):
-        s, f = kernel(x.size)
-        return (f.rhs(s * x.reshape(2, -1)) / s).ravel()
+        f = _odd_kernel(x.size // 2, n_points, 2, use_pde)
+        return (f.rhs(f.s * x.reshape(2, -1)) / f.s).ravel()
 
     def entropy(X):
-        s, f = kernel(X.shape[1])
-        return f.entropy(s * X.reshape(len(X), 2, -1))
+        f = _odd_kernel(X.shape[1] // 2, n_points, 2, use_pde)
+        return f.entropy(f.s * X.reshape(len(X), 2, -1))
 
     return FlowSystem(rhs=rhs, entropy=_monitor(entropy, n_points))
 
 
 def even_galerkin_system(n_points: int = DEFAULT_GRID, use_pde: bool = False) -> FlowSystem:
-    """Even-case flow on the amplitudes B (pure cosine densities).  The
-    kernel of each mode count is built on its first use."""
-    kernel = lru_cache(maxsize=8)(lambda K: _odd_kernel(K, _weights(K, use_pde), n_points, 1))
+    """Even-case flow on the amplitudes B (pure cosine densities)."""
     return FlowSystem(
-        rhs=lambda B: kernel(B.size).rhs(B),
-        entropy=_monitor(lambda B: kernel(B.shape[1]).entropy(B[:, None]), n_points),
+        rhs=lambda B: _odd_kernel(B.size, n_points, 1, use_pde).rhs(B),
+        entropy=_monitor(lambda B: _odd_kernel(B.shape[1], n_points, 1, use_pde)
+                         .entropy(B[:, None]), n_points),
     )
 
 

@@ -35,6 +35,15 @@ def test_galerkin_csv_columns(tmp_path):
     assert np.all(np.diff(data[:, 1]) < 0)  # B1 decays
 
 
+def test_galerkin_single_step_at_the_default_dt(tmp_path):
+    # --t-end equal to the default --dt 0.1 is one Euler step
+    out = tmp_path / "run.csv"
+    assert run(["galerkin", "--B", "0.25,0,0", "--t-end", "0.1", "--out", str(out)]) == 0
+    _, data = read_csv(out)
+    assert data[:, 0].tolist() == [0.0, 0.1]
+    assert data[0, 1] == 0.25 and data[1, 1] < 0.25
+
+
 def test_galerkin_general_coeffs(tmp_path):
     out = tmp_path / "run.csv"
     code = run(["galerkin", "--n", "2", "--coeffs", "0,0.02,0,0", "--dt", "0.1",

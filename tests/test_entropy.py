@@ -52,10 +52,10 @@ def c2(n_modes):
     return c_squared(odd_frequencies(n_modes))
 
 
-def n2_rhs(ab, w, n_points=DEFAULT_GRID):
+def n2_rhs(ab, use_pde, n_points=DEFAULT_GRID):
     """odd_mode_rhs on the amplitudes s [a; b], s = pi k, scaled back to [a; b]."""
     s = np.pi * odd_frequencies(ab.shape[1])
-    return odd_mode_rhs(s * ab, w, n_points) / s
+    return odd_mode_rhs(s * ab, use_pde, n_points) / s
 
 
 def test_entropy_uniform():
@@ -174,14 +174,14 @@ def test_riesz_gradient_is_tangent():
 
 
 def test_sobolev_gradient_zero_state():
-    g = n2_rhs(np.zeros((2, 1)), c2(1))
+    g = n2_rhs(np.zeros((2, 1)), False)
     assert np.all(g[0] == 0.0) and np.all(g[1] == 0.0)
 
 
 def test_sobolev_gradient_even_case_closed_form():
     # B1 = 1/4 means b1 = 1/(4 pi); Bdot1 = -pi c1^2 * 2 pi (2 - sqrt 3)
     state = even_to_galerkin([0.25, 0.0, 0.0])
-    g = n2_rhs(state, c2(3))
+    g = n2_rhs(state, False)
     bdot1_expect = -np.pi * c_squared(1) * 2.0 * np.pi * (2.0 - np.sqrt(3.0)) / np.pi
     assert g[1][0] == pytest.approx(bdot1_expect, rel=1e-9)
     assert np.max(np.abs(g[0])) < 1e-15  # parity: no cosine components appear
@@ -191,17 +191,17 @@ def test_sobolev_gradient_parity_random_even_states():
     rng = np.random.default_rng(40)
     for _ in range(20):
         state = np.stack([np.zeros(3), rng.uniform(-0.01, 0.01, 3)])
-        g = n2_rhs(state, c2(3))
+        g = n2_rhs(state, False)
         assert np.max(np.abs(g[0])) < 1e-13
 
 
 def test_galerkin_rhs_even_equilibrium():
-    assert np.all(odd_mode_rhs([0.0, 0.0, 0.0], c2(3)) == 0.0)
+    assert np.all(odd_mode_rhs([0.0, 0.0, 0.0]) == 0.0)
 
 
 def test_galerkin_rhs_even_closed_form_and_oracle():
     B = np.array([0.25, 0.0, 0.0])
-    out = odd_mode_rhs(B, c2(3))
+    out = odd_mode_rhs(B)
     expect1 = -np.pi * c_squared(1) * 2.0 * np.pi * (2.0 - np.sqrt(3.0))
     assert out[0] == pytest.approx(expect1, rel=1e-10)
     # higher modes via independent adaptive quadrature
@@ -217,7 +217,7 @@ def test_galerkin_rhs_even_closed_form_and_oracle():
 
 def test_galerkin_rhs_even_linearization_rate():
     B = np.array([1e-6, 0.0, 0.0])
-    out = odd_mode_rhs(B, c2(3))
+    out = odd_mode_rhs(B)
     rate = 2.0 * np.pi**2 * c_squared(1)
     assert rate == pytest.approx(0.1823059, abs=1e-4)
     assert out[0] / B[0] == pytest.approx(-rate, rel=1e-4)
@@ -230,8 +230,8 @@ def test_even_formula_cross_checks_general_formula():
     for _ in range(10):
         B = rng.uniform(-0.05, 0.05, 3)
         state = even_to_galerkin(B)
-        g = n2_rhs(state, c2(3))
-        from_even = odd_mode_rhs(B, c2(3))
+        g = n2_rhs(state, False)
+        from_even = odd_mode_rhs(B)
         np.testing.assert_allclose(galerkin_to_even(np.stack([np.zeros(3), g[1]])),
                                    from_even, atol=1e-12)
 
@@ -241,23 +241,23 @@ def test_pde_proportionality():
     w = c2(3)
     for _ in range(10):
         state = rng.uniform(-0.004, 0.004, (2, 3))
-        g = n2_rhs(state, w)
-        p = n2_rhs(state, 1.0)
+        g = n2_rhs(state, False)
+        p = n2_rhs(state, True)
         np.testing.assert_allclose(g[0], w * p[0], atol=1e-14)
         np.testing.assert_allclose(g[1], w * p[1], atol=1e-14)
         B = rng.uniform(-0.05, 0.05, 3)
-        np.testing.assert_allclose(odd_mode_rhs(B, w), w * odd_mode_rhs(B, 1.0), atol=1e-14)
+        np.testing.assert_allclose(odd_mode_rhs(B), w * odd_mode_rhs(B, True), atol=1e-14)
 
 
-@pytest.mark.parametrize("weight", [c_squared, lambda k: 1.0],
+@pytest.mark.parametrize("weight, use_pde", [(c_squared, False), (lambda k: 1.0, True)],
                          ids=["sobolev_gradient_n2", "pde_rhs_n2"])
-def test_sobolev_gradient_matches_basis_projection(weight):
+def test_sobolev_gradient_matches_basis_projection(weight, use_pde):
     # independent route: coefficient m of the gradient flow is
     # c_{2m-1}^2 * DH_g(cos/sin basis vector), with DH_g from gateaux_g, and
     # the diffusion modes carry the weight 1 in place of c^2
     rng = np.random.default_rng(71)
     state = rng.uniform(-0.003, 0.003, (2, 3))
-    g = n2_rhs(state, weight(odd_frequencies(3)))
+    g = n2_rhs(state, use_pde)
     a_full = np.zeros(5)  # frequencies 1..5; odd slots populated
     b_full = np.zeros(5)
     a_full[0::2] = state[0]
@@ -334,12 +334,12 @@ def test_cached_table_readers_match_fresh_tables_bitwise(monkeypatch, K, N):
         B *= rng.uniform(0.05, 0.4) / np.sum(np.abs(B))
         ab = rng.uniform(-1.0, 1.0, (2, K))
         ab *= rng.uniform(0.05, 0.4) / (np.pi * np.sum(k * np.abs(ab)))
-        assert np.array_equal(odd_mode_rhs(B, c2, N), oracle_even_rhs(B, c2, N))
-        assert np.array_equal(odd_mode_rhs(B, 1.0, N), oracle_even_rhs(B, 1.0, N))
+        assert np.array_equal(odd_mode_rhs(B, False, N), oracle_even_rhs(B, c2, N))
+        assert np.array_equal(odd_mode_rhs(B, True, N), oracle_even_rhs(B, 1.0, N))
         assert np.array_equal(odd_mode_density(B, N), oracle_even_density(B, N))
         assert np.array_equal(odd_mode_density(np.pi * k * ab, N), oracle_n2_density(ab, N))
-        for w in (c2, 1.0):
-            assert np.array_equal(n2_rhs(ab, w, N), oracle_n2_rhs(ab, w, N))
+        for use_pde, w in ((False, c2), (True, 1.0)):
+            assert np.array_equal(n2_rhs(ab, use_pde, N), oracle_n2_rhs(ab, w, N))
         # the flow systems' kernels, built once per state size, on the packed [a; b]
         ab_even = even_to_galerkin(B)
         for use_pde, w in ((False, c2), (True, 1.0)):
@@ -371,7 +371,7 @@ def test_cached_table_readers_match_fresh_tables_bitwise(monkeypatch, K, N):
 def test_odd_mode_functions_reject_more_than_two_blocks():
     # the tables exist for B and [A; B] only; a third block would read unset memory
     x = np.full((3, 2), 0.01)
-    for f in (odd_mode_density, lambda x: odd_mode_rhs(x, 1.0)):
+    for f in (odd_mode_density, lambda x: odd_mode_rhs(x, True)):
         with pytest.raises(ValueError, match="two blocks"):
             f(x)
         with pytest.raises(ValueError, match="two blocks"):
@@ -388,18 +388,31 @@ def test_cached_tables_are_read_only():
 
 
 def test_table_cache_is_bounded():
-    assert _odd_tables.cache_info().maxsize is not None
+    assert _odd_kernel.cache_info().maxsize is not None
 
 
 def test_table_cache_builds_once_per_grid_and_mode_count():
-    # a (K, N) that no other test uses, so the first call is the one miss
-    before = _odd_tables.cache_info()
+    # an empty cache, so the first call is the one miss
+    _odd_kernel.cache_clear()
+    before = _odd_kernel.cache_info()
     B = np.array([0.1, 0.02, -0.01, 0.005])
-    first = odd_mode_rhs(B, c2(4), 520)
-    second = odd_mode_rhs(B, c2(4), 520)
-    after = _odd_tables.cache_info()
+    first = odd_mode_rhs(B, False, 520)
+    second = odd_mode_rhs(B, False, 520)
+    after = _odd_kernel.cache_info()
     assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
     assert np.array_equal(first, second)
+
+
+@pytest.mark.parametrize("use_pde", [False, True], ids=["h2", "pde"])
+def test_one_shot_rhs_and_even_system_share_one_kernel(use_pde):
+    # the one-shot function and the flow system read the same cached kernel
+    _odd_kernel.cache_clear()
+    B, N = np.array([0.1, 0.02, -0.01]), 256
+    one_shot = odd_mode_rhs(B, use_pde, N)
+    system = even_galerkin_system(N, use_pde).rhs(B)
+    info = _odd_kernel.cache_info()
+    assert np.array_equal(one_shot, system)
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def _reduce_kernel(K, w, N, blocks):
@@ -423,8 +436,8 @@ def _reduce_kernel(K, w, N, blocks):
 def test_odd_kernel_matches_the_reduce_over_blocks_bitwise(K, N, blocks):
     rng = np.random.default_rng(10 * K + blocks)
     k = odd_frequencies(K)
-    for w in (c_squared(k), 1.0):
-        kernel = _odd_kernel(K, w, N, blocks)
+    for use_pde, w in ((False, c_squared(k)), (True, 1.0)):
+        kernel = _odd_kernel(K, N, blocks, use_pde)
         density, rhs = _reduce_kernel(K, w, N, blocks)
         for _ in range(50):
             # pi sum k (|a| + |b|) < 1/2 keeps the density in (0, 1)

@@ -6,8 +6,8 @@ import threading
 import numpy as np
 import pytest
 
-from srbflow import flow, spectral
-from srbflow.entropy import _odd_kernel, riesz_gradient, simplex_rhs
+from srbflow import entropy, flow, spectral
+from srbflow.entropy import _odd_kernel, c_squared, riesz_gradient, simplex_rhs
 from srbflow.errors import DomainError, StepError
 from srbflow.flow import (
     FlowConfig,
@@ -190,6 +190,16 @@ def test_flow_config_validation():
         FlowConfig(t_end=1.0, dt=0.1, record_every=0)
 
 
+def test_flow_config_accepts_a_single_step():
+    # dt == t_end is one step: the start and the end are both recorded
+    for record_every in (1, 5):
+        cfg = FlowConfig(t_end=0.1, dt=0.1, record_every=record_every)
+        traj = integrate(riesz_system(2), [0.4, 0.6], cfg)
+        assert traj.times.tolist() == [0.0, 0.1]
+    with pytest.raises(ValueError, match="need 0 < dt <= t_end"):
+        FlowConfig(t_end=0.1, dt=0.2)
+
+
 def test_record_every():
     cfg = FlowConfig(t_end=1.0, dt=0.1, record_every=5)
     traj = integrate(riesz_system(2), [0.4, 0.6], cfg)
@@ -221,20 +231,24 @@ def test_integrate_evaluates_rhs_once_per_stage(method, stages, record_every):
 def test_galerkin_systems_build_the_kernel_once_per_state_size(monkeypatch, make, states,
                                                                use_pde, dt):
     # 200 steps on each state: the kernel and its weights are built on the
-    # first call of each state size, and reused for a size seen before
-    calls = {"kernel": 0, "c_squared": 0}
+    # first call of each state size, and reused for a size seen before.  The
+    # cache is emptied before and after, so no kernel built with the counted
+    # c_squared hides one of these builds or outlives the test
+    calls = {"c_squared": 0}
 
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
+    def counted(*args):
+        calls["c_squared"] += 1
+        return c_squared(*args)
 
-    monkeypatch.setattr(flow, "_odd_kernel", counted("kernel", _odd_kernel))
-    monkeypatch.setattr(flow, "c_squared", counted("c_squared", flow.c_squared))
-    system = make(256, use_pde)
-    for x0 in states:
-        integrate(system, x0, FlowConfig(t_end=200 * dt, dt=dt))
+    _odd_kernel.cache_clear()
+    monkeypatch.setattr(entropy, "c_squared", counted)
+    try:
+        system = make(256, use_pde)
+        for x0 in states:
+            integrate(system, x0, FlowConfig(t_end=200 * dt, dt=dt))
+        calls["kernel"] = _odd_kernel.cache_info().misses
+    finally:
+        _odd_kernel.cache_clear()
     assert calls == {"kernel": 2, "c_squared": 0 if use_pde else 2}
 
 

@@ -429,8 +429,8 @@ def _loop_ode_pde(n_states, seed, n_modes=3):
         gprime = InverseDerivative(FourierRep(2.0, 0.5, cos, sin), 2)
         dh = np.array([gateaux_g(gprime, phi) for phi in basis]).reshape(2, n_modes)
         x = s * ab
-        worst = max(worst, np.max(np.abs(odd_mode_rhs(x, c2) / s - c2 * dh)),
-                    np.max(np.abs(odd_mode_rhs(x, 1.0) / s - dh)))
+        worst = max(worst, np.max(np.abs(odd_mode_rhs(x) / s - c2 * dh)),
+                    np.max(np.abs(odd_mode_rhs(x, True) / s - dh)))
     return worst
 
 
