@@ -12,7 +12,7 @@ from the heat semigroup with the same initial data:
 
 import numpy as np
 
-from srbflow.entropy import c_squared, odd_mode_rhs
+from srbflow.entropy import c_squared
 from srbflow.flow import FlowConfig, even_galerkin_system, heat_reference, integrate
 
 B0 = np.array([0.25, 0.0, 0.0])
@@ -24,7 +24,7 @@ for t, B, H in zip(traj.times, traj.states, traj.entropy):
     print(f"{t:6.1f}  {B[0]: .6e}  {B[1]: .3e}  {B[2]: .3e}  {H:.8f}")
 
 print("\nafter one Euler step of size 0.1:")
-print("  flow:", B0 + 0.1 * odd_mode_rhs(B0))
+print("  flow:", B0 + 0.1 * even_galerkin_system().rhs(B0))
 print("  heat:", heat_reference(B0, 0.1), " (modes 2 and 3 stay exactly 0)")
 
 rate = 2.0 * np.pi**2 * c_squared(1)

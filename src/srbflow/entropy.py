@@ -7,8 +7,8 @@ R_h = -ln h + (1/n) sum_i ln h(.+i), valid for any degree n.  Under the
 H^2 metric an orthonormal basis is only available for degree 2, where the
 gradient becomes an ODE system on the odd-harmonic coefficients; that system
 and the diffusion modes are one kernel on amplitude blocks, built and cached
-in one place, _odd_kernel(K, N, blocks, use_pde); the flow systems and the
-one-shot odd_mode_rhs and odd_mode_density all read it.
+in one place, _odd_kernel(K, N, blocks, use_pde); the flow systems and
+odd_mode_density read it.
 """
 
 from __future__ import annotations
@@ -131,22 +131,9 @@ def c_squared(k) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
-def _odd_tables(n_modes: int, n_points: int, blocks: int) -> np.ndarray:
-    """The last blocks + 1 of (-sin, cos, sin)(k tau) on tau_j = 2 pi j / N,
-    k = odd_frequencies(n_modes), stacked read-only in one array, so every
-    table of _odd_kernel is a view."""
-    ang = np.outer(np.arange(n_points) * (2.0 * np.pi / n_points), odd_frequencies(n_modes))
-    T = np.empty((blocks + 1,) + ang.shape)
-    np.cos(ang, out=T[-2])
-    np.sin(ang, out=T[-1])
-    if blocks == 2:
-        np.negative(T[-1], out=T[0])
-    T.setflags(write=False)
-    return T
-
-
-# the odd-mode equations of one run on the amplitudes x, and s = pi k: x = s [a; b]
-_OddKernel = namedtuple("_OddKernel", "density rhs entropy s")
+# the odd-mode equations of one run on the amplitudes x, s = pi k (x = s [a; b]),
+# and the read-only stack of its tables
+_OddKernel = namedtuple("_OddKernel", "density rhs entropy s tables")
 
 
 @lru_cache(maxsize=16)
@@ -168,7 +155,13 @@ def _odd_kernel(n_modes: int, n_points: int, blocks: int, use_pde: bool) -> _Odd
     h ln h dtau.  What a run holds fixed is bound here once: the tables, k,
     the scale -pi k w, dtau = 2 pi / N and the quadrature weight 2 / N."""
     k = odd_frequencies(n_modes).astype(float)
-    T = _odd_tables(n_modes, n_points, blocks)
+    ang = np.outer(np.arange(n_points) * (2.0 * np.pi / n_points), k)
+    T = np.empty((blocks + 1,) + ang.shape)  # the last blocks + 1 of (-sin, cos, sin)(k tau)
+    np.cos(ang, out=T[-2])
+    np.sin(ang, out=T[-1])
+    if blocks == 2:
+        np.negative(T[-1], out=T[0])
+    T.setflags(write=False)
     C, S, S_stack = list(T[:-1]), list(T[1:]), T[1:]
     w = 1.0 if use_pde else c_squared(k)
     scale, dtau, weight = -np.pi * k * w, 2.0 * np.pi / n_points, 2.0 / n_points
@@ -188,26 +181,13 @@ def _odd_kernel(n_modes: int, n_points: int, blocks: int, use_pde: bool) -> _Odd
         h = reduce(np.add, ((c @ x[..., b, :, None])[..., 0] for b, c in enumerate(C)), 0.5)
         return gibbs_entropy(h, weight)
 
-    return _OddKernel(density, rhs, entropy, np.pi * k)
-
-
-def _one_shot(x, n_points: int, use_pde: bool = False):
-    """The kernel for the blocks of x (a 1-D x is one block), and x as blocks."""
-    X = np.atleast_2d(np.asarray(x, dtype=float))
-    if X.ndim > 2 or len(X) > 2:
-        raise ValueError("x must be the amplitudes B or the two blocks [A; B]")
-    return _odd_kernel(X.shape[1], n_points, len(X), use_pde), X
+    return _OddKernel(density, rhs, entropy, np.pi * k, T)
 
 
 def odd_mode_density(x, n_points: int = DEFAULT_GRID) -> np.ndarray:
     """h(tau) = 1/2 + sum_k (-A_k sin + B_k cos)(k tau) on tau_j = 2 pi j / N
     for x = [A; B]; a 1-D x = B is the even density 1/2 + sum B_k cos(k tau)."""
-    f, X = _one_shot(x, n_points)
-    return f.density(X)
-
-
-def odd_mode_rhs(x, use_pde: bool = False, n_points: int = DEFAULT_GRID) -> np.ndarray:
-    """dx/dt of the amplitudes x, in the shape of x: the H^2 gradient flow,
-    or the diffusion modes if use_pde."""
-    f, X = _one_shot(x, n_points, use_pde)
-    return f.rhs(X).reshape(np.shape(x))
+    X = np.atleast_2d(np.asarray(x, dtype=float))
+    if X.ndim > 2 or len(X) > 2:
+        raise ValueError("x must be the amplitudes B or the two blocks [A; B]")
+    return _odd_kernel(X.shape[1], n_points, len(X), False).density(X)

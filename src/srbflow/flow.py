@@ -147,7 +147,7 @@ def heat_reference(B0, t: float) -> np.ndarray:
     """Exact heat-equation (u_t = u_xx) evolution of the even-case modes on
     the period-2pi circle: B_k(t) = B_k(0) exp(-(2k-1)^2 t)."""
     B0 = np.atleast_1d(np.asarray(B0, dtype=float))
-    if t < 0:
+    if not t >= 0:  # negated, so NaN fails too
         raise ValueError("t must be >= 0")
     k = odd_frequencies(B0.size)
     return B0 * np.exp(-(k.astype(float) ** 2) * t)

@@ -45,8 +45,8 @@ class FourierRep:
     def __post_init__(self):
         object.__setattr__(self, "cos", np.atleast_1d(np.asarray(self.cos, dtype=float)))
         object.__setattr__(self, "sin", np.atleast_1d(np.asarray(self.sin, dtype=float)))
-        if self.period <= 0:
-            raise ValueError("period must be positive")
+        if not 0 < self.period < math.inf:  # negated, so NaN fails too
+            raise ValueError("period must be positive and finite")
         a, b = self.cos, self.sin
         if a.size != b.size:
             raise ValueError(f"{a.size} cos but {b.size} sin coefficients")
@@ -67,8 +67,8 @@ class GridRep:
 
     def __post_init__(self):
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=float))
-        if self.period <= 0:
-            raise ValueError("period must be positive")
+        if not 0 < self.period < math.inf:  # negated, so NaN fails too
+            raise ValueError("period must be positive and finite")
         if self.samples.ndim != 1 or self.samples.size < 4:
             raise ValueError("need at least 4 samples")
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from srbflow.entropy import c_squared, density_entropy, odd_mode_rhs
+from srbflow.entropy import c_squared, density_entropy
 from srbflow.flow import (
     FlowConfig,
     even_galerkin_system,
@@ -280,7 +280,7 @@ def test_criterion_09_derivative_sup_bound():
 
 def test_criterion_10_spectral_richness():
     B0 = np.array([0.25, 0.0, 0.0])
-    one_step = B0 + 0.1 * odd_mode_rhs(B0)
+    one_step = B0 + 0.1 * even_galerkin_system().rhs(B0)
     heat = heat_reference(B0, 0.1)
     ok = abs(one_step[1]) > 1e-12 and one_step[2] != 0.0 and \
         heat[1] == 0.0 and heat[2] == 0.0

@@ -7,18 +7,17 @@ from scipy.integrate import quad
 from srbflow import flow
 from srbflow.entropy import (
     _odd_kernel,
-    _odd_tables,
     c_squared,
     density_entropy,
+    density_samples,
     gateaux_g,
     gateaux_h,
     odd_frequencies,
     odd_mode_density,
-    odd_mode_rhs,
     riesz_gradient,
 )
 from srbflow.errors import DomainError
-from srbflow.flow import even_galerkin_system, galerkin_system_n2
+from srbflow.flow import even_galerkin_system, galerkin_system_n2, riesz_system
 from srbflow.spectral import (DEFAULT_GRID, FourierRep, GridRep, InverseDerivative,
                               TangentVector, to_grid, translate_sums)
 from srbflow.verify import random_density, random_tangent
@@ -53,9 +52,8 @@ def c2(n_modes):
 
 
 def n2_rhs(ab, use_pde, n_points=DEFAULT_GRID):
-    """odd_mode_rhs on the amplitudes s [a; b], s = pi k, scaled back to [a; b]."""
-    s = np.pi * odd_frequencies(ab.shape[1])
-    return odd_mode_rhs(s * ab, use_pde, n_points) / s
+    """galerkin_system_n2's rhs on the coefficients ab = [a; b], in the shape of ab."""
+    return galerkin_system_n2(n_points, use_pde).rhs(ab.ravel()).reshape(ab.shape)
 
 
 def test_entropy_uniform():
@@ -157,7 +155,6 @@ def test_riesz_defining_identity_random():
         R = riesz_gradient(h)
         s = R.rep.samples
         w = n / s.size
-        from srbflow.entropy import density_samples
         hs = density_samples(h, s.size)
         for _ in range(100):
             p = to_grid(random_tangent(rng, n).rep, s.size).samples
@@ -171,6 +168,20 @@ def test_riesz_gradient_is_tangent():
     for n in (2, 3, 5):
         h = random_density(rng, n)
         assert np.max(np.abs(translate_sums(riesz_gradient(h).rep.samples, n))) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_typed_functionals_are_the_riesz_system_on_the_samples_bitwise(n):
+    # the typed API only samples a FourierRep; the Gibbs sum and the fiber
+    # kernel are the ones the Riesz flow steps with
+    rng = np.random.default_rng(n)
+    system = riesz_system(n)
+    for _ in range(200):
+        h = random_density(rng, n)
+        s = density_samples(h)
+        H, want = density_entropy(h), system.entropy(s)
+        assert type(H) is float and type(want) is float and H == want
+        assert np.array_equal(riesz_gradient(h).rep.samples, system.rhs(s))
 
 
 def test_sobolev_gradient_zero_state():
@@ -196,12 +207,12 @@ def test_sobolev_gradient_parity_random_even_states():
 
 
 def test_galerkin_rhs_even_equilibrium():
-    assert np.all(odd_mode_rhs([0.0, 0.0, 0.0]) == 0.0)
+    assert np.all(even_galerkin_system().rhs(np.zeros(3)) == 0.0)
 
 
 def test_galerkin_rhs_even_closed_form_and_oracle():
     B = np.array([0.25, 0.0, 0.0])
-    out = odd_mode_rhs(B)
+    out = even_galerkin_system().rhs(B)
     expect1 = -np.pi * c_squared(1) * 2.0 * np.pi * (2.0 - np.sqrt(3.0))
     assert out[0] == pytest.approx(expect1, rel=1e-10)
     # higher modes via independent adaptive quadrature
@@ -217,7 +228,7 @@ def test_galerkin_rhs_even_closed_form_and_oracle():
 
 def test_galerkin_rhs_even_linearization_rate():
     B = np.array([1e-6, 0.0, 0.0])
-    out = odd_mode_rhs(B)
+    out = even_galerkin_system().rhs(B)
     rate = 2.0 * np.pi**2 * c_squared(1)
     assert rate == pytest.approx(0.1823059, abs=1e-4)
     assert out[0] / B[0] == pytest.approx(-rate, rel=1e-4)
@@ -231,7 +242,7 @@ def test_even_formula_cross_checks_general_formula():
         B = rng.uniform(-0.05, 0.05, 3)
         state = even_to_galerkin(B)
         g = n2_rhs(state, False)
-        from_even = odd_mode_rhs(B)
+        from_even = even_galerkin_system().rhs(B)
         np.testing.assert_allclose(galerkin_to_even(np.stack([np.zeros(3), g[1]])),
                                    from_even, atol=1e-12)
 
@@ -246,7 +257,8 @@ def test_pde_proportionality():
         np.testing.assert_allclose(g[0], w * p[0], atol=1e-14)
         np.testing.assert_allclose(g[1], w * p[1], atol=1e-14)
         B = rng.uniform(-0.05, 0.05, 3)
-        np.testing.assert_allclose(odd_mode_rhs(B), w * odd_mode_rhs(B, True), atol=1e-14)
+        np.testing.assert_allclose(even_galerkin_system().rhs(B),
+                                   w * even_galerkin_system(use_pde=True).rhs(B), atol=1e-14)
 
 
 @pytest.mark.parametrize("weight, use_pde", [(c_squared, False), (lambda k: 1.0, True)],
@@ -334,8 +346,8 @@ def test_cached_table_readers_match_fresh_tables_bitwise(monkeypatch, K, N):
         B *= rng.uniform(0.05, 0.4) / np.sum(np.abs(B))
         ab = rng.uniform(-1.0, 1.0, (2, K))
         ab *= rng.uniform(0.05, 0.4) / (np.pi * np.sum(k * np.abs(ab)))
-        assert np.array_equal(odd_mode_rhs(B, False, N), oracle_even_rhs(B, c2, N))
-        assert np.array_equal(odd_mode_rhs(B, True, N), oracle_even_rhs(B, 1.0, N))
+        assert np.array_equal(even_galerkin_system(N).rhs(B), oracle_even_rhs(B, c2, N))
+        assert np.array_equal(even_galerkin_system(N, True).rhs(B), oracle_even_rhs(B, 1.0, N))
         assert np.array_equal(odd_mode_density(B, N), oracle_even_density(B, N))
         assert np.array_equal(odd_mode_density(np.pi * k * ab, N), oracle_n2_density(ab, N))
         for use_pde, w in ((False, c2), (True, 1.0)):
@@ -371,16 +383,15 @@ def test_cached_table_readers_match_fresh_tables_bitwise(monkeypatch, K, N):
 def test_odd_mode_functions_reject_more_than_two_blocks():
     # the tables exist for B and [A; B] only; a third block would read unset memory
     x = np.full((3, 2), 0.01)
-    for f in (odd_mode_density, lambda x: odd_mode_rhs(x, True)):
-        with pytest.raises(ValueError, match="two blocks"):
-            f(x)
-        with pytest.raises(ValueError, match="two blocks"):
-            f(x[None, :2])
+    with pytest.raises(ValueError, match="two blocks"):
+        odd_mode_density(x)
+    with pytest.raises(ValueError, match="two blocks"):
+        odd_mode_density(x[None, :2])
 
 
 def test_cached_tables_are_read_only():
     for blocks in (1, 2):
-        T = _odd_tables(3, 64, blocks)
+        T = _odd_kernel(3, 64, blocks, False).tables
         with pytest.raises(ValueError):
             T[0, 0, 0] = 1.0
         with pytest.raises(ValueError):
@@ -396,29 +407,31 @@ def test_table_cache_builds_once_per_grid_and_mode_count():
     _odd_kernel.cache_clear()
     before = _odd_kernel.cache_info()
     B = np.array([0.1, 0.02, -0.01, 0.005])
-    first = odd_mode_rhs(B, False, 520)
-    second = odd_mode_rhs(B, False, 520)
+    first = even_galerkin_system(520).rhs(B)
+    second = even_galerkin_system(520).rhs(B)
     after = _odd_kernel.cache_info()
     assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
     assert np.array_equal(first, second)
 
 
 @pytest.mark.parametrize("use_pde", [False, True], ids=["h2", "pde"])
-def test_one_shot_rhs_and_even_system_share_one_kernel(use_pde):
-    # the one-shot function and the flow system read the same cached kernel
+def test_odd_mode_density_and_even_system_share_one_kernel_cache(use_pde):
+    # odd_mode_density reads the H^2 kernel of (K, N, 1 block), which the H^2
+    # system reuses; the diffusion system builds its own entry next to it
     _odd_kernel.cache_clear()
     B, N = np.array([0.1, 0.02, -0.01]), 256
-    one_shot = odd_mode_rhs(B, use_pde, N)
-    system = even_galerkin_system(N, use_pde).rhs(B)
+    density = odd_mode_density(B, N)
+    rhs = even_galerkin_system(N, use_pde).rhs(B)
     info = _odd_kernel.cache_info()
-    assert np.array_equal(one_shot, system)
-    assert (info.misses, info.hits) == (1, 1)
+    assert (info.misses, info.hits) == ((2, 0) if use_pde else (1, 1))
+    kernel = _odd_kernel(3, N, 1, use_pde)
+    assert np.array_equal(density, kernel.density(B)) and np.array_equal(rhs, kernel.rhs(B))
 
 
 def _reduce_kernel(K, w, N, blocks):
     """_odd_kernel's density and rhs as a reduce over the blocks' gemvs."""
     k = odd_frequencies(K).astype(float)
-    T = _odd_tables(K, N, blocks)
+    T = _odd_kernel(K, N, blocks, False).tables
     C, S = list(T[:-1]), list(T[1:])
 
     def density(x):

@@ -107,6 +107,13 @@ def test_heat_reference():
     assert out3[2] / B0[2] == pytest.approx(np.exp(-25.0 * 0.5), rel=1e-13)
 
 
+@pytest.mark.parametrize("t", [-0.1, float("nan")])
+def test_heat_reference_rejects_a_negative_or_nan_time(t):
+    # a NaN time would return NaN modes
+    with pytest.raises(ValueError, match="t must be >= 0"):
+        heat_reference([0.25, 0.0, 0.0], t)
+
+
 def test_integrate_equilibrium_is_constant():
     cfg = FlowConfig(t_end=2.0, dt=0.1)
     traj = integrate(riesz_system(2), [0.5, 0.5], cfg)

@@ -401,6 +401,23 @@ def test_fourier_rep_rejects_unequal_cos_and_sin():
         FourierRep(2.0, 0.5, sin=[0.3])
 
 
+# NaN fails every comparison, so only a negated check rejects it; accepted, a NaN
+# period samples to all-NaN and keys a grid-table entry that no later call can hit
+BAD_PERIODS = [0.0, -2.0, float("nan"), float("inf")]
+
+
+@pytest.mark.parametrize("period", BAD_PERIODS)
+def test_fourier_rep_rejects_a_period_that_is_not_positive_and_finite(period):
+    with pytest.raises(ValueError, match="period must be positive and finite"):
+        FourierRep(period, 0.5, [0.1], [0.0])
+
+
+@pytest.mark.parametrize("period", BAD_PERIODS)
+def test_grid_rep_rejects_a_period_that_is_not_positive_and_finite(period):
+    with pytest.raises(ValueError, match="period must be positive and finite"):
+        GridRep(period, np.full(8, 0.5))
+
+
 def test_public_api():
     # the package exports the library and no test-only helper
     import srbflow
@@ -409,7 +426,7 @@ def test_public_api():
         "GridRep", "InverseDerivative", "StepError", "TangentVector", "Trajectory",
         "c_squared", "density_entropy", "differentiate", "even_galerkin_system",
         "galerkin_system_n2", "gateaux_g", "gateaux_h", "heat_reference", "integrate",
-        "odd_mode_density", "odd_mode_rhs", "project_constraint", "riesz_gradient",
-        "riesz_system", "run_all", "simplex_rhs", "to_grid",
+        "odd_mode_density", "project_constraint", "riesz_gradient", "riesz_system",
+        "run_all", "simplex_rhs", "to_grid",
     ]
     assert all(getattr(srbflow, name) is not None for name in srbflow.__all__)

@@ -10,8 +10,9 @@ command reports IDENTICAL when stdout, stderr and the exit code agree byte
 for byte. Otherwise it reports DIFFERS with the largest
 |new - old| / max(1, |old|) over the numbers of the two outputs, or "text"
 when they do not line up number for number. A last line sums up:
-`N identical, M differ; src/srbflow lines OLD → NEW`, the lines counted
-over each root's src/srbflow/*.py.
+`N identical, M differ; src/srbflow lines OLD → NEW; srbflow.__all__ OLD → NEW`,
+the lines counted over each root's src/srbflow/*.py and the names its
+package exports, each imported in a subprocess as the commands are.
 
 Exit status 0 when every command is identical, 1 otherwise. Not part of
 the test suite; single-threaded BLAS, one command at a time.
@@ -129,13 +130,23 @@ NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:nan|inf)
 MAIN = "import sys; from srbflow.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
-def run(root: Path, args: list[str], workdir: str) -> str:
+def python(root: Path, args: list[str], workdir: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1")
     env.pop("SRBFLOW_OUTDIR", None)
-    done = subprocess.run([sys.executable, *args], cwd=workdir, env=env,
+    return subprocess.run([sys.executable, *args], cwd=workdir, env=env,
                           capture_output=True, text=True)
+
+
+def run(root: Path, args: list[str], workdir: str) -> str:
+    done = python(root, args, workdir)
     return f"{done.stdout}\n--stderr--\n{done.stderr}\n--exit {done.returncode}--\n"
+
+
+def api_size(root: Path, workdir: str) -> str:
+    """len(srbflow.__all__) under root, or "?" when the package does not import."""
+    done = python(root, ["-c", "import srbflow; print(len(srbflow.__all__))"], workdir)
+    return done.stdout.strip() if done.returncode == 0 else "?"
 
 
 def max_rel_diff(old: str, new: str) -> float | None:
@@ -179,8 +190,10 @@ def main(argv: list[str]) -> int:
             rel = max_rel_diff(old, new)
             detail = "text" if rel is None else f"max_rel={rel:.2e}"
             print(f"{'DIFFERS ' + detail:<25}{label}", flush=True)
+        api = [api_size(root, workdir) for root in (old_root, new_root)]
     print(f"{len(labels) - differs} identical, {differs} differ; src/srbflow lines "
-          f"{source_lines(old_root)} → {source_lines(new_root)}")
+          f"{source_lines(old_root)} → {source_lines(new_root)}; srbflow.__all__ "
+          f"{api[0]} → {api[1]}")
     return 1 if differs else 0
 
 
