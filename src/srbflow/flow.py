@@ -13,8 +13,8 @@ A state of independent fibers (FlowSystem.fiber; the Riesz flow's n
 translates of each grid node) is stepped in column blocks of its (fiber, M)
 view, BLOCK_ELEMENTS values each.  Between two records each block runs all
 the steps (stages, their sum and the next state's rhs) while its arrays stay
-in cache, and _on_cores shares the blocks out over the CPU cores, one
-contiguous share per core.  A state of one block is stepped flat on the
+in cache, and _on_threads runs them in contiguous shares, one per CPU
+core, split once per run.  A state of one block is stepped flat on the
 calling thread.  Each value gets the whole-array arithmetic, so no bit of
 the trajectory depends on the blocking or the core count.  Records go into
 arrays allocated up front and are taken on the calling thread.
@@ -23,13 +23,15 @@ arrays allocated up front and are taken on the calling thread.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, StepError
-from .spectral import DEFAULT_GRID, _on_cores, translate_sums
+from .spectral import DEFAULT_GRID, translate_sums
 from .entropy import _odd_kernel, gibbs_entropy, odd_frequencies, simplex_rhs
 
 
@@ -109,7 +111,8 @@ def riesz_system(degree: int) -> FlowSystem:
     the constraint sum_i h(y+i) = 1 is preserved.  An n-point state is a
     single fiber (x_1, ..., x_n) = (h(y), h(y+1), ..., h(y+n-1)): the
     simplex flow."""
-
+    if degree < 2:
+        raise ValueError("degree must be >= 2")
     return FlowSystem(
         rhs=lambda x: simplex_rhs(x, degree),
         entropy=_monitor(lambda X: gibbs_entropy(X, degree / X.shape[1])),
@@ -186,15 +189,52 @@ def _rk4_step(rhs, x, k1, dt):
     return np.add(x, np.multiply(k2, dt / 6.0, out=k2), out=k2)
 
 
-def _blocks(x: np.ndarray, r: np.ndarray, fiber: int | None) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Matching views (x_b, r_b) of x and r that step independently: column
-    blocks of the (fiber, M) views, or the flat arrays if one block holds
-    the whole state."""
+def _cores() -> int:
+    """The number of CPU cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _shares(x: np.ndarray, r: np.ndarray, fiber: int | None) -> list[list[tuple]]:
+    """Column blocks b of the (fiber, M) views of x and r, which step apart, as
+    matching views (b, x_b, r_b) in contiguous shares, one per core (at most
+    one per block); a coupled state or one block: the flat arrays, one share."""
     if fiber is None or x.size <= BLOCK_ELEMENTS:
-        return [(x, r)]
+        return [[(0, x, r)]]
     X, R = x.reshape(fiber, -1), r.reshape(fiber, -1)
     width = max(1, BLOCK_ELEMENTS // fiber)
-    return [(X[:, j:j + width], R[:, j:j + width]) for j in range(0, X.shape[1], width)]
+    blocks = [(b, X[:, j:j + width], R[:, j:j + width])
+              for b, j in enumerate(range(0, X.shape[1], width))]
+    n = min(len(blocks), _cores())
+    return [blocks[len(blocks) * c // n:len(blocks) * (c + 1) // n] for c in range(n)]
+
+
+def _on_threads(fn, shares: list) -> list:
+    """[fn(share), ...]: the calling thread runs the first share and a plain
+    thread each other one; numpy releases the interpreter lock inside its
+    array loops, so the shares run at once.  Once every share has finished,
+    the first exception in share order is re-raised here.  One share starts
+    no thread."""
+    results, errors = [None] * len(shares), [None] * len(shares)
+
+    def run(c):
+        try:
+            results[c] = fn(shares[c])
+        except BaseException as e:  # re-raised on the calling thread below
+            errors[c] = e
+
+    threads = [threading.Thread(target=run, args=(c,)) for c in range(1, len(shares))]
+    for t in threads:
+        t.start()
+    run(0)
+    for t in threads:
+        t.join()
+    for e in errors:
+        if e is not None:
+            raise e
+    return results
 
 
 def integrate(system: FlowSystem, initial, cfg: FlowConfig) -> Trajectory:
@@ -212,7 +252,7 @@ def integrate(system: FlowSystem, initial, cfg: FlowConfig) -> Trajectory:
     times, grad_norm = np.empty(n_records), np.empty(n_records)
     states = np.empty((n_records, x.size))
     r = np.empty_like(x)
-    blocks = list(enumerate(_blocks(x, r, system.fiber)))
+    shares = _shares(x, r, system.fiber)
     steps = range(0)
 
     def run(share):
@@ -220,7 +260,7 @@ def integrate(system: FlowSystem, initial, cfg: FlowConfig) -> Trajectory:
         on each block of share, block after block; each block's first
         failure as (step, block, error)."""
         failures = []
-        for b, (xb, rb) in share:
+        for b, xb, rb in share:
             for i in steps:
                 try:
                     if i:
@@ -236,7 +276,7 @@ def integrate(system: FlowSystem, initial, cfg: FlowConfig) -> Trajectory:
     for j in range(n_records):
         stop = min(j * cfg.record_every, n_steps)
         steps = range(steps.stop, stop + 1)
-        failures = _on_cores(run, blocks)
+        failures = _on_threads(run, shares)
         if any(failures):  # the first in (step, block) order, as a step-by-step pass meets it
             i, _, e = min((f for share in failures for f in share), key=lambda f: f[:2])
             if isinstance(e, (DomainError, StepError)):

@@ -9,8 +9,6 @@ exact on the Fourier basis and spectrally accurate for smooth integrands.
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -18,12 +16,12 @@ import numpy as np
 
 DEFAULT_GRID = 1024
 GRID_TABLE_MAX = 2**15  # the largest grid whose trig tables to_grid caches
-# the most modes a larger grid sums by angle addition; more take the inverse
-# real FFT.  Angle addition costs O(N K) and irfft O(N log N), so the switch is
-# the largest K at which, on 2 cores, angle addition is at least 3x faster on
-# 2^21 nodes (K = 8: 30 against 115 ms; 39 against 301 ms on 7^2*127*337) while
-# it loses at most about half a millisecond on the smallest grids it takes
-# (K = 8: 1.5 against 0.9 ms on 32770 nodes, 1.6 against 1.5 ms on 40001)
+# the most modes a larger grid sums by angle addition, O(N K) whatever N's
+# factors; more take the inverse real FFT, O(N log N) but slower the larger
+# N's prime factors.  K = 8 on one thread: angle addition 50-53 ms on 2^21,
+# 2^21 - 2 and 2^21 - 1 nodes against 63, 103 and 225 ms by irfft; on the
+# smallest grids it takes it loses at most half a millisecond (0.9 against
+# 0.6 ms on 32770 nodes, 1.1 against 1.0 ms on 40001)
 K_SPLIT = 8
 # values per row block of the angle-addition sampler: 256 KiB, kept in L2
 SAMPLE_ELEMENTS = 2**15
@@ -71,6 +69,8 @@ class GridRep:
             raise ValueError("period must be positive and finite")
         if self.samples.ndim != 1 or self.samples.size < 4:
             raise ValueError("need at least 4 samples")
+        if not np.isfinite(self.samples).all():
+            raise ValueError("samples must be finite")
 
 
 @dataclass(frozen=True)
@@ -126,9 +126,9 @@ def to_grid(rep: FourierRep, n_points: int = DEFAULT_GRID) -> GridRep:
     """Samples at y_j = j*period/N; fewer than N/2 modes, as more would
     alias.  Grids of at most GRID_TABLE_MAX nodes read cached trig tables.
     A larger grid of at most K_SPLIT modes is summed by angle addition over
-    the node index j = qB + r, on all cores; one of more modes is the
-    inverse real FFT of the half-spectrum F_0 = mean, F_k = (a_k - i b_k)/2
-    (unnormalised, so it sums the series as written)."""
+    the node index j = qB + r; one of more modes is the inverse real FFT of
+    the half-spectrum F_0 = mean, F_k = (a_k - i b_k)/2 (unnormalised, so it
+    sums the series as written)."""
     return GridRep(rep.period, _sample(rep.period, n_points, rep.mean, rep.cos, rep.sin))
 
 
@@ -164,9 +164,8 @@ def _angle_sum(n_points: int, mean: float, a: np.ndarray, b: np.ndarray) -> np.n
     for rows q of width B ~ sqrt(N): with the row phase phi = 2 pi k qB/N,
     alpha = a cos phi + b sin phi and beta = b cos phi - a sin phi, a sample
     is mean + alpha_k cos(2 pi k r/N) + beta_k sin(2 pi k r/N), added for
-    k = 1..K in that order.  Row blocks of SAMPLE_ELEMENTS values are shared
-    out over the cores; every sample gets the same arithmetic on any core
-    count."""
+    k = 1..K in that order, one row block of SAMPLE_ELEMENTS values after
+    another on the calling thread."""
     B = math.isqrt(n_points - 1) + 1
     Q = -(-n_points // B)
     k = np.arange(1, a.size + 1)
@@ -175,58 +174,15 @@ def _angle_sum(n_points: int, mean: float, a: np.ndarray, b: np.ndarray) -> np.n
     alpha, beta = a * cos_q + b * sin_q, b * cos_q - a * sin_q
     out = np.empty((Q, B))
     rows = max(1, SAMPLE_ELEMENTS // B)
-
-    def fill(starts):
-        tmp = np.empty((rows, B))
-        for q in starts:
-            o = out[q:q + rows]
-            t = tmp[:len(o)]
-            o[...] = mean
-            for i in range(a.size):
-                o += np.multiply(alpha[q:q + rows, i, None], cos_r[i], out=t)
-                o += np.multiply(beta[q:q + rows, i, None], sin_r[i], out=t)
-
-    _on_cores(fill, list(range(0, Q, rows)))
+    tmp = np.empty((rows, B))
+    for q in range(0, Q, rows):
+        o = out[q:q + rows]
+        t = tmp[:len(o)]
+        o[...] = mean
+        for i in range(a.size):
+            o += np.multiply(alpha[q:q + rows, i, None], cos_r[i], out=t)
+            o += np.multiply(beta[q:q + rows, i, None], sin_r[i], out=t)
     return out.ravel()[:n_points]
-
-
-def _cores() -> int:
-    """The number of CPU cores this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on this platform
-        return os.cpu_count() or 1
-
-
-def _on_cores(fn, items: list) -> list:
-    """[fn(share), ...] over contiguous shares of items, one per core (at
-    most one per item).  The calling thread runs the first share and a
-    plain thread each other one; numpy releases the interpreter lock inside
-    its array loops, so the shares run at once.  Once every share has
-    finished, the first exception in share order is re-raised here.  One
-    share starts no thread."""
-    n = min(len(items), _cores())
-    if n < 2:
-        return [fn(items)]
-    shares = [items[len(items) * c // n:len(items) * (c + 1) // n] for c in range(n)]
-    results, errors = [None] * n, [None] * n
-
-    def run(c):
-        try:
-            results[c] = fn(shares[c])
-        except BaseException as e:  # re-raised on the calling thread below
-            errors[c] = e
-
-    threads = [threading.Thread(target=run, args=(c,)) for c in range(1, n)]
-    for t in threads:
-        t.start()
-    run(0)
-    for t in threads:
-        t.join()
-    for e in errors:
-        if e is not None:
-            raise e
-    return results
 
 
 def grid_points_for(degree: int, n_points: int = DEFAULT_GRID) -> int:

@@ -389,7 +389,7 @@ def test_numpy_is_the_only_runtime_dependency():
         "simplex --n 3 --x 0.2,0.3,0.5 --t-end 0.2",
         "galerkin --B 0.25,0,0 --t-end 0.2",
         "pde --B 0.01,0,0 --dt 0.001 --t-end 0.002",
-        # 2^17 nodes: sampled and stepped in blocks on all cores
+        # 2^17 nodes: sampled in row blocks, stepped in fiber blocks on all cores
         f"riesz --n 2 --coeffs 0.1,0 --grid {2**17} --t-end 0.2",
         "entropy --n 3 --coeffs 0.1,0.05",
         # 9 modes on 2^16 nodes: sampled by the inverse real FFT

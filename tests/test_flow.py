@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from srbflow import entropy, flow, spectral
+from srbflow import entropy, flow
 from srbflow.entropy import _odd_kernel, c_squared, riesz_gradient, simplex_rhs
 from srbflow.errors import DomainError, StepError
 from srbflow.flow import (
@@ -136,6 +136,13 @@ def test_euler_galerkin_monotone_decay():
     B1 = traj.states[:, 0]
     assert np.all(np.diff(B1) < 0.0)
     assert np.all(np.diff(traj.entropy) >= -1e-6)
+
+
+@pytest.mark.parametrize("degree", [0, 1])
+def test_riesz_system_rejects_a_degree_below_two(degree):
+    # a degree-1 "map" would otherwise get an entropy (0.3466 on (0.5, 0.5))
+    with pytest.raises(ValueError, match="degree must be >= 2"):
+        riesz_system(degree)
 
 
 def test_riesz_flow_preserves_constraint_and_entropy():
@@ -409,20 +416,32 @@ def test_blocked_step_error_on_non_finite_block(monkeypatch):
 
 
 def test_on_cores_splits_contiguous_shares(monkeypatch):
-    # one share per core, the first on the calling thread, in share order
-    monkeypatch.setattr(spectral, "_cores", lambda: 3)
+    # one contiguous share of column blocks per core, at most one per block
+    monkeypatch.setattr(flow, "BLOCK_ELEMENTS", BLOCK)
+    x, r = np.zeros(3 * 1500), np.zeros(3 * 1500)  # 7 blocks of 233 columns, the last ragged
+    monkeypatch.setattr(flow, "_cores", lambda: 3)
+    shares = flow._shares(x, r, 3)
+    assert [[b for b, _, _ in share] for share in shares] == [[0, 1], [2, 3], [4, 5, 6]]
+    for share in shares:
+        for b, xb, rb in share:
+            assert xb.shape == rb.shape == (3, min(233, 1500 - 233 * b))
+            assert np.shares_memory(xb, x) and np.shares_memory(rb, r)
+    monkeypatch.setattr(flow, "_cores", lambda: 8)
+    assert [len(share) for share in flow._shares(x[:3 * 699], r[:3 * 699], 3)] == [1, 1, 1]
+
+
+def test_on_threads_runs_the_first_share_on_the_caller():
+    # the first share on the calling thread, the results in share order
     caller = threading.get_ident()
-    out = flow._on_cores(lambda share: (share, threading.get_ident() == caller), list(range(7)))
+    out = flow._on_threads(lambda share: (share, threading.get_ident() == caller),
+                           [[0, 1], [2, 3], [4, 5, 6]])
     assert out == [([0, 1], True), ([2, 3], False), ([4, 5, 6], False)]
-    assert flow._on_cores(lambda share: share, [9]) == [[9]]
-    monkeypatch.setattr(spectral, "_cores", lambda: 8)
-    assert flow._on_cores(len, list(range(3))) == [1, 1, 1]
+    assert flow._on_threads(lambda share: share, [[9]]) == [[9]]
 
 
 @pytest.mark.parametrize("failing", [0, 2, (1, 2)], ids=str)
-def test_on_cores_reraises_a_share_failure(monkeypatch, failing):
+def test_on_cores_reraises_a_share_failure(failing):
     # every other share still runs; of several failures the first in share order surfaces
-    monkeypatch.setattr(spectral, "_cores", lambda: 3)
     failing = failing if isinstance(failing, tuple) else (failing,)
     done = []
 
@@ -432,8 +451,22 @@ def test_on_cores_reraises_a_share_failure(monkeypatch, failing):
         done.append(share)
 
     with pytest.raises(ZeroDivisionError, match=rf"share \[{failing[0]}\]"):
-        flow._on_cores(fn, [0, 1, 2])
+        flow._on_threads(fn, [[0], [1], [2]])
     assert sorted(done) == [[b] for b in (0, 1, 2) if b not in failing]
+
+
+def test_core_count_is_read_once_per_run(monkeypatch):
+    # the shares are fixed before the record loop; a one-block state never asks
+    monkeypatch.setattr(flow, "BLOCK_ELEMENTS", BLOCK)
+    reads = []
+    monkeypatch.setattr(flow, "_cores", lambda: reads.append(1) or 2)
+    cfg = FlowConfig(t_end=0.9, dt=0.1, method="rk4")
+    traj = integrate(riesz_system(3), _fibers(3, 1000, 5), cfg)  # 5 blocks
+    assert len(traj.times) == 10 and len(reads) == 1
+    reads.clear()
+    integrate(riesz_system(3), _fibers(3, 200, 5), cfg)  # one block
+    integrate(riesz_system(5), [0.1, 0.15, 0.2, 0.25, 0.3], cfg)
+    assert reads == []
 
 
 @pytest.mark.parametrize("record_every", [1, 3])
@@ -448,7 +481,7 @@ def test_blocked_riesz_same_bits_on_any_core_count(monkeypatch, n, m, method, re
     stages = 1 if method == "euler" else 4
     trajs = []
     for cores in (1, 2, 3):
-        monkeypatch.setattr(spectral, "_cores", lambda: cores)
+        monkeypatch.setattr(flow, "_cores", lambda: cores)
         threads = []
 
         def rhs(x):
@@ -470,7 +503,7 @@ def test_blocks_on_more_threads_than_cores(monkeypatch):
     x0 = _fibers(3, 1000, 17)
     cfg = FlowConfig(t_end=1.0, dt=0.1, method="rk4", record_every=3)
     want = integrate(riesz_system(3), x0, cfg)
-    monkeypatch.setattr(spectral, "_cores", lambda: 8)
+    monkeypatch.setattr(flow, "_cores", lambda: 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -511,7 +544,7 @@ def test_first_failure_in_step_then_block_order(monkeypatch, fail, starts, messa
     system = _failing_blocks_system(10.0 if fail == "domain" else 9.9, fail)
     cfg = FlowConfig(t_end=6.0, dt=1.0, record_every=4)
     for cores in (1, 2, 3):
-        monkeypatch.setattr(spectral, "_cores", lambda: cores)
+        monkeypatch.setattr(flow, "_cores", lambda: cores)
         with pytest.raises(DomainError if fail == "domain" else StepError) as exc:
             integrate(system, x0.ravel(), cfg)
         assert str(exc.value) == message, cores
@@ -523,7 +556,7 @@ def test_one_block_runs_start_no_thread(monkeypatch):
         raise AssertionError("a one-block state started a thread")
 
     monkeypatch.setattr(threading, "Thread", no_thread)
-    monkeypatch.setattr(spectral, "_cores", lambda: 3)
+    monkeypatch.setattr(flow, "_cores", lambda: 3)
     cfg = FlowConfig(t_end=0.4, dt=0.1, method="rk4")
     integrate(riesz_system(5), [0.1, 0.15, 0.2, 0.25, 0.3], cfg)
     integrate(riesz_system(2), cos_quarter_samples(1024), cfg)

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -172,14 +173,18 @@ def test_fft_grid_bytes_do_not_depend_on_blas_threads():
 
 @pytest.mark.parametrize("size", [40001, 2097150])
 @pytest.mark.parametrize("n_modes", [3, 8])
-def test_large_grid_bytes_do_not_depend_on_core_count(monkeypatch, size, n_modes):
-    # angle addition shares row blocks over the cores; each sample gets the
-    # same arithmetic on any share
+def test_large_grids_are_sampled_on_the_calling_thread(monkeypatch, size, n_modes):
+    # angle addition starts no thread; each sample gets the same arithmetic
+    # in row blocks of any size
+    def no_thread(*args, **kwargs):
+        raise AssertionError("to_grid started a thread")
+
+    monkeypatch.setattr(threading, "Thread", no_thread)
     rng = np.random.default_rng(size + n_modes)
     rep = FourierRep(5.0, 0.2, 0.05 * rng.normal(size=n_modes), 0.05 * rng.normal(size=n_modes))
     samples = []
-    for cores in (1, 2, 3):
-        monkeypatch.setattr(spectral, "_cores", lambda: cores)
+    for elements in (spectral.SAMPLE_ELEMENTS, 2**12, 2**20):
+        monkeypatch.setattr(spectral, "SAMPLE_ELEMENTS", elements)
         samples.append(to_grid(rep, size).samples)
     assert all(np.array_equal(s, samples[0]) for s in samples[1:])
 
@@ -416,6 +421,21 @@ def test_fourier_rep_rejects_a_period_that_is_not_positive_and_finite(period):
 def test_grid_rep_rejects_a_period_that_is_not_positive_and_finite(period):
     with pytest.raises(ValueError, match="period must be positive and finite"):
         GridRep(period, np.full(8, 0.5))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_grid_rep_rejects_non_finite_samples(bad):
+    samples = np.full(8, 0.5)
+    samples[3] = bad
+    with pytest.raises(ValueError, match="samples must be finite"):
+        GridRep(2.0, samples)
+
+
+def test_gateaux_h_rejects_a_nan_tangent_on_a_grid():
+    # a NaN grid tangent used to give a NaN derivative
+    h = InverseDerivative(FourierRep(2.0, 0.5, [0.1], [0.0]), 2)
+    with pytest.raises(ValueError, match="samples must be finite"):
+        gateaux_h(h, TangentVector(GridRep(2.0, np.full(1024, np.nan)), 2))
 
 
 def test_public_api():

@@ -3,16 +3,18 @@
     python3 tools/compare_outputs.py OLD_ROOT NEW_ROOT
 
 Each root is a checkout of this repository, holding `src/` and `demos/`.
-Each of the 60 CLI commands of the output gate (figures, Galerkin and
+Each of the 62 CLI commands of the output gate (figures, Galerkin and
 diffusion modes, Riesz and simplex flows, entropy, verify, and twenty-one
 runs that fail on purpose) and each demo runs once under each tree. One line per
 command reports IDENTICAL when stdout, stderr and the exit code agree byte
 for byte. Otherwise it reports DIFFERS with the largest
 |new - old| / max(1, |old|) over the numbers of the two outputs, or "text"
 when they do not line up number for number. A last line sums up:
-`N identical, M differ; src/srbflow lines OLD → NEW; srbflow.__all__ OLD → NEW`,
-the lines counted over each root's src/srbflow/*.py and the names its
-package exports, each imported in a subprocess as the commands are.
+`N identical, M differ; src/srbflow lines OLD → NEW; srbflow.__all__ OLD → NEW;
+modules loaded OLD → NEW`, the lines counted over each root's
+src/srbflow/*.py, the names its package exports and the modules loaded
+after `import srbflow.cli`, each imported in a subprocess as the commands
+are, so a module added to the import path shows here.
 
 Exit status 0 when every command is identical, 1 otherwise. Not part of
 the test suite; single-threaded BLAS, one command at a time.
@@ -34,6 +36,7 @@ GAL = "0.01,0.02,0.003,-0.004,0.001,0.002"
 C4 = "0.1,0.05,0.02,-0.03,0.04,0.01,-0.01,0.02"
 C9 = ("0.05,0.02,0.01,-0.01,0.01,0.005,-0.005,0.004,0.003,-0.002,0.002,0.001,-0.001,0.001,"
       "0.001,-0.001,0.0005,0.0005")
+C6 = "0.04,-0.02,0.03,0.01,-0.02,0.015"
 C16 = ("0.02,0.01,0.005,-0.004,0.002,0.001,-0.001,0.0008,0.0005,-0.0004,0.0003,0.0002,"
        "-0.0002,0.0001,0.0001,-0.0001")
 COMMANDS = [
@@ -75,6 +78,11 @@ COMMANDS = [
     # 2^21 - 1 = 7^2 * 127 * 337 nodes, whose inverse FFT is the slowest near 2^21
     ["riesz", "--n", "7", "--coeffs", "0.1,0.05,0.02,-0.03", "--grid", "2097152", "--t-end", "0.04",
      "--dt", "0.02", "--method", "rk4", "--record-every", "2"],
+    # riesz_grid's shape: 2^21 - 2 nodes, three modes by angle addition, 33 fiber blocks
+    ["riesz", "--n", "5", "--coeffs=" + C6, "--grid", "2097152", "--method", "rk4", "--dt", "0.02",
+     "--t-end", "0.04", "--record-every", "2"],
+    # K_SPLIT = 8 modes, the most angle addition sums
+    ["entropy", "--n", "3", "--coeffs=" + C16, "--grid", "99999"],
     # nine modes, one more than angle addition sums: a large grid by inverse FFT
     ["entropy", "--n", "3", "--coeffs", C9, "--grid", "99999"],
     ["simplex", "--n", "2", "--x", "0.3,0.7", "--t-end", "10"],
@@ -143,9 +151,9 @@ def run(root: Path, args: list[str], workdir: str) -> str:
     return f"{done.stdout}\n--stderr--\n{done.stderr}\n--exit {done.returncode}--\n"
 
 
-def api_size(root: Path, workdir: str) -> str:
-    """len(srbflow.__all__) under root, or "?" when the package does not import."""
-    done = python(root, ["-c", "import srbflow; print(len(srbflow.__all__))"], workdir)
+def imported(root: Path, code: str, workdir: str) -> str:
+    """What `code` prints under root, or "?" when it fails."""
+    done = python(root, ["-c", code], workdir)
     return done.stdout.strip() if done.returncode == 0 else "?"
 
 
@@ -190,10 +198,13 @@ def main(argv: list[str]) -> int:
             rel = max_rel_diff(old, new)
             detail = "text" if rel is None else f"max_rel={rel:.2e}"
             print(f"{'DIFFERS ' + detail:<25}{label}", flush=True)
-        api = [api_size(root, workdir) for root in (old_root, new_root)]
+        api = [imported(root, "import srbflow; print(len(srbflow.__all__))", workdir)
+               for root in (old_root, new_root)]
+        mods = [imported(root, "import sys, srbflow.cli; print(len(sys.modules))", workdir)
+                for root in (old_root, new_root)]
     print(f"{len(labels) - differs} identical, {differs} differ; src/srbflow lines "
           f"{source_lines(old_root)} → {source_lines(new_root)}; srbflow.__all__ "
-          f"{api[0]} → {api[1]}")
+          f"{api[0]} → {api[1]}; modules loaded {mods[0]} → {mods[1]}")
     return 1 if differs else 0
 
 
