@@ -147,7 +147,7 @@ def _galerkin_like(args) -> int:
     else:
         raise ValueError("provide an initial condition via --B or --coeffs")
     _check_grid(args.grid, n_modes)
-    _print_extrema(odd_mode_density(amplitudes, 512))
+    _print_extrema(odd_mode_density(amplitudes, args.grid))
     traj = _integrate(system, x0, args)
     header, rows = _trajectory_table(traj, names, with_residual=False)
     _write_table(_resolve_out(args.out), header, rows, args.format)

@@ -6,15 +6,15 @@ H(h) = -int_0^n h ln h dy.  The L2 gradient is the Riesz representer
 R_h = -ln h + (1/n) sum_i ln h(.+i), valid for any degree n.  Under the
 H^2 metric an orthonormal basis is only available for degree 2, where the
 gradient becomes an ODE system on the odd-harmonic coefficients; that system
-and the diffusion modes are one kernel on amplitude blocks, built and cached
-in one place, _odd_kernel(K, N, blocks, use_pde); the flow systems and
-odd_mode_density read it.
+and the diffusion modes are one kernel on a flat amplitude vector and one
+table pair, built and cached in one place, _odd_kernel(K, N, blocks,
+use_pde); the flow systems and odd_mode_density read it.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
@@ -116,7 +116,7 @@ def riesz_gradient(h: InverseDerivative, n_points: int = DEFAULT_GRID) -> Tangen
 
 
 # ---------------------------------------------------------------------------
-# Degree-2 odd-mode equations on the amplitude blocks x = [A; B] = pi k [a; b]
+# Degree-2 odd-mode equations on the flat amplitudes x = [A; B] = pi k [a; b]
 # ---------------------------------------------------------------------------
 
 
@@ -131,8 +131,8 @@ def c_squared(k) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
-# the odd-mode equations of one run on the amplitudes x, s = pi k (x = s [a; b]),
-# and the read-only stack of its tables
+# the odd-mode equations of one run on the flat amplitudes x, s = pi k (x = s [a; b]),
+# and its read-only table pair (C, S)
 _OddKernel = namedtuple("_OddKernel", "density rhs entropy s tables")
 
 
@@ -143,45 +143,37 @@ def _odd_kernel(n_modes: int, n_points: int, blocks: int, use_pde: bool) -> _Odd
     (K, N, blocks, use_pde) and shared: its functions keep no state.
 
     x = [A; B] = pi k [a; b] holds the amplitudes of a general degree-2
-    density as blocks = 2 rows of K, and blocks = 1 the even amplitudes B;
-    x may have any shape of that size, and the rhs has the shape of x.  The
-    entropy takes one state (blocks, K) or a stack (rows, blocks, K): one
-    gemv per state and block, as in density, so each row has the bits of
-    its state alone.  With h = 1/2 + C x and h' = dh/dtau = -S (k x), where
-    the blocks of x pair with the tables T as C = T[:-1] and S = T[1:],
-    projecting h'/h on the modes gives dx/dt = -pi k w (dtau ((S (k x)) / h)^T S):
-    the H^2 gradient flow for w = c_squared(k), the diffusion modes of
-    w_t = w_yy / w_y for w = 1 (use_pde).  The entropy is -(1/pi) int_0^{2pi}
-    h ln h dtau.  What a run holds fixed is bound here once: the tables, k,
-    the scale -pi k w, dtau = 2 pi / N and the quadrature weight 2 / N."""
-    k = odd_frequencies(n_modes).astype(float)
-    ang = np.outer(np.arange(n_points) * (2.0 * np.pi / n_points), k)
-    T = np.empty((blocks + 1,) + ang.shape)  # the last blocks + 1 of (-sin, cos, sin)(k tau)
-    np.cos(ang, out=T[-2])
-    np.sin(ang, out=T[-1])
-    if blocks == 2:
-        np.negative(T[-1], out=T[0])
-    T.setflags(write=False)
-    C, S, S_stack = list(T[:-1]), list(T[1:]), T[1:]
+    density as one flat vector of m = 2K values (blocks = 2), and x = B the
+    even amplitudes (blocks = 1, m = K); k and the scale are tiled to length
+    m, so blocks only chooses the table pair (C, S): (cos, sin)(k tau) for B,
+    ([-sin | cos], [cos | sin])(k tau) for [A; B].  With h = 1/2 + C x and
+    h' = dh/dtau = -S (k x), projecting h'/h on the modes gives
+    dx/dt = -pi k w (dtau ((S (k x)) / h)^T S): the H^2 gradient flow for
+    w = c_squared(k), the diffusion modes of w_t = w_yy / w_y for w = 1
+    (use_pde).  The entropy -(1/pi) int_0^{2pi} h ln h dtau takes one state
+    (m,) or a stack (rows, m): one gemv per state, as in density, so each row
+    has the bits of its state alone.  What a run holds fixed is bound here
+    once: the tables, k, the scale -pi k w, dtau = 2 pi / N and the
+    quadrature weight 2 / N."""
+    k = np.tile(odd_frequencies(n_modes).astype(float), blocks)
+    ang = np.outer(np.arange(n_points) * (2.0 * np.pi / n_points), k[:n_modes])
+    cos, sin = np.cos(ang), np.sin(ang)
+    C, S = (cos, sin) if blocks == 1 else (np.hstack([-sin, cos]), np.hstack([cos, sin]))
+    C.setflags(write=False)
+    S.setflags(write=False)
     w = 1.0 if use_pde else c_squared(k)
     scale, dtau, weight = -np.pi * k * w, 2.0 * np.pi / n_points, 2.0 / n_points
 
     def density(x):
-        x = x.reshape(blocks, -1)
-        h = 0.5 + C[0] @ x[0]
-        return h + C[1] @ x[1] if blocks == 2 else h
+        return 0.5 + C @ x
 
     def rhs(x):
-        h = _guarded(density(x))
-        kx = k * x.reshape(blocks, -1)
-        num = S[0] @ kx[0] + S[1] @ kx[1] if blocks == 2 else S[0] @ kx[0]
-        return (scale * (dtau * ((num / h) @ S_stack))).reshape(x.shape)
+        return scale * (dtau * (((S @ (k * x)) / _guarded(density(x))) @ S))
 
-    def entropy(x):
-        h = reduce(np.add, ((c @ x[..., b, :, None])[..., 0] for b, c in enumerate(C)), 0.5)
-        return gibbs_entropy(h, weight)
+    def entropy(X):
+        return gibbs_entropy(0.5 + (C @ X[..., None])[..., 0], weight)
 
-    return _OddKernel(density, rhs, entropy, np.pi * k, T)
+    return _OddKernel(density, rhs, entropy, np.pi * k, (C, S))
 
 
 def odd_mode_density(x, n_points: int = DEFAULT_GRID) -> np.ndarray:
@@ -190,4 +182,4 @@ def odd_mode_density(x, n_points: int = DEFAULT_GRID) -> np.ndarray:
     X = np.atleast_2d(np.asarray(x, dtype=float))
     if X.ndim > 2 or len(X) > 2:
         raise ValueError("x must be the amplitudes B or the two blocks [A; B]")
-    return _odd_kernel(X.shape[1], n_points, len(X), False).density(X)
+    return _odd_kernel(X.shape[1], n_points, len(X), False).density(X.ravel())

@@ -124,15 +124,15 @@ def riesz_system(degree: int) -> FlowSystem:
 
 def galerkin_system_n2(n_points: int = DEFAULT_GRID, use_pde: bool = False) -> FlowSystem:
     """Degree-2 flow on the packed state [a_1, a_3, ...; b_1, b_3, ...]: the
-    odd-mode kernel on the amplitudes s [a; b], s = pi k, scaled back by s."""
+    odd-mode kernel on the flat amplitudes s x (s = pi k on each half), scaled back by s."""
 
     def rhs(x):
         f = _odd_kernel(x.size // 2, n_points, 2, use_pde)
-        return (f.rhs(f.s * x.reshape(2, -1)) / f.s).ravel()
+        return f.rhs(f.s * x) / f.s
 
     def entropy(X):
         f = _odd_kernel(X.shape[1] // 2, n_points, 2, use_pde)
-        return f.entropy(f.s * X.reshape(len(X), 2, -1))
+        return f.entropy(f.s * X)
 
     return FlowSystem(rhs=rhs, entropy=_monitor(entropy, n_points))
 
@@ -141,8 +141,8 @@ def even_galerkin_system(n_points: int = DEFAULT_GRID, use_pde: bool = False) ->
     """Even-case flow on the amplitudes B (pure cosine densities)."""
     return FlowSystem(
         rhs=lambda B: _odd_kernel(B.size, n_points, 1, use_pde).rhs(B),
-        entropy=_monitor(lambda B: _odd_kernel(B.shape[1], n_points, 1, use_pde)
-                         .entropy(B[:, None]), n_points),
+        entropy=_monitor(lambda B: _odd_kernel(B.shape[1], n_points, 1, use_pde).entropy(B),
+                         n_points),
     )
 
 

@@ -191,7 +191,7 @@ def ode_pde_proportionality_check(n_states: int = 10, seed: int = 0) -> CheckRep
     logs = np.log(_guarded(_sample(2.0, N, 0.5, *cs)))
     ode, pde = galerkin_system_n2().rhs, galerkin_system_n2(use_pde=True).rhs
     worst = 0.0
-    for abi, log_g in zip(ab, logs):
+    for abi, log_g in zip(ab.reshape(n_states, -1), logs):
         dh = _gateaux_rows(dphi, log_g, 2 / N)
         worst = max(worst, np.max(np.abs(ode(abi) - c2 * dh)), np.max(np.abs(pde(abi) - dh)))
     return _report("ode_pde_proportionality", worst, 1e-10, n_states)

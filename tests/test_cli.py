@@ -9,8 +9,11 @@ import pytest
 
 from srbflow import cli
 from srbflow.cli import main
+from srbflow.entropy import _odd_kernel
 from srbflow.flow import riesz_system
 from srbflow.spectral import FourierRep, grid_points_for, project_constraint, to_grid
+
+GAL = "0.01,0.02,0.003,-0.004,0.001,0.002"
 
 
 def run(args):
@@ -260,12 +263,23 @@ def test_bad_flow_flags_print_nothing(capsys, argv):
 
 
 def test_galerkin_h_range_on_the_kernel_nodes(capsys, tmp_path):
-    # the --B range is that of odd_mode_density on tau_j = 2 pi j / 512
+    # the range is that of odd_mode_density on the run's own nodes tau_j = 2 pi j / N,
+    # N = --grid, for --B and --coeffs alike
     out = str(tmp_path / "g.csv")
     assert run(["galerkin", "--B", "0.25,0,0", "--t-end", "0.2", "--out", out]) == 0
     assert capsys.readouterr().out == "h range: [0.25, 0.75] (must stay inside (0, 1))\n"
     assert run(["galerkin", "--B", "0.6,0,0", "--t-end", "1"]) == 3
     assert capsys.readouterr().out.startswith("h range: [-0.1, 1.1] ")
+    assert run(["galerkin", "--coeffs", GAL, "--t-end", "0.2", "--out", out]) == 0
+    assert capsys.readouterr().out.startswith("h range: [0.399153, 0.600847] ")
+
+
+@pytest.mark.parametrize("init", [["--B", "0.25,0,0"], ["--coeffs", GAL]], ids=["B", "coeffs"])
+def test_h2_run_builds_one_kernel(tmp_path, init):
+    # the printed h range reads the H^2 system's own kernel entry
+    _odd_kernel.cache_clear()
+    assert run(["galerkin", *init, "--t-end", "0.2", "--out", str(tmp_path / "g.csv")]) == 0
+    assert _odd_kernel.cache_info().misses == 1
 
 
 def test_csv_rows_match_the_per_value_format(tmp_path):
@@ -372,6 +386,7 @@ import numpy, numpy.random
 before = set(sys.modules)
 import contextlib, io
 from srbflow.cli import main
+from srbflow.entropy import _odd_kernel
 argvs = [a.split() for a in sys.argv[1:]]
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     codes = [main(a) for a in argvs]

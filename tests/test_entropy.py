@@ -306,19 +306,109 @@ def oracle_even_rhs(B, w, N):
     return -np.pi * k * w * ((2.0 * np.pi / N) * (ratio @ S))
 
 
+def flat_tables(K, N, blocks):
+    """The kernel's table pair (C, S), built anew: (cos, sin) for the even
+    amplitudes B, ([-sin | cos], [cos | sin]) for [A; B]."""
+    cos, sin = fresh_tables(K, N)
+    return (cos, sin) if blocks == 1 else (np.hstack([-sin, cos]), np.hstack([cos, sin]))
+
+
+def flat_kernel(K, w, N, blocks):
+    """The density 1/2 + C x and the rhs -pi k w (dtau ((S (k x)) / h) S) on a
+    flat x of blocks * K amplitudes, on fresh tables; k and w tiled."""
+    C, S = flat_tables(K, N, blocks)
+    k = np.tile(odd_frequencies(K).astype(float), blocks)
+    scale = -np.pi * k * np.tile(np.broadcast_to(w, K), blocks)
+
+    def density(x):
+        return 0.5 + C @ x
+
+    def rhs(x):
+        return scale * ((2.0 * np.pi / N) * (((S @ (k * x)) / density(x)) @ S))
+
+    return density, rhs
+
+
+def blockwise_kernel(K, w, N, blocks):
+    """The same density and rhs summed block by block: a reduce over one gemv
+    per block of K amplitudes, on fresh (N, K) tables C = (-sin, cos) and
+    S = (cos, sin) (cos and sin alone for one block), projected on the stack
+    of the S blocks."""
+    cos, sin = fresh_tables(K, N)
+    T = [-sin, cos, sin][2 - blocks:]
+    C, S = T[:-1], T[1:]
+    k = odd_frequencies(K).astype(float)
+
+    def density(x):
+        return reduce(np.add, map(np.matmul, C, x.reshape(blocks, -1)), 0.5)
+
+    def rhs(x):
+        num = reduce(np.add, map(np.matmul, S, k * x.reshape(blocks, -1)))
+        return (-np.pi * k * w * (2.0 * np.pi / N * ((num / density(x)) @ np.stack(S)))).ravel()
+
+    return density, rhs
+
+
+U = np.finfo(float).eps / 2  # the unit roundoff u
+
+
+def gamma(n):
+    """Higham's gamma_n = n u / (1 - n u)."""
+    return n * U / (1.0 - n * U)
+
+
+def packed_error_bounds(K, w, N, x):
+    """How far the packed kernel's density and rhs at the amplitudes x = [A; B]
+    (m = 2K values) can be off their exact values, whatever the order of its
+    sums.  The flat kernel takes one dot of m terms where the per-block one
+    takes two of K, so the two may differ by twice these bounds.
+
+    Higham, Accuracy and Stability of Numerical Algorithms (2nd ed.), section
+    3.1: a dot product of n terms, summed in any order, with or without fused
+    multiply-adds, is off by at most gamma_n sum_i |x_i y_i|; one more
+    operation adds u times its value.  To first order in u, at node j:
+      h_j = 1/2 + sum_i C_ji x_i, m products and the 1/2:
+        |dh_j| <= gamma_{m+1} b_j,  b_j = 1/2 + sum_i |C_ji x_i|;
+      n_j = sum_i S_ji (k x)_i, m products (k x has the same bits in both):
+        |dn_j| <= gamma_m a_j,  a_j = sum_i |S_ji (k x)_i|;
+      r_j = n_j / h_j, one division:
+        |dr_j| <= (|dn_j| + |r_j| |dh_j|) / h_j + u |r_j|;
+    and in mode i, the projection y_i = sum_j r_j S_ji of N terms, then the
+    products by dtau and by the scale, two more roundings:
+        |drhs_i| <= |scale_i| dtau (sum_j |S_ji| |dr_j| + gamma_{N+2} sum_j |r_j S_ji|).
+    The exact h and r are taken as the computed ones: with 1/10 < h < 9/10 here
+    that moves the bound by a factor 1 + O(N u), as do the u^2 terms dropped."""
+    C, S = flat_tables(K, N, 2)
+    k = np.tile(odd_frequencies(K).astype(float), 2)
+    kx, absC, absS = k * x, np.abs(C), np.abs(S)
+    h = 0.5 + C @ x
+    abs_r = np.abs((S @ kx) / h)
+    dh = gamma(2 * K + 1) * (0.5 + absC @ np.abs(x))
+    dr = (gamma(2 * K) * (absS @ np.abs(kx)) + abs_r * dh) / h + U * abs_r
+    dy = dr @ absS + gamma(N + 2) * (abs_r @ absS)
+    return dh, np.pi * k * np.tile(np.broadcast_to(w, K), 2) * (2.0 * np.pi / N) * dy
+
+
+def entropy_gap_bound(h, dh, N):
+    """How far the entropies -w sum_j h_j ln h_j (w = 2 / N) of two densities,
+    each within dh of the exact h, can be apart.  To first order in u: the
+    inputs move it by at most w sum_j |1 + ln h_j| 2 dh_j (mean value theorem),
+    and each evaluation is off by at most gamma_{N+6} w sum_j |h_j ln h_j|: the
+    log within 2 ulp (4u), the product (u), the sum of N terms (gamma_N, as
+    the dot products above) and the scaling by w (u)."""
+    w = 2.0 / N
+    return w * np.sum(np.abs(1.0 + np.log(h)) * 2.0 * dh) \
+        + 2.0 * gamma(N + 6) * w * np.sum(np.abs(h * np.log(h)))
+
+
 def oracle_n2_density(ab, N):
-    C, S = fresh_tables(ab.shape[1], N)
-    k = odd_frequencies(ab.shape[1])
-    return 0.5 + (-S) @ (np.pi * k * ab[0]) + C @ (np.pi * k * ab[1])
+    s = np.pi * np.tile(odd_frequencies(ab.shape[1]), 2)
+    return flat_kernel(ab.shape[1], 1.0, N, 2)[0](s * ab.ravel())
 
 
 def oracle_n2_rhs(ab, w, N):
-    C, S = fresh_tables(ab.shape[1], N)
-    k = odd_frequencies(ab.shape[1])
-    A, B = np.pi * k * ab[0], np.pi * k * ab[1]
-    ratio = (C @ (k * A) + S @ (k * B)) / oracle_n2_density(ab, N)
-    xdot = -np.pi * k * w * ((2.0 * np.pi / N) * np.stack([ratio @ C, ratio @ S]))
-    return xdot / (np.pi * k)
+    s = np.pi * np.tile(odd_frequencies(ab.shape[1]), 2)
+    return (flat_kernel(ab.shape[1], w, N, 2)[1](s * ab.ravel()) / s).reshape(ab.shape)
 
 
 def oracle_even_density(B, N):
@@ -335,11 +425,12 @@ def oracle_even_entropy(B, N):
 
 
 @pytest.mark.parametrize("N", [256, 1000, 1024])
-@pytest.mark.parametrize("K", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("K", [1, 2, 3, 5, 8, 16, 24])
 def test_cached_table_readers_match_fresh_tables_bitwise(monkeypatch, K, N):
     rng = np.random.default_rng(1000 * K + N)
     k = odd_frequencies(K)
     c2 = c_squared(k)
+    s = np.pi * np.tile(k, 2)
     for _ in range(3):
         # sum |B| < 1/2 and pi sum k (|a| + |b|) < 1/2 keep the densities in (0, 1)
         B = rng.uniform(-1.0, 1.0, K)
@@ -349,9 +440,20 @@ def test_cached_table_readers_match_fresh_tables_bitwise(monkeypatch, K, N):
         assert np.array_equal(even_galerkin_system(N).rhs(B), oracle_even_rhs(B, c2, N))
         assert np.array_equal(even_galerkin_system(N, True).rhs(B), oracle_even_rhs(B, 1.0, N))
         assert np.array_equal(odd_mode_density(B, N), oracle_even_density(B, N))
-        assert np.array_equal(odd_mode_density(np.pi * k * ab, N), oracle_n2_density(ab, N))
+        h = odd_mode_density(np.pi * k * ab, N)
+        assert np.array_equal(h, oracle_n2_density(ab, N))
+        # the per-block sums, a second oracle within the bound derived for their order
+        x = s * ab.ravel()
+        dh, _ = packed_error_bounds(K, c2, N, x)
+        assert np.all(np.abs(h - blockwise_kernel(K, c2, N, 2)[0](x)) <= 2 * dh)
         for use_pde, w in ((False, c2), (True, 1.0)):
-            assert np.array_equal(n2_rhs(ab, use_pde, N), oracle_n2_rhs(ab, w, N))
+            got = n2_rhs(ab, use_pde, N)
+            assert np.array_equal(got, oracle_n2_rhs(ab, w, N))
+            got = got.ravel()
+            _, drhs = packed_error_bounds(K, w, N, x)
+            # one more rounding each: the division by s
+            bound = 2 * (drhs / s + U * np.abs(got))
+            assert np.all(np.abs(got - blockwise_kernel(K, w, N, 2)[1](x) / s) <= bound)
         # the flow systems' kernels, built once per state size, on the packed [a; b]
         ab_even = even_to_galerkin(B)
         for use_pde, w in ((False, c2), (True, 1.0)):
@@ -361,7 +463,13 @@ def test_cached_table_readers_match_fresh_tables_bitwise(monkeypatch, K, N):
                 assert even.entropy(B) == oracle_even_entropy(B, N)
                 assert np.array_equal(n2.rhs(ab.ravel()), oracle_n2_rhs(ab, w, N).ravel())
                 assert np.array_equal(n2.rhs(ab_even.ravel()), oracle_n2_rhs(ab_even, w, N).ravel())
-                assert n2.entropy(ab_even.ravel()) == oracle_even_entropy(galerkin_to_even(ab_even), N)
+                got = n2.entropy(ab_even.ravel())
+                assert got == oracle_entropy(oracle_n2_density(ab_even, N), N)
+                # the even system's sums, a second oracle within the bound for their order
+                h = oracle_n2_density(ab_even, N)
+                dh, _ = packed_error_bounds(K, w, N, s * ab_even.ravel())
+                assert abs(got - oracle_even_entropy(galerkin_to_even(ab_even), N)) \
+                    <= entropy_gap_bound(h, dh, N)
     # the entropy monitors on a stack of 40 states, in row slices of 7 and a ragged last
     # one of 5: each row has the bits of the oracle on that state alone
     monkeypatch.setattr(flow, "MONITOR_ELEMENTS", 7 * N)
@@ -391,11 +499,13 @@ def test_odd_mode_functions_reject_more_than_two_blocks():
 
 def test_cached_tables_are_read_only():
     for blocks in (1, 2):
-        T = _odd_kernel(3, 64, blocks, False).tables
-        with pytest.raises(ValueError):
-            T[0, 0, 0] = 1.0
-        with pytest.raises(ValueError):
-            T[-1] += 1.0
+        tables = _odd_kernel(3, 64, blocks, False).tables
+        assert len(tables) == 2
+        for T in tables:
+            with pytest.raises(ValueError):
+                T[0, 0] = 1.0
+            with pytest.raises(ValueError):
+                T[-1] += 1.0
 
 
 def test_table_cache_is_bounded():
@@ -428,35 +538,31 @@ def test_odd_mode_density_and_even_system_share_one_kernel_cache(use_pde):
     assert np.array_equal(density, kernel.density(B)) and np.array_equal(rhs, kernel.rhs(B))
 
 
-def _reduce_kernel(K, w, N, blocks):
-    """_odd_kernel's density and rhs as a reduce over the blocks' gemvs."""
-    k = odd_frequencies(K).astype(float)
-    T = _odd_kernel(K, N, blocks, False).tables
-    C, S = list(T[:-1]), list(T[1:])
-
-    def density(x):
-        return reduce(np.add, map(np.matmul, C, x.reshape(blocks, -1)), 0.5)
-
-    def rhs(x):
-        num = reduce(np.add, map(np.matmul, S, k * x.reshape(blocks, -1)))
-        return (-np.pi * k * w * (2.0 * np.pi / N * ((num / density(x)) @ T[1:]))).reshape(x.shape)
-
-    return density, rhs
-
-
 @pytest.mark.parametrize("blocks", [1, 2])
-@pytest.mark.parametrize("K, N", [(1, 1024), (3, 1024), (3, 512), (8, 1000)])
+@pytest.mark.parametrize("K, N", [(1, 1024), (3, 1024), (3, 512), (8, 1000)]
+                         + [(K, N) for K in (16, 24) for N in (256, 1000, 1024)])
 def test_odd_kernel_matches_the_reduce_over_blocks_bitwise(K, N, blocks):
+    # the kernel is the flat formula on fresh tables bit for bit.  One block is also
+    # the per-block reduce bit for bit; two blocks sum 2K products in another order
+    # there, so the reduce is an oracle within packed_error_bounds
     rng = np.random.default_rng(10 * K + blocks)
     k = odd_frequencies(K)
     for use_pde, w in ((False, c_squared(k)), (True, 1.0)):
         kernel = _odd_kernel(K, N, blocks, use_pde)
-        density, rhs = _reduce_kernel(K, w, N, blocks)
+        density, rhs = flat_kernel(K, w, N, blocks)
+        block_density, block_rhs = blockwise_kernel(K, w, N, blocks)
         for _ in range(50):
             # pi sum k (|a| + |b|) < 1/2 keeps the density in (0, 1)
-            x = rng.uniform(-1.0, 1.0, (blocks, K))
+            x = rng.uniform(-1.0, 1.0, blocks * K)
             x *= rng.uniform(0.05, 0.4) / np.sum(np.abs(x))
-            for state in (x, x.ravel()):
-                assert np.array_equal(kernel.density(state), density(state))
-                got = kernel.rhs(state)
-                assert got.shape == state.shape and np.array_equal(got, rhs(state))
+            h, got = kernel.density(x), kernel.rhs(x)
+            assert got.shape == x.shape
+            assert np.array_equal(h, density(x)) and np.array_equal(got, rhs(x))
+            X = np.stack([x, 0.5 * x])
+            assert np.array_equal(kernel.entropy(X), [oracle_entropy(density(y), N) for y in X])
+            if blocks == 1:
+                assert np.array_equal(h, block_density(x)) and np.array_equal(got, block_rhs(x))
+            else:
+                dh, drhs = packed_error_bounds(K, w, N, x)
+                assert np.all(np.abs(h - block_density(x)) <= 2 * dh)
+                assert np.all(np.abs(got - block_rhs(x)) <= 2 * drhs)

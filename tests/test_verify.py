@@ -415,8 +415,8 @@ def _loop_ode_pde(n_states, seed, n_modes=3):
     # ode_pde_proportionality_check with one gateaux_g call per state and basis vector
     rng = np.random.default_rng(seed)
     k = odd_frequencies(n_modes)
-    s = np.pi * k
-    c2 = c_squared(k)
+    s = np.tile(np.pi * k, 2)
+    c2 = np.tile(c_squared(k), 2)
     zero = np.zeros(k[-1])
     odd = np.eye(k[-1])[k - 1]
     basis = [TangentVector(FourierRep(2.0, 0.0, e, zero), 2) for e in odd] \
@@ -429,8 +429,8 @@ def _loop_ode_pde(n_states, seed, n_modes=3):
         cos, sin = zero.copy(), zero.copy()
         cos[k - 1], sin[k - 1] = np.pi * k * ab[1], -np.pi * k * ab[0]
         gprime = InverseDerivative(FourierRep(2.0, 0.5, cos, sin), 2)
-        dh = np.array([gateaux_g(gprime, phi) for phi in basis]).reshape(2, n_modes)
-        x = s * ab
+        dh = np.array([gateaux_g(gprime, phi) for phi in basis])
+        x = s * ab.ravel()
         worst = max(worst, np.max(np.abs(ode.rhs(x) / s - c2 * dh)),
                     np.max(np.abs(pde.rhs(x) / s - dh)))
     return worst

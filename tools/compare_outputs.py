@@ -3,7 +3,7 @@
     python3 tools/compare_outputs.py OLD_ROOT NEW_ROOT
 
 Each root is a checkout of this repository, holding `src/` and `demos/`.
-Each of the 62 CLI commands of the output gate (figures, Galerkin and
+Each of the 64 CLI commands of the output gate (figures, Galerkin and
 diffusion modes, Riesz and simplex flows, entropy, verify, and twenty-one
 runs that fail on purpose) and each demo runs once under each tree. One line per
 command reports IDENTICAL when stdout, stderr and the exit code agree byte
@@ -50,12 +50,15 @@ COMMANDS = [
     ["galerkin", "--B", "0.25", "--modes", "1", "--t-end", "5"],
     ["galerkin", "--coeffs", GAL, "--t-end", "20"],
     ["galerkin", "--coeffs", GAL, "--t-end", "10", "--method", "rk4", "--format", "json"],
+    # one a,b pair: the packed state at its smallest
+    ["galerkin", "--coeffs", "0.02,0.01", "--t-end", "5"],
     # explicit steps below 2 / (2 pi^2 (2K-1)^2), the fastest linearized diffusion rate
     ["pde", "--B", "0.25,0,0", "--dt", "0.002", "--t-end", "0.4"],
     ["pde", "--B", "0.25,0,0", "--dt", "0.002", "--t-end", "0.4", "--method", "rk4"],
     ["pde", "--B", "0.3,0.05,-0.02", "--dt", "0.002", "--t-end", "0.4"],
     ["pde", "--B", B8, "--modes", "8", "--dt", "0.0002", "--t-end", "0.02", "--method", "rk4"],
     ["pde", "--coeffs", GAL, "--dt", "0.002", "--t-end", "0.5"],
+    ["pde", "--coeffs", "0.02,0.01", "--dt", "0.002", "--t-end", "0.1"],
     # two blocks of eight modes
     ["pde", "--coeffs", C16, "--dt", "0.0002", "--t-end", "0.02", "--method", "rk4"],
     ["riesz", "--n", "2", "--coeffs", "0.25,0", "--t-end", "5", "--method", "rk4", "--dt", "0.01"],
