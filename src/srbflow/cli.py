@@ -77,15 +77,15 @@ def _trajectory_table(traj: fl.Trajectory, state_names: list[str],
     return header, np.column_stack(cols)
 
 
-def _integrate(system: fl.FlowSystem, x0: np.ndarray, args) -> fl.Trajectory:
-    """Integrate from x0 by args.flow_config after running the domain guard of
-    the first monitor (_guarded on the samples of a fiber system, else
-    system.entropy): a start outside (0, 1) is bad input, not a runtime failure."""
+def _start(system: fl.FlowSystem, x0: np.ndarray) -> np.ndarray:
+    """x0, after the domain guard of the first monitor (_guarded on the samples
+    of a fiber system, else system.entropy): a start outside (0, 1) is bad
+    input, not a runtime failure."""
     try:
         (_guarded if system.fiber else system.entropy)(x0)
     except DomainError as e:
         raise ValueError(f"initial state: {e}") from None
-    return fl.integrate(system, x0, args.flow_config)
+    return x0
 
 
 def _check_grid(grid: int, n_modes: int):
@@ -111,7 +111,8 @@ def cmd_simplex(args) -> int:
         raise ValueError(f"--x needs {args.n} components")
     if abs(x0.sum() - 1.0) > 1e-9:
         raise ValueError("--x must sum to 1")
-    traj = _integrate(fl.riesz_system(args.n), x0, args)
+    system = fl.riesz_system(args.n)
+    traj = fl.integrate(system, _start(system, x0), args.flow_config)
     names = [f"x{k+1}" for k in range(args.n)]
     header, rows = _trajectory_table(traj, names, with_residual=True)
     _write_table(_resolve_out(args.out), header, rows, args.format)
@@ -148,7 +149,7 @@ def _galerkin_like(args) -> int:
         raise ValueError("provide an initial condition via --B or --coeffs")
     _check_grid(args.grid, n_modes)
     _print_extrema(odd_mode_density(amplitudes, args.grid))
-    traj = _integrate(system, x0, args)
+    traj = fl.integrate(system, _start(system, x0), args.flow_config)
     header, rows = _trajectory_table(traj, names, with_residual=False)
     _write_table(_resolve_out(args.out), header, rows, args.format)
     return EXIT_OK
@@ -172,11 +173,13 @@ def _initial_samples(args) -> np.ndarray:
 def cmd_riesz(args) -> int:
     samples = _initial_samples(args)
     _print_extrema(samples)
-    traj = _integrate(fl.riesz_system(args.n), samples, args)
-    # grid states are large; emit the monitors plus the density extrema
-    header, rows = _trajectory_table(traj, [], with_residual=True)
-    rows = np.column_stack([rows, traj.states.min(axis=1), traj.states.max(axis=1)])
-    _write_table(_resolve_out(args.out), header + ["h_min", "h_max"], rows, args.format)
+    system = fl.riesz_system(args.n)
+    # grid states are large: each record is reduced to its row as it comes, and none is kept
+    rows = np.array([(t, system.entropy(x), system.grad_norm(r), system.constraint_residual(x),
+                      x.min(), x.max())
+                     for t, x, r in fl.records(system, _start(system, samples), args.flow_config)])
+    header = ["t", "entropy", "grad_norm", "constraint_residual", "h_min", "h_max"]
+    _write_table(_resolve_out(args.out), header, rows, args.format)
     return EXIT_OK
 
 

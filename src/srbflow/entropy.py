@@ -7,8 +7,8 @@ R_h = -ln h + (1/n) sum_i ln h(.+i), valid for any degree n.  Under the
 H^2 metric an orthonormal basis is only available for degree 2, where the
 gradient becomes an ODE system on the odd-harmonic coefficients; that system
 and the diffusion modes are one kernel on a flat amplitude vector and one
-table pair, built and cached in one place, _odd_kernel(K, N, blocks,
-use_pde); the flow systems and odd_mode_density read it.
+table pair, built and cached in one place, _odd_kernel(K, N, blocks); the
+flow systems and odd_mode_density read it.
 """
 
 from __future__ import annotations
@@ -137,23 +137,24 @@ _OddKernel = namedtuple("_OddKernel", "density rhs entropy s tables")
 
 
 @lru_cache(maxsize=16)
-def _odd_kernel(n_modes: int, n_points: int, blocks: int, use_pde: bool) -> _OddKernel:
+def _odd_kernel(n_modes: int, n_points: int, blocks: int) -> _OddKernel:
     """The odd-mode kernel of the degree-2 flows for K = n_modes modes on the
     grid tau_j = 2 pi j / N (tau = pi y, k = 2m - 1), built once per
-    (K, N, blocks, use_pde) and shared: its functions keep no state.
+    (K, N, blocks) and shared: its functions keep no state.
 
     x = [A; B] = pi k [a; b] holds the amplitudes of a general degree-2
     density as one flat vector of m = 2K values (blocks = 2), and x = B the
-    even amplitudes (blocks = 1, m = K); k and the scale are tiled to length
+    even amplitudes (blocks = 1, m = K); k and the scales are tiled to length
     m, so blocks only chooses the table pair (C, S): (cos, sin)(k tau) for B,
     ([-sin | cos], [cos | sin])(k tau) for [A; B].  With h = 1/2 + C x and
     h' = dh/dtau = -S (k x), projecting h'/h on the modes gives
-    dx/dt = -pi k w (dtau ((S (k x)) / h)^T S): the H^2 gradient flow for
-    w = c_squared(k), the diffusion modes of w_t = w_yy / w_y for w = 1
-    (use_pde).  The entropy -(1/pi) int_0^{2pi} h ln h dtau takes one state
+    dx/dt = -pi k w (dtau ((S (k x)) / h)^T S), rhs(x, use_pde): the H^2
+    gradient flow for w = c_squared(k), the diffusion modes of w_t = w_yy / w_y
+    for w = 1 (use_pde); the tables do not depend on w, so both flows share
+    one entry.  The entropy -(1/pi) int_0^{2pi} h ln h dtau takes one state
     (m,) or a stack (rows, m): one gemv per state, as in density, so each row
     has the bits of its state alone.  What a run holds fixed is bound here
-    once: the tables, k, the scale -pi k w, dtau = 2 pi / N and the
+    once: the tables, k, both scales -pi k w, dtau = 2 pi / N and the
     quadrature weight 2 / N."""
     k = np.tile(odd_frequencies(n_modes).astype(float), blocks)
     ang = np.outer(np.arange(n_points) * (2.0 * np.pi / n_points), k[:n_modes])
@@ -161,14 +162,14 @@ def _odd_kernel(n_modes: int, n_points: int, blocks: int, use_pde: bool) -> _Odd
     C, S = (cos, sin) if blocks == 1 else (np.hstack([-sin, cos]), np.hstack([cos, sin]))
     C.setflags(write=False)
     S.setflags(write=False)
-    w = 1.0 if use_pde else c_squared(k)
-    scale, dtau, weight = -np.pi * k * w, 2.0 * np.pi / n_points, 2.0 / n_points
+    scales = tuple(-np.pi * k * w for w in (c_squared(k), 1.0))  # indexed by use_pde
+    dtau, weight = 2.0 * np.pi / n_points, 2.0 / n_points
 
     def density(x):
         return 0.5 + C @ x
 
-    def rhs(x):
-        return scale * (dtau * (((S @ (k * x)) / _guarded(density(x))) @ S))
+    def rhs(x, use_pde):
+        return scales[use_pde] * (dtau * (((S @ (k * x)) / _guarded(density(x))) @ S))
 
     def entropy(X):
         return gibbs_entropy(0.5 + (C @ X[..., None])[..., 0], weight)
@@ -182,4 +183,4 @@ def odd_mode_density(x, n_points: int = DEFAULT_GRID) -> np.ndarray:
     X = np.atleast_2d(np.asarray(x, dtype=float))
     if X.ndim > 2 or len(X) > 2:
         raise ValueError("x must be the amplitudes B or the two blocks [A; B]")
-    return _odd_kernel(X.shape[1], n_points, len(X), False).density(X.ravel())
+    return _odd_kernel(X.shape[1], n_points, len(X)).density(X.ravel())

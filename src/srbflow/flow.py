@@ -3,10 +3,13 @@
 Each system is packaged as a FlowSystem: a right-hand side on a flat numpy
 state vector plus monitor callbacks (entropy, gradient norm, constraint
 residual).  rhs(x) is evaluated once per state: it is the next step's
-first stage, and grad_norm maps it to a float at each record.  integrate
-calls the entropy and constraint monitors once per run, on the stack of
-recorded states.  Explicit Euler is the default stepper; classical RK4 is
-available when tighter monotonicity tolerances are needed.  RK4 sums its
+first stage, and grad_norm maps it to a float at each record.  records
+steps the state and yields each record as live arrays, which the next step
+overwrites, so a caller that reduces each record as it comes (the riesz
+CLI) holds O(state) memory; integrate collects the records into a stack
+allocated up front and runs the entropy and constraint monitors once per
+run, on that stack.  Explicit Euler is the default stepper; classical RK4
+is available when tighter monotonicity tolerances are needed.  RK4 sums its
 stages in the arrays the rhs returned, so an rhs returns a fresh array.
 
 A state of independent fibers (FlowSystem.fiber; the Riesz flow's n
@@ -16,8 +19,8 @@ the steps (stages, their sum and the next state's rhs) while its arrays stay
 in cache, and _on_threads runs them in contiguous shares, one per CPU
 core, split once per run.  A state of one block is stepped flat on the
 calling thread.  Each value gets the whole-array arithmetic, so no bit of
-the trajectory depends on the blocking or the core count.  Records go into
-arrays allocated up front and are taken on the calling thread.
+the trajectory depends on the blocking or the core count.  Records are
+taken on the calling thread.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -127,11 +130,11 @@ def galerkin_system_n2(n_points: int = DEFAULT_GRID, use_pde: bool = False) -> F
     odd-mode kernel on the flat amplitudes s x (s = pi k on each half), scaled back by s."""
 
     def rhs(x):
-        f = _odd_kernel(x.size // 2, n_points, 2, use_pde)
-        return f.rhs(f.s * x) / f.s
+        f = _odd_kernel(x.size // 2, n_points, 2)
+        return f.rhs(f.s * x, use_pde) / f.s
 
     def entropy(X):
-        f = _odd_kernel(X.shape[1] // 2, n_points, 2, use_pde)
+        f = _odd_kernel(X.shape[1] // 2, n_points, 2)
         return f.entropy(f.s * X)
 
     return FlowSystem(rhs=rhs, entropy=_monitor(entropy, n_points))
@@ -140,9 +143,8 @@ def galerkin_system_n2(n_points: int = DEFAULT_GRID, use_pde: bool = False) -> F
 def even_galerkin_system(n_points: int = DEFAULT_GRID, use_pde: bool = False) -> FlowSystem:
     """Even-case flow on the amplitudes B (pure cosine densities)."""
     return FlowSystem(
-        rhs=lambda B: _odd_kernel(B.size, n_points, 1, use_pde).rhs(B),
-        entropy=_monitor(lambda B: _odd_kernel(B.shape[1], n_points, 1, use_pde).entropy(B),
-                         n_points),
+        rhs=lambda B: _odd_kernel(B.size, n_points, 1).rhs(B, use_pde),
+        entropy=_monitor(lambda B: _odd_kernel(B.shape[1], n_points, 1).entropy(B), n_points),
     )
 
 
@@ -237,9 +239,17 @@ def _on_threads(fn, shares: list) -> list:
     return results
 
 
-def integrate(system: FlowSystem, initial, cfg: FlowConfig) -> Trajectory:
-    """Fixed-step integration; grad_norm is taken at each record, the other
-    monitors once, on the stack of recorded states.
+def _record_steps(cfg: FlowConfig) -> list[int]:
+    """The steps taken at each record: every record_every-th, then the last."""
+    n_steps = int(round(cfg.t_end / cfg.dt))
+    return [*range(0, n_steps, cfg.record_every), n_steps]
+
+
+def records(system: FlowSystem, initial,
+            cfg: FlowConfig) -> Iterator[tuple[float, np.ndarray, np.ndarray]]:
+    """Fixed-step integration, yielding (t, x, r) at each record: the state x
+    and its rhs r = system.rhs(x) as live arrays, which the next step
+    overwrites in place, so a caller copies what it keeps.
 
     Raises DomainError if the state leaves the valid region and StepError
     if a step produces a non-finite value, naming the step and its time; on
@@ -247,10 +257,6 @@ def integrate(system: FlowSystem, initial, cfg: FlowConfig) -> Trajectory:
     """
     x = np.array(initial, dtype=float)
     step = _euler_step if cfg.method == "euler" else _rk4_step
-    n_steps = int(round(cfg.t_end / cfg.dt))
-    n_records = n_steps // cfg.record_every + 1 + (n_steps % cfg.record_every > 0)
-    times, grad_norm = np.empty(n_records), np.empty(n_records)
-    states = np.empty((n_records, x.size))
     r = np.empty_like(x)
     shares = _shares(x, r, system.fiber)
     steps = range(0)
@@ -273,8 +279,7 @@ def integrate(system: FlowSystem, initial, cfg: FlowConfig) -> Trajectory:
                     break
         return failures
 
-    for j in range(n_records):
-        stop = min(j * cfg.record_every, n_steps)
+    for stop in _record_steps(cfg):
         steps = range(steps.stop, stop + 1)
         failures = _on_threads(run, shares)
         if any(failures):  # the first in (step, block) order, as a step-by-step pass meets it
@@ -282,7 +287,18 @@ def integrate(system: FlowSystem, initial, cfg: FlowConfig) -> Trajectory:
             if isinstance(e, (DomainError, StepError)):
                 raise type(e)(f"{e} at step {i} (t = {i * cfg.dt:.6g})") from e
             raise e
-        times[j], states[j], grad_norm[j] = stop * cfg.dt, x, system.grad_norm(r)
+        yield stop * cfg.dt, x, r
+
+
+def integrate(system: FlowSystem, initial, cfg: FlowConfig) -> Trajectory:
+    """The records of records(system, initial, cfg) as one Trajectory:
+    grad_norm is taken at each record, the other monitors once, on the
+    stack of recorded states.  Raises what records raises."""
+    n_records = len(_record_steps(cfg))
+    times, grad_norm = np.empty(n_records), np.empty(n_records)
+    states = np.empty((n_records, np.size(initial)))
+    for j, (t, x, r) in enumerate(records(system, initial, cfg)):
+        times[j], states[j], grad_norm[j] = t, x, system.grad_norm(r)
     # every recorded state passed the rhs's domain guard, so the monitors' cannot fire
     return Trajectory(times, states, system.entropy(states), grad_norm,
                       system.constraint_residual(states))

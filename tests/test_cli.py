@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -7,10 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from srbflow import cli
+from srbflow import cli, flow
 from srbflow.cli import main
 from srbflow.entropy import _odd_kernel
-from srbflow.flow import riesz_system
+from srbflow.flow import FlowConfig, integrate, riesz_system
 from srbflow.spectral import FourierRep, grid_points_for, project_constraint, to_grid
 
 GAL = "0.01,0.02,0.003,-0.004,0.001,0.002"
@@ -100,6 +101,59 @@ def test_riesz_run(tmp_path):
     header, data = read_csv(out)
     assert header[0] == "t" and "constraint_residual" in header
     assert np.max(data[:, header.index("constraint_residual")]) <= 1e-9
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_riesz_writes_the_table_of_the_trajectory(tmp_path, monkeypatch, fmt):
+    # riesz reduces each record as it comes; its table is integrate's monitors
+    # and the extrema of its stacked states, byte for byte, on 2 blocks over 2 cores
+    monkeypatch.setattr(flow, "_cores", lambda: 2)
+    coeffs = "0.1,0.05,0.02,-0.03"
+    out = tmp_path / f"r.{fmt}"
+    assert run(["riesz", "--n", "2", "--coeffs", coeffs, "--grid", "70000", "--t-end", "0.6",
+                "--method", "rk4", "--format", fmt, "--out", str(out)]) == 0
+    samples = cli._initial_samples(argparse.Namespace(n=2, grid=70000, coeffs=coeffs))
+    assert samples.size > flow.BLOCK_ELEMENTS
+    traj = integrate(riesz_system(2), samples, FlowConfig(t_end=0.6, method="rk4"))
+    assert len(traj.times) == 7
+    want = tmp_path / f"want.{fmt}"
+    cli._write_table(str(want), ["t", "entropy", "grad_norm", "constraint_residual",
+                                 "h_min", "h_max"],
+                     np.column_stack([traj.times, traj.entropy, traj.grad_norm,
+                                      traj.constraint_residual, traj.states.min(axis=1),
+                                      traj.states.max(axis=1)]), fmt)
+    assert out.read_bytes() == want.read_bytes()
+
+
+PEAK_RSS = """
+import contextlib, io, resource, sys
+from srbflow.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_riesz_peak_memory_does_not_grow_with_the_record_count(tmp_path):
+    # 65536 nodes of degree 2: a 0.5 MiB state.  A kept stack of records would
+    # raise the peak by 190 states (95 MiB) from 11 to 201 records; what riesz
+    # does keep per record, a table row and its text line, is under 1 KiB.  The
+    # margin, 4 states (2 MiB), leaves room for the allocator's page granularity
+    pytest.importorskip("resource")
+    state_kib = 65536 * 8 / 1024
+    kib = 1 / 1024 if sys.platform == "darwin" else 1  # ru_maxrss is bytes there
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    peaks = []
+    for t_end in ("1", "20"):
+        argv = ["riesz", "--n", "2", "--coeffs", "0.1,0.05", "--grid", "65536",
+                "--t-end", t_end, "--out", str(tmp_path / "r.csv")]
+        done = subprocess.run([sys.executable, "-c", PEAK_RSS, *argv], env=env,
+                              capture_output=True, text=True, check=True, timeout=300)
+        code, peak = done.stdout.split()
+        assert code == "0"
+        peaks.append(float(peak) * kib)
+    assert len((tmp_path / "r.csv").read_text().splitlines()) == 202
+    assert abs(peaks[1] - peaks[0]) < 4 * state_kib, peaks
 
 
 def test_pde_run(tmp_path):
@@ -274,11 +328,17 @@ def test_galerkin_h_range_on_the_kernel_nodes(capsys, tmp_path):
     assert capsys.readouterr().out.startswith("h range: [0.399153, 0.600847] ")
 
 
-@pytest.mark.parametrize("init", [["--B", "0.25,0,0"], ["--coeffs", GAL]], ids=["B", "coeffs"])
-def test_h2_run_builds_one_kernel(tmp_path, init):
-    # the printed h range reads the H^2 system's own kernel entry
+@pytest.mark.parametrize("argv", [
+    ["galerkin", "--B", "0.25,0,0", "--t-end", "0.2"],
+    ["galerkin", "--coeffs", GAL, "--t-end", "0.2"],
+    ["pde", "--B", "0.25,0,0", "--dt", "0.002", "--t-end", "0.004"],
+    ["pde", "--coeffs", GAL, "--dt", "0.002", "--t-end", "0.004"],
+], ids=["B", "coeffs", "pde-B", "pde-coeffs"])
+def test_h2_run_builds_one_kernel(tmp_path, argv):
+    # the printed h range reads the system's own kernel entry, whose tables
+    # serve the H^2 flow and the diffusion modes alike
     _odd_kernel.cache_clear()
-    assert run(["galerkin", *init, "--t-end", "0.2", "--out", str(tmp_path / "g.csv")]) == 0
+    assert run([*argv, "--out", str(tmp_path / "g.csv")]) == 0
     assert _odd_kernel.cache_info().misses == 1
 
 

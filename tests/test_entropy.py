@@ -499,7 +499,7 @@ def test_odd_mode_functions_reject_more_than_two_blocks():
 
 def test_cached_tables_are_read_only():
     for blocks in (1, 2):
-        tables = _odd_kernel(3, 64, blocks, False).tables
+        tables = _odd_kernel(3, 64, blocks).tables
         assert len(tables) == 2
         for T in tables:
             with pytest.raises(ValueError):
@@ -526,16 +526,17 @@ def test_table_cache_builds_once_per_grid_and_mode_count():
 
 @pytest.mark.parametrize("use_pde", [False, True], ids=["h2", "pde"])
 def test_odd_mode_density_and_even_system_share_one_kernel_cache(use_pde):
-    # odd_mode_density reads the H^2 kernel of (K, N, 1 block), which the H^2
-    # system reuses; the diffusion system builds its own entry next to it
+    # odd_mode_density reads the kernel of (K, N, 1 block), which the H^2 and
+    # the diffusion system both reuse
     _odd_kernel.cache_clear()
     B, N = np.array([0.1, 0.02, -0.01]), 256
     density = odd_mode_density(B, N)
     rhs = even_galerkin_system(N, use_pde).rhs(B)
     info = _odd_kernel.cache_info()
-    assert (info.misses, info.hits) == ((2, 0) if use_pde else (1, 1))
-    kernel = _odd_kernel(3, N, 1, use_pde)
-    assert np.array_equal(density, kernel.density(B)) and np.array_equal(rhs, kernel.rhs(B))
+    assert (info.misses, info.hits) == (1, 1)
+    kernel = _odd_kernel(3, N, 1)
+    assert np.array_equal(density, kernel.density(B))
+    assert np.array_equal(rhs, kernel.rhs(B, use_pde))
 
 
 @pytest.mark.parametrize("blocks", [1, 2])
@@ -547,15 +548,15 @@ def test_odd_kernel_matches_the_reduce_over_blocks_bitwise(K, N, blocks):
     # there, so the reduce is an oracle within packed_error_bounds
     rng = np.random.default_rng(10 * K + blocks)
     k = odd_frequencies(K)
+    kernel = _odd_kernel(K, N, blocks)
     for use_pde, w in ((False, c_squared(k)), (True, 1.0)):
-        kernel = _odd_kernel(K, N, blocks, use_pde)
         density, rhs = flat_kernel(K, w, N, blocks)
         block_density, block_rhs = blockwise_kernel(K, w, N, blocks)
         for _ in range(50):
             # pi sum k (|a| + |b|) < 1/2 keeps the density in (0, 1)
             x = rng.uniform(-1.0, 1.0, blocks * K)
             x *= rng.uniform(0.05, 0.4) / np.sum(np.abs(x))
-            h, got = kernel.density(x), kernel.rhs(x)
+            h, got = kernel.density(x), kernel.rhs(x, use_pde)
             assert got.shape == x.shape
             assert np.array_equal(h, density(x)) and np.array_equal(got, rhs(x))
             X = np.stack([x, 0.5 * x])

@@ -16,6 +16,7 @@ from srbflow.flow import (
     galerkin_system_n2,
     heat_reference,
     integrate,
+    records,
     riesz_system,
 )
 from srbflow.spectral import FourierRep, GridRep, InverseDerivative, grid_points_for, to_grid
@@ -263,7 +264,8 @@ def test_galerkin_systems_build_the_kernel_once_per_state_size(monkeypatch, make
         calls["kernel"] = _odd_kernel.cache_info().misses
     finally:
         _odd_kernel.cache_clear()
-    assert calls == {"kernel": 2, "c_squared": 0 if use_pde else 2}
+    # each build weighs both flows' scales, whichever flow asked for it
+    assert calls == {"kernel": 2, "c_squared": 2}
 
 
 def _fibers(n, m, seed):
@@ -543,11 +545,13 @@ def test_first_failure_in_step_then_block_order(monkeypatch, fail, starts, messa
         x0[:, 350 * b:350 * (b + 1)] = start
     system = _failing_blocks_system(10.0 if fail == "domain" else 9.9, fail)
     cfg = FlowConfig(t_end=6.0, dt=1.0, record_every=4)
-    for cores in (1, 2, 3):
-        monkeypatch.setattr(flow, "_cores", lambda: cores)
-        with pytest.raises(DomainError if fail == "domain" else StepError) as exc:
-            integrate(system, x0.ravel(), cfg)
-        assert str(exc.value) == message, cores
+    # integrate, and the records it collects taken one by one
+    for drive in (integrate, lambda *a: list(records(*a))):
+        for cores in (1, 2, 3):
+            monkeypatch.setattr(flow, "_cores", lambda: cores)
+            with pytest.raises(DomainError if fail == "domain" else StepError) as exc:
+                drive(system, x0.ravel(), cfg)
+            assert str(exc.value) == message, cores
 
 
 def test_one_block_runs_start_no_thread(monkeypatch):

@@ -160,7 +160,7 @@ def test_ode_pde_proportionality_catches_scaled_kernel(monkeypatch):
 
     def scaled(*args):
         f = real(*args)
-        return f._replace(rhs=lambda x: 1.001 * f.rhs(x))
+        return f._replace(rhs=lambda x, use_pde: 1.001 * f.rhs(x, use_pde))
 
     monkeypatch.setattr(flow, "_odd_kernel", scaled)
     assert not ode_pde_proportionality_check(10, seed=0).passed
@@ -421,8 +421,8 @@ def _loop_ode_pde(n_states, seed, n_modes=3):
     odd = np.eye(k[-1])[k - 1]
     basis = [TangentVector(FourierRep(2.0, 0.0, e, zero), 2) for e in odd] \
         + [TangentVector(FourierRep(2.0, 0.0, zero, e), 2) for e in odd]
-    # the kernels the check reads, reached without the systems it checks
-    ode, pde = (_odd_kernel(n_modes, 1024, 2, use_pde) for use_pde in (False, True))
+    # the kernel the check reads, reached without the systems it checks
+    kernel = _odd_kernel(n_modes, 1024, 2)
     worst = 0.0
     for _ in range(n_states):
         ab = rng.uniform(-0.004, 0.004, (2, n_modes))
@@ -431,8 +431,8 @@ def _loop_ode_pde(n_states, seed, n_modes=3):
         gprime = InverseDerivative(FourierRep(2.0, 0.5, cos, sin), 2)
         dh = np.array([gateaux_g(gprime, phi) for phi in basis])
         x = s * ab.ravel()
-        worst = max(worst, np.max(np.abs(ode.rhs(x) / s - c2 * dh)),
-                    np.max(np.abs(pde.rhs(x) / s - dh)))
+        worst = max(worst, np.max(np.abs(kernel.rhs(x, False) / s - c2 * dh)),
+                    np.max(np.abs(kernel.rhs(x, True) / s - dh)))
     return worst
 
 

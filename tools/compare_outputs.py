@@ -3,7 +3,7 @@
     python3 tools/compare_outputs.py OLD_ROOT NEW_ROOT
 
 Each root is a checkout of this repository, holding `src/` and `demos/`.
-Each of the 64 CLI commands of the output gate (figures, Galerkin and
+Each of the 66 CLI commands of the output gate (figures, Galerkin and
 diffusion modes, Riesz and simplex flows, entropy, verify, and twenty-one
 runs that fail on purpose) and each demo runs once under each tree. One line per
 command reports IDENTICAL when stdout, stderr and the exit code agree byte
@@ -74,6 +74,10 @@ COMMANDS = [
     # three uneven blocks, which do not split evenly over two cores
     ["riesz", "--n", "2", "--coeffs", C4, "--grid", "140000", "--t-end", "0.2", "--dt", "0.02",
      "--method", "rk4", "--record-every", "3"],
+    # three blocks at the default --record-every 1: 51 records, each reduced as it comes
+    ["riesz", "--n", "2", "--coeffs", C4, "--grid", "140000", "--t-end", "1", "--dt", "0.02"],
+    ["riesz", "--n", "3", "--coeffs", "0.1,0.05", "--t-end", "2", "--grid", "999", "--format",
+     "json"],
     # odd grids sampled by angle addition; the riesz state is one fiber block
     ["riesz", "--n", "3", "--coeffs", "0.1,0.05,0.02,-0.03", "--grid", "40001", "--t-end", "0.2",
      "--dt", "0.02", "--method", "rk4", "--record-every", "5"],
