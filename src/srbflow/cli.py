@@ -174,10 +174,12 @@ def cmd_riesz(args) -> int:
     samples = _initial_samples(args)
     _print_extrema(samples)
     system = fl.riesz_system(args.n)
-    # grid states are large: each record is reduced to its row as it comes, and none is kept
+    # grid states are large: records steps a copy of the start, so ours is dropped, and each
+    # record becomes its row as it comes; a run holds x, r and one monitor temporary
+    run = fl.records(system, _start(system, samples), args.flow_config)
+    del samples
     rows = np.array([(t, system.entropy(x), system.grad_norm(r), system.constraint_residual(x),
-                      x.min(), x.max())
-                     for t, x, r in fl.records(system, _start(system, samples), args.flow_config)])
+                      x.min(), x.max()) for t, x, r in run])
     header = ["t", "entropy", "grad_norm", "constraint_residual", "h_min", "h_max"]
     _write_table(_resolve_out(args.out), header, rows, args.format)
     return EXIT_OK

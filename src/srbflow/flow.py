@@ -256,6 +256,7 @@ def records(system: FlowSystem, initial,
     a state of several blocks, the first failure in (step, block) order.
     """
     x = np.array(initial, dtype=float)
+    del initial  # stepping reads only the copy: a caller's start is not held here
     step = _euler_step if cfg.method == "euler" else _rk4_step
     r = np.empty_like(x)
     shares = _shares(x, r, system.fiber)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -154,6 +155,31 @@ def test_riesz_peak_memory_does_not_grow_with_the_record_count(tmp_path):
         peaks.append(float(peak) * kib)
     assert len((tmp_path / "r.csv").read_text().splitlines()) == 202
     assert abs(peaks[1] - peaks[0]) < 4 * state_kib, peaks
+
+
+def test_riesz_peaks_at_three_grid_states(monkeypatch, tmp_path):
+    # riesz_grid's shape on 2^20 - 1 nodes, an 8 MiB state.  Past the start, a
+    # riesz run holds three: the stepped x, its rhs r, and one monitor
+    # temporary (s ln s for the entropy, then r^2 for grad_norm).  A reference
+    # kept to the sampled start would add a fourth.  Between records each share
+    # steps one BLOCK_ELEMENTS block at a time, its temporaries a few blocks;
+    # the slack, one block of floats per core (2 x 512 KiB, 1/8 state on the 2
+    # cores patched here), holds what the run keeps besides its states: the
+    # parser, the grid caches and the table rows (0.03 states measured)
+    monkeypatch.setattr(flow, "_cores", lambda: 2)
+    state = grid_points_for(5, 1048576) * 8
+    slack = 2 * flow.BLOCK_ELEMENTS * 8
+    argv = ["riesz", "--n", "5", "--coeffs=0.04,-0.02,0.03,0.01,-0.02,0.015", "--grid", "1048576",
+            "--method", "rk4", "--dt", "0.02", "--t-end", "0.2", "--record-every", "10",
+            "--out", str(tmp_path / "r.csv")]
+    tracemalloc.start()
+    try:
+        assert run(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len((tmp_path / "r.csv").read_text().splitlines()) == 3
+    assert peak <= 3 * state + slack, peak / state
 
 
 def test_pde_run(tmp_path):

@@ -2,6 +2,7 @@ import dataclasses
 import re
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -219,6 +220,20 @@ def test_record_every():
     cfg = FlowConfig(t_end=1.0, dt=0.1, record_every=5)
     traj = integrate(riesz_system(2), [0.4, 0.6], cfg)
     np.testing.assert_allclose(traj.times, [0.0, 0.5, 1.0])
+
+
+def test_records_lets_go_of_the_callers_start():
+    # stepping reads only records' copy: once the caller drops its start, no
+    # reference to it outlives the first record (a 16 MiB grid state on riesz_grid)
+    start = cos_quarter_samples(1024)
+    expect = start.copy()
+    ref = weakref.ref(start)
+    run = records(riesz_system(2), start, FlowConfig(t_end=0.2, dt=0.1))
+    del start
+    t, x, _ = next(run)
+    assert ref() is None
+    assert t == 0.0 and np.array_equal(x, expect)
+    assert len(list(run)) == 2
 
 
 @pytest.mark.parametrize("record_every", [1, 10])

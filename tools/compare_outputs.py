@@ -11,10 +11,14 @@ for byte. Otherwise it reports DIFFERS with the largest
 |new - old| / max(1, |old|) over the numbers of the two outputs, or "text"
 when they do not line up number for number. A last line sums up:
 `N identical, M differ; src/srbflow lines OLD → NEW; srbflow.__all__ OLD → NEW;
-modules loaded OLD → NEW`, the lines counted over each root's
-src/srbflow/*.py, the names its package exports and the modules loaded
-after `import srbflow.cli`, each imported in a subprocess as the commands
-are, so a module added to the import path shows here.
+modules loaded OLD → NEW; largest peak RSS OLD → NEW MB`, the lines counted
+over each root's src/srbflow/*.py, the names its package exports and the
+modules loaded after `import srbflow.cli`, each imported in a subprocess as
+the commands are, so a module added to the import path shows here.  The
+peak RSS is the largest over each tree's commands and demos of the child's
+own `ru_maxrss` (taken with os.wait4; MB as benchmarks/run.py reports it,
+KiB / 1024).  Each child writes its stdout and stderr to temporary files,
+so a large output cannot stall it on a full pipe.
 
 Exit status 0 when every command is identical, 1 otherwise. Not part of
 the test suite; single-threaded BLAS, one command at a time.
@@ -143,24 +147,36 @@ COMMANDS = [
 ]
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:nan|inf)")
 MAIN = "import sys; from srbflow.cli import main; sys.exit(main(sys.argv[1:]))"
+RSS_PER_MB = 2**20 if sys.platform == "darwin" else 2**10  # ru_maxrss counts bytes there, else KiB
 
 
-def python(root: Path, args: list[str], workdir: str) -> subprocess.CompletedProcess:
+def python(root: Path, args: list[str],
+           workdir: str) -> tuple[subprocess.CompletedProcess, float]:
+    """Python run on args under root, and the child's own peak RSS in MB."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1")
     env.pop("SRBFLOW_OUTDIR", None)
-    return subprocess.run([sys.executable, *args], cwd=workdir, env=env,
-                          capture_output=True, text=True)
+    # read back as text mode reads a pipe: locale encoding, universal newlines
+    with tempfile.TemporaryFile("w+") as out, tempfile.TemporaryFile("w+") as err:
+        child = subprocess.Popen([sys.executable, *args], cwd=workdir, env=env,
+                                 stdout=out, stderr=err)
+        _, status, usage = os.wait4(child.pid, 0)
+        child.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        err.seek(0)
+        done = subprocess.CompletedProcess(child.args, child.returncode, out.read(), err.read())
+    return done, usage.ru_maxrss / RSS_PER_MB
 
 
-def run(root: Path, args: list[str], workdir: str) -> str:
-    done = python(root, args, workdir)
-    return f"{done.stdout}\n--stderr--\n{done.stderr}\n--exit {done.returncode}--\n"
+def run(root: Path, args: list[str], workdir: str) -> tuple[str, float]:
+    """The compared text of one command (stdout, stderr, exit code) and its peak RSS."""
+    done, peak = python(root, args, workdir)
+    return f"{done.stdout}\n--stderr--\n{done.stderr}\n--exit {done.returncode}--\n", peak
 
 
 def imported(root: Path, code: str, workdir: str) -> str:
     """What `code` prints under root, or "?" when it fails."""
-    done = python(root, ["-c", code], workdir)
+    done, _ = python(root, ["-c", code], workdir)
     return done.stdout.strip() if done.returncode == 0 else "?"
 
 
@@ -194,10 +210,12 @@ def main(argv: list[str]) -> int:
     labels = [" ".join(c) for c in COMMANDS]
     labels += [f"demos/{p.name}" for p in sorted((new_root / "demos").glob("*.py"))]
     differs = 0
+    peaks = [0.0, 0.0]
     with tempfile.TemporaryDirectory() as workdir:
         for label in labels:
-            old = run(old_root, command(label, old_root), workdir)
-            new = run(new_root, command(label, new_root), workdir)
+            old, peak_old = run(old_root, command(label, old_root), workdir)
+            new, peak_new = run(new_root, command(label, new_root), workdir)
+            peaks = [max(peaks[0], peak_old), max(peaks[1], peak_new)]
             if old == new:
                 print(f"{'IDENTICAL':<25}{label}", flush=True)
                 continue
@@ -211,7 +229,8 @@ def main(argv: list[str]) -> int:
                 for root in (old_root, new_root)]
     print(f"{len(labels) - differs} identical, {differs} differ; src/srbflow lines "
           f"{source_lines(old_root)} → {source_lines(new_root)}; srbflow.__all__ "
-          f"{api[0]} → {api[1]}; modules loaded {mods[0]} → {mods[1]}")
+          f"{api[0]} → {api[1]}; modules loaded {mods[0]} → {mods[1]}; largest peak RSS "
+          f"{peaks[0]:.1f} → {peaks[1]:.1f} MB")
     return 1 if differs else 0
 
 
