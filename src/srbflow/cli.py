@@ -55,10 +55,8 @@ def _emit(path: str | None, text: str):
 
 def _write_table(path: str | None, header: list[str], rows: np.ndarray, fmt: str):
     rows = np.atleast_2d(rows)
-    if fmt == "json":
-        payload = {name: [float(FLOAT_FMT % v) for v in rows[:, i]]
-                   for i, name in enumerate(header)}
-        text = json.dumps(payload, indent=2) + "\n"
+    if fmt == "json":  # each float's repr: the %.17g value, the same double
+        text = json.dumps(dict(zip(header, rows.T.tolist())), indent=2) + "\n"
     else:
         row_fmt = ",".join([FLOAT_FMT] * rows.shape[1])
         lines = [",".join(header)] + [row_fmt % tuple(row) for row in rows.tolist()]
@@ -68,9 +66,8 @@ def _write_table(path: str | None, header: list[str], rows: np.ndarray, fmt: str
 
 def _trajectory_table(traj: fl.Trajectory, state_names: list[str],
                       with_residual: bool) -> tuple[list[str], np.ndarray]:
-    cols = [traj.times] + [traj.states[:, i] for i in range(len(state_names))]
     header = ["t"] + state_names + ["entropy", "grad_norm"]
-    cols += [traj.entropy, traj.grad_norm]
+    cols = [traj.times, traj.states, traj.entropy, traj.grad_norm]
     if with_residual:
         header.append("constraint_residual")
         cols.append(traj.constraint_residual)
@@ -218,13 +215,9 @@ def cmd_figure(args) -> int:
     tau = np.arange(args.tau_points) * (2.0 * np.pi / args.tau_points)
     cfg = fl.FlowConfig(t_end=20.0 if args.which == "fig1" else 50.0, record_every=100)
     traj = fl.integrate(fl.even_galerkin_system(args.grid), B0, cfg)
-    if args.which == "fig1":
-        cols = [tau]
-        header = ["tau"]
-        for t in (0.0, 10.0, 20.0):
-            i = int(np.argmin(np.abs(traj.times - t)))
-            cols.append(odd_mode_density(traj.states[i], args.tau_points) - 0.5)
-            header.append(f"t{int(t)}")
+    if args.which == "fig1":  # 200 steps, recorded every 100th: t = 0, 10 and 20
+        cols = [tau] + [odd_mode_density(B, args.tau_points) - 0.5 for B in traj.states]
+        header = ["tau"] + [f"t{int(t)}" for t in traj.times]
     else:
         B = traj.states[-1]
         dev = odd_mode_density(B, args.tau_points) - 0.5

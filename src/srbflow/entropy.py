@@ -155,7 +155,8 @@ def _odd_kernel(n_modes: int, n_points: int, blocks: int) -> _OddKernel:
     (m,) or a stack (rows, m): one gemv per state, as in density, so each row
     has the bits of its state alone.  What a run holds fixed is bound here
     once: the tables, k, both scales -pi k w, dtau = 2 pi / N and the
-    quadrature weight 2 / N."""
+    quadrature weight 2 / N.  rhs and entropy raise ValueError on a grid
+    that aliases the top frequency 2K - 1 (N <= 2 (2K - 1))."""
     k = np.tile(odd_frequencies(n_modes).astype(float), blocks)
     ang = np.outer(np.arange(n_points) * (2.0 * np.pi / n_points), k[:n_modes])
     cos, sin = np.cos(ang), np.sin(ang)
@@ -164,14 +165,21 @@ def _odd_kernel(n_modes: int, n_points: int, blocks: int) -> _OddKernel:
     S.setflags(write=False)
     scales = tuple(-np.pi * k * w for w in (c_squared(k), 1.0))  # indexed by use_pde
     dtau, weight = 2.0 * np.pi / n_points, 2.0 / n_points
+    # the rule of to_grid; density stays pointwise, as the figures sample it on any N
+    alias_error = (f"frequency {2 * n_modes - 1} aliases on a grid of {n_points} nodes: "
+                   "need fewer than N/2") if 2 * (2 * n_modes - 1) >= n_points else None
 
     def density(x):
         return 0.5 + C @ x
 
     def rhs(x, use_pde):
+        if alias_error:
+            raise ValueError(alias_error)
         return scales[use_pde] * (dtau * (((S @ (k * x)) / _guarded(density(x))) @ S))
 
     def entropy(X):
+        if alias_error:
+            raise ValueError(alias_error)
         return gibbs_entropy(0.5 + (C @ X[..., None])[..., 0], weight)
 
     return _OddKernel(density, rhs, entropy, np.pi * k, (C, S))

@@ -294,12 +294,16 @@ def records(system: FlowSystem, initial,
 def integrate(system: FlowSystem, initial, cfg: FlowConfig) -> Trajectory:
     """The records of records(system, initial, cfg) as one Trajectory:
     grad_norm is taken at each record, the other monitors once, on the
-    stack of recorded states.  Raises what records raises."""
+    stack of recorded states.  Raises what records raises, and ValueError
+    if a stacked monitor does not give one value per record."""
     n_records = len(_record_steps(cfg))
     times, grad_norm = np.empty(n_records), np.empty(n_records)
     states = np.empty((n_records, np.size(initial)))
     for j, (t, x, r) in enumerate(records(system, initial, cfg)):
         times[j], states[j], grad_norm[j] = t, x, system.grad_norm(r)
     # every recorded state passed the rhs's domain guard, so the monitors' cannot fire
-    return Trajectory(times, states, system.entropy(states), grad_norm,
-                      system.constraint_residual(states))
+    entropy, residual = system.entropy(states), system.constraint_residual(states)
+    for name, values in (("entropy", entropy), ("constraint_residual", residual)):
+        if np.shape(values) != (n_records,):
+            raise ValueError(f"{name} gave shape {np.shape(values)} on {n_records} records")
+    return Trajectory(times, states, entropy, grad_norm, residual)

@@ -70,6 +70,8 @@ def random_tangent(rng: np.random.Generator, degree: int) -> TangentVector:
     """Unit-L2 tangent vector: bounded random Fourier modes, constraint
     projection, then normalization; drawn again while its kept modes are
     all zero."""
+    if degree < 2:  # every mode would be removed, so no draw could be kept
+        raise ValueError("degree must be >= 2")
     keep = np.arange(1, SPAN_MODES + 1) % degree != 0  # as project_constraint
     while True:
         a, b = np.where(keep, rng.uniform(-1.0, 1.0, (2, SPAN_MODES)), 0.0)

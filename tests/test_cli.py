@@ -381,6 +381,19 @@ def test_csv_rows_match_the_per_value_format(tmp_path):
         assert path.read_text() == "\n".join(want) + "\n"
 
 
+def test_json_columns_match_the_per_value_format(tmp_path):
+    # json.dumps writes each float's shortest repr, which reads back as the
+    # double %.17g gives; inf, -inf and nan become Infinity, -Infinity and NaN
+    rows = np.array([[np.inf, -np.inf, np.nan, -0.0],
+                     [5e-324, 1.0 / 3.0, 1e16 + 2.0, -1.7976931348623157e308]])
+    path = tmp_path / "t.json"
+    for table in (rows, rows[0]):
+        cli._write_table(str(path), list("abcd"), table, "json")
+        want = {name: [float(cli.FLOAT_FMT % v) for v in col]
+                for name, col in zip("abcd", np.atleast_2d(table).T)}
+        assert path.read_text() == json.dumps(want, indent=2) + "\n"
+
+
 def test_simplex_ignores_grid(tmp_path):
     # the simplex flow has no quadrature grid, so --grid cannot invalidate it
     assert run(["simplex", "--n", "5", "--grid", "16", "--x", "0.1,0.15,0.2,0.25,0.3",

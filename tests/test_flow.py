@@ -329,6 +329,43 @@ def test_entropy_and_constraint_monitors_run_once_per_run(system, x0, dt):
     assert np.array_equal(traj.entropy, [system.entropy(x) for x in traj.states])
 
 
+ONE_STATE_MONITORS = {"entropy": lambda x: float(-np.sum(x * np.log(x))),
+                      "constraint_residual": lambda x: abs(x.sum() - 1.0)}
+
+
+@pytest.mark.parametrize("one_state, named", [
+    (("entropy", "constraint_residual"), "entropy"),
+    (("constraint_residual",), "constraint_residual"),
+], ids=["both", "constraint_residual"])
+def test_integrate_rejects_a_one_state_monitor(one_state, named):
+    # written for one state, each monitor sums the whole stack of 4 records into
+    # one scalar (entropy 4.266, residual 3.0) instead of one value per record
+    system = dataclasses.replace(riesz_system(3),
+                                 **{name: ONE_STATE_MONITORS[name] for name in one_state})
+    with pytest.raises(ValueError, match=rf"^{named} gave shape \(\) on 4 records$"):
+        integrate(system, [0.2, 0.3, 0.5], FlowConfig(t_end=0.3, dt=0.1))
+
+
+@pytest.mark.parametrize("make, x", [
+    (even_galerkin_system, np.array([0.1, 0.0, 0.0, 0.0, 0.05])),
+    (galerkin_system_n2, np.array([0.01, 0.0, 0.003, 0.02, -0.004, 0.002])),
+], ids=["even", "packed"])
+def test_odd_kernel_refuses_an_aliasing_grid(make, x):
+    # the top frequency 2K - 1 must be below N/2: on 8 nodes the even K = 5 rhs
+    # gave -0.103 in mode 1 against -0.0185 on 1024 nodes, with no error
+    K = x.size if make is even_galerkin_system else x.size // 2
+    top = 2 * K - 1
+    for use_pde in (False, True):
+        for n_points in (8, 2 * top):
+            system = make(n_points, use_pde)
+            for monitor in (system.rhs, system.entropy):
+                with pytest.raises(ValueError, match=f"frequency {top} aliases on a grid of "
+                                                     f"{n_points} nodes: need fewer than N/2"):
+                    monitor(x)
+        system = make(2 * top + 1, use_pde)
+        assert np.all(np.isfinite(system.rhs(x))) and np.isfinite(system.entropy(x))
+
+
 @pytest.mark.parametrize("system, x0, norm", [
     (riesz_system(3), _fibers(3, 8, 5), lambda r: float(np.sqrt(3 / r.size * np.sum(r**2)))),
     (galerkin_system_n2(), np.array([0.01, 0.003, 0.001, 0.02, -0.004, 0.002]),

@@ -62,6 +62,19 @@ def test_random_density_is_valid():
         assert riesz_system(n).constraint_residual(s) <= 1e-12
 
 
+class _NoDraws:
+    def uniform(self, *args):
+        raise AssertionError("drew before checking the degree")
+
+
+@pytest.mark.parametrize("draw", [random_tangent, random_density])
+@pytest.mark.parametrize("degree", [0, 1])
+def test_random_inputs_refuse_a_degree_below_two(draw, degree):
+    # every mode k % 1 == 0 is removed, so the redraw loop never ended at degree 1
+    with pytest.raises(ValueError, match="degree must be >= 2"):
+        draw(_NoDraws(), degree)
+
+
 def test_fd_check_constant_density():
     h = InverseDerivative(FourierRep(2.0, 0.5, [0.0], [0.0]), 2)
     psi = TangentVector(FourierRep(2.0, 0.0, [0.1], [0.0]), 2)

@@ -3,7 +3,7 @@
     python3 tools/compare_outputs.py OLD_ROOT NEW_ROOT
 
 Each root is a checkout of this repository, holding `src/` and `demos/`.
-Each of the 66 CLI commands of the output gate (figures, Galerkin and
+Each of the 67 CLI commands of the output gate (figures, Galerkin and
 diffusion modes, Riesz and simplex flows, entropy, verify, and twenty-one
 runs that fail on purpose) and each demo runs once under each tree. One line per
 command reports IDENTICAL when stdout, stderr and the exit code agree byte
@@ -47,6 +47,7 @@ COMMANDS = [
     ["figure", "--which", "fig1"],
     ["figure", "--which", "fig2"],
     ["figure", "--which", "fig1", "--tau-points", "100"],
+    ["figure", "--which", "fig2", "--tau-points", "100"],
     ["galerkin", "--B", "0.25,0,0", "--t-end", "50"],
     ["galerkin", "--B", "0.25,0,0", "--t-end", "20", "--method", "rk4", "--dt", "0.05"],
     ["galerkin", "--B", B8, "--modes", "8", "--t-end", "20"],
