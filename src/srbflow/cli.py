@@ -172,7 +172,8 @@ def cmd_riesz(args) -> int:
     _print_extrema(samples)
     system = fl.riesz_system(args.n)
     # grid states are large: records steps a copy of the start, so ours is dropped, and each
-    # record becomes its row as it comes; a run holds x, r and one monitor temporary
+    # record becomes its row as it comes; the monitors reduce in leaves, so a run holds x, r
+    # and a few blocks of temporaries per core
     run = fl.records(system, _start(system, samples), args.flow_config)
     del samples
     rows = np.array([(t, system.entropy(x), system.grad_norm(r), system.constraint_residual(x),

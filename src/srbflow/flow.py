@@ -20,11 +20,15 @@ in cache, and _on_threads runs them in contiguous shares, one per CPU
 core, split once per run.  A state of one block is stepped flat on the
 calling thread.  Each value gets the whole-array arithmetic, so no bit of
 the trajectory depends on the blocking or the core count.  Records are
-taken on the calling thread.
+taken on the calling thread.  The Riesz monitors of one state reduce it in
+leaves of at most MONITOR_ELEMENTS values (tree_sum follows numpy's own
+pairwise summation tree, so each sum keeps its bits), so a riesz run holds
+two grid states, x and r, plus a few blocks of temporaries per core.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import threading
@@ -35,7 +39,7 @@ import numpy as np
 
 from .errors import DomainError, StepError
 from .spectral import DEFAULT_GRID, translate_sums
-from .entropy import _odd_kernel, gibbs_entropy, odd_frequencies, simplex_rhs
+from .entropy import _add, _guarded, _max, _odd_kernel, gibbs_entropy, odd_frequencies, simplex_rhs
 
 
 @dataclass
@@ -81,6 +85,18 @@ def _monitor(fn, samples: int | None = None) -> Callable:
     return monitor
 
 
+def tree_sum(f, a: np.ndarray):
+    """np.add.reduce(f(a), None) bit for bit, for a contiguous 1-d array a and an
+    elementwise f, in leaves of at most MONITOR_ELEMENTS (>= 128) values: numpy sums
+    n > 128 values pairwise, split at n // 2 - (n // 2) % 8 (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., section 4.2), and so does this."""
+    n = a.size
+    if n <= MONITOR_ELEMENTS:
+        return _add(f(a), None)
+    n2 = n // 2 - n // 2 % 8
+    return tree_sum(f, a[:n2]) + tree_sum(f, a[n2:])
+
+
 @dataclass(frozen=True)
 class FlowSystem:
     """A right-hand side with its monitors, all on flat state vectors."""
@@ -113,14 +129,36 @@ def riesz_system(degree: int) -> FlowSystem:
     At each grid node y the n translated values evolve by simplex_rhs, so
     the constraint sum_i h(y+i) = 1 is preserved.  An n-point state is a
     single fiber (x_1, ..., x_n) = (h(y), h(y+1), ..., h(y+n-1)): the
-    simplex flow."""
+    simplex flow.  One state's monitors reduce it in leaves and column blocks,
+    with no state-sized temporary and the bits of the stacked form."""
     if degree < 2:
         raise ValueError("degree must be >= 2")
+    stacked_entropy = _monitor(lambda X: gibbs_entropy(X, degree / X.shape[1]))
+    stacked_residual = _monitor(lambda X: np.abs(translate_sums(X, degree) - 1.0).max(axis=1))
+
+    def s_ln_s(s):
+        t = np.log(s)
+        return np.multiply(s, t, out=t)
+
+    def entropy(x):
+        if x.ndim > 1:
+            return stacked_entropy(x)
+        # the guard reads the whole state, so its message names the state's min and max
+        return float(-(degree / x.size) * tree_sum(s_ln_s, _guarded(x)))
+
+    def constraint_residual(x):
+        if x.ndim > 1 or x.size % degree:  # a ragged grid: translate_sums' ValueError
+            return stacked_residual(x)
+        # column sums in row order and their max are exact in any blocking
+        X, w = x.reshape(degree, -1), MONITOR_ELEMENTS
+        return float(_max([_max(np.abs(_add(X[:, j:j + w], 0) - 1.0), None)
+                           for j in range(0, X.shape[1], w)], None))
+
     return FlowSystem(
         rhs=lambda x: simplex_rhs(x, degree),
-        entropy=_monitor(lambda X: gibbs_entropy(X, degree / X.shape[1])),
-        constraint_residual=_monitor(lambda X: np.abs(translate_sums(X, degree) - 1.0).max(axis=1)),
-        grad_norm=lambda r: math.sqrt(degree / r.size * np.add.reduce(r * r, None)),
+        entropy=entropy,
+        constraint_residual=constraint_residual,
+        grad_norm=lambda r: math.sqrt(degree / r.size * tree_sum(lambda v: v * v, r)),
         fiber=degree,
     )
 
@@ -239,10 +277,12 @@ def _on_threads(fn, shares: list) -> list:
     return results
 
 
-def _record_steps(cfg: FlowConfig) -> list[int]:
-    """The steps taken at each record: every record_every-th, then the last."""
+def _record_steps(cfg: FlowConfig) -> tuple[int, Iterator[int]]:
+    """The number of records and, lazily, the steps taken at each: every
+    record_every-th, then the last."""
     n_steps = int(round(cfg.t_end / cfg.dt))
-    return [*range(0, n_steps, cfg.record_every), n_steps]
+    every = range(0, n_steps, cfg.record_every)
+    return len(every) + 1, itertools.chain(every, (n_steps,))
 
 
 def records(system: FlowSystem, initial,
@@ -280,7 +320,7 @@ def records(system: FlowSystem, initial,
                     break
         return failures
 
-    for stop in _record_steps(cfg):
+    for stop in _record_steps(cfg)[1]:
         steps = range(steps.stop, stop + 1)
         failures = _on_threads(run, shares)
         if any(failures):  # the first in (step, block) order, as a step-by-step pass meets it
@@ -296,7 +336,7 @@ def integrate(system: FlowSystem, initial, cfg: FlowConfig) -> Trajectory:
     grad_norm is taken at each record, the other monitors once, on the
     stack of recorded states.  Raises what records raises, and ValueError
     if a stacked monitor does not give one value per record."""
-    n_records = len(_record_steps(cfg))
+    n_records = _record_steps(cfg)[0]
     times, grad_norm = np.empty(n_records), np.empty(n_records)
     states = np.empty((n_records, np.size(initial)))
     for j, (t, x, r) in enumerate(records(system, initial, cfg)):

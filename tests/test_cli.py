@@ -182,6 +182,32 @@ def test_riesz_peaks_at_three_grid_states(monkeypatch, tmp_path):
     assert peak <= 3 * state + slack, peak / state
 
 
+@pytest.mark.parametrize("cores", [1, 2])
+def test_riesz_peaks_at_two_grid_states(monkeypatch, tmp_path, cores):
+    # riesz_grid's own shape, 2^21 - 2 nodes, a 16 MiB state.  The monitors of a
+    # record reduce in leaves of MONITOR_ELEMENTS values, so past the start a run
+    # holds two grid states, x and r, plus the RK4 temporaries of the block each
+    # core steps: k2, k3, the stage input, its logs and k4 (5 blocks), the n-fold
+    # sums (2/n of a block) and the finite mask (1/8 of one), under 6 blocks per
+    # core.  One more block holds the rest: the parser, the grid caches and the
+    # table rows.  Measured: 2.18 states on 1 core, 2.34 on 2; a state-sized
+    # monitor temporary would make it 3
+    monkeypatch.setattr(flow, "_cores", lambda: cores)
+    state = grid_points_for(5, 2097152) * 8
+    slack = (6 * cores + 1) * flow.BLOCK_ELEMENTS * 8
+    argv = ["riesz", "--n", "5", "--coeffs=0.04,-0.02,0.03,0.01,-0.02,0.015", "--grid", "2097152",
+            "--method", "rk4", "--dt", "0.02", "--t-end", "0.2", "--record-every", "10",
+            "--out", str(tmp_path / "r.csv")]
+    tracemalloc.start()
+    try:
+        assert run(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len((tmp_path / "r.csv").read_text().splitlines()) == 3
+    assert peak <= 2 * state + slack, peak / state
+
+
 def test_pde_run(tmp_path):
     out = tmp_path / "p.csv"
     # the undamped mode equations are stiff: small rk4 steps needed

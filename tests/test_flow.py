@@ -1,14 +1,16 @@
 import dataclasses
+import math
 import re
 import sys
 import threading
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
 from srbflow import entropy, flow
-from srbflow.entropy import _odd_kernel, c_squared, riesz_gradient, simplex_rhs
+from srbflow.entropy import _guarded, _odd_kernel, c_squared, riesz_gradient, simplex_rhs
 from srbflow.errors import DomainError, StepError
 from srbflow.flow import (
     FlowConfig,
@@ -19,6 +21,7 @@ from srbflow.flow import (
     integrate,
     records,
     riesz_system,
+    tree_sum,
 )
 from srbflow.spectral import FourierRep, GridRep, InverseDerivative, grid_points_for, to_grid
 
@@ -306,6 +309,104 @@ def test_stacked_riesz_monitors_match_one_state_calls_bitwise(monkeypatch, n, m,
         one = [monitor(x) for x in X]
         assert all(type(v) is float for v in one) and one == [oracle(x) for x in X]
         assert np.array_equal(monitor(X), one)
+
+
+def _split_boundaries(leaf, top):
+    # tree_sum's sizes on both sides of each place where it takes one more level
+    # of splits, from one leaf up to top, and the small sizes where numpy's own
+    # sum changes its loop
+    sizes = {1, 7, 8, 9, 127, 128, 129, 2**21, 2097150}
+    m = leaf
+    while m <= top:
+        sizes |= {m - 1, m, m + 1, m + 7, m + 8, m + 9}
+        m *= 2
+    return sorted(n for n in sizes if n <= top)
+
+
+def test_tree_sum_is_numpys_pairwise_sum_bitwise():
+    # tree_sum mirrors numpy's pairwise summation down to its leaves; a numpy that
+    # sums in another tree fails here instead of moving the riesz monitors' bits
+    sizes = _split_boundaries(flow.MONITOR_ELEMENTS, 2**21 + 9)
+    assert len(sizes) > 60 and 2**21 in sizes and 2097150 in sizes
+    x = np.random.default_rng(3).uniform(0.01, 0.99, sizes[-1])
+    r = x - 0.5
+    for f, a in ((lambda v: v * np.log(v), x), (lambda v: v * v, r)):
+        for n in sizes:
+            assert tree_sum(f, a[:n]) == np.add.reduce(f(a[:n]), None), n
+
+
+def test_tree_sum_leaves_are_at_most_monitor_elements():
+    seen = []
+
+    def f(v):
+        seen.append(v.size)
+        return v * v
+
+    tree_sum(f, np.ones(2**21 - 2))
+    assert sum(seen) == 2**21 - 2 and max(seen) <= flow.MONITOR_ELEMENTS
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 7])
+@pytest.mark.parametrize("m", [flow.BLOCK_ELEMENTS // 2 + 3, 70001, 419430])
+def test_riesz_one_state_monitors_match_the_stacked_form_bitwise(n, m):
+    # grid states above BLOCK_ELEMENTS: the one-state monitors reduce in leaves and
+    # column blocks, the stacked form (integrate's) on whole rows; the last size is
+    # riesz_grid's n = 5 state, 2^21 - 2 nodes
+    system = riesz_system(n)
+    x = _fibers(n, m, m + n)
+    assert x.size > flow.BLOCK_ELEMENTS
+    X = np.array([x, _fibers(n, m, m + n + 1)])
+    r = system.rhs(x)
+    assert system.entropy(x) == system.entropy(X)[0] == system.entropy(x[None])[0]
+    assert system.constraint_residual(x) == system.constraint_residual(X)[0]
+    assert system.constraint_residual(x) > 0.0
+    assert system.grad_norm(r) == math.sqrt(n / r.size * np.add.reduce(r * r, None))
+
+
+@pytest.mark.parametrize("bad", ["low", "high", "both", "nan"])
+def test_riesz_leaf_entropy_guard_names_the_whole_state(bad):
+    # a bad value in one leaf, the state's true extreme in another: the message
+    # is _guarded's on the whole array, as the stacked form gives it
+    system = riesz_system(2)
+    x = _fibers(2, 70000, 4)
+    leaf = flow.MONITOR_ELEMENTS
+    if bad in ("low", "both"):
+        x[3 * leaf + 5], x[5 * leaf + 1] = -0.1, -0.2
+    if bad in ("high", "both"):
+        x[leaf + 2], x[7 * leaf + 9] = 1.1, 1.3
+    if bad == "nan":
+        x[2 * leaf] = np.nan
+    with pytest.raises(DomainError) as whole:
+        _guarded(x)
+    for state in (x, x[None]):
+        with pytest.raises(DomainError) as got:
+            system.entropy(state)
+        assert str(got.value) == str(whole.value)
+    if bad != "nan":
+        assert f"min={x.min():.3e}, max={x.max():.3e}" in str(whole.value)
+
+
+def test_record_schedule_is_every_record_every_th_step_then_the_last():
+    for n_steps in (1, 2, 3, 7, 10, 12, 100):
+        for record_every in (1, 2, 3, 7, 10, 11, 150):
+            n_records, steps = flow._record_steps(
+                FlowConfig(t_end=0.25 * n_steps, dt=0.25, record_every=record_every))
+            schedule = [*range(0, n_steps, record_every), n_steps]
+            assert list(steps) == schedule and n_records == len(schedule), (n_steps, record_every)
+
+
+def test_record_schedule_memory_does_not_grow_with_the_step_count():
+    # 10^7 steps at record_every 1 (a tiny state can ask for them): the schedule is
+    # made as it is read, not held as a list of 10^7 ints (391 MiB)
+    tracemalloc.start()
+    try:
+        n_records, steps = flow._record_steps(FlowConfig(t_end=100.0, dt=1e-5))
+        head = [next(steps) for _ in range(3)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n_records == 10**7 + 1 and head == [0, 1, 2]
+    assert peak < 2**20, peak
 
 
 @pytest.mark.parametrize("system, x0, dt", [

@@ -3,8 +3,8 @@
     python3 tools/compare_outputs.py OLD_ROOT NEW_ROOT
 
 Each root is a checkout of this repository, holding `src/` and `demos/`.
-Each of the 67 CLI commands of the output gate (figures, Galerkin and
-diffusion modes, Riesz and simplex flows, entropy, verify, and twenty-one
+Each of the 68 CLI commands of the output gate (figures, Galerkin and
+diffusion modes, Riesz and simplex flows, entropy, verify, and twenty-two
 runs that fail on purpose) and each demo runs once under each tree. One line per
 command reports IDENTICAL when stdout, stderr and the exit code agree byte
 for byte. Otherwise it reports DIFFERS with the largest
@@ -123,6 +123,9 @@ COMMANDS = [
     ["galerkin", "--B", "0.6,0,0", "--t-end", "1"],
     ["galerkin", "--coeffs", "0.01,0.02", "--modes", "5", "--t-end", "0.2"],
     ["entropy", "--n", "2", "--coeffs", "0.6,0"],
+    # the same density on a grid of many monitor leaves: the guard names the whole state's
+    # min and max, not one leaf's
+    ["entropy", "--n", "2", "--coeffs", "0.6,0", "--grid", "140000"],
     ["simplex", "--n", "2", "--x", "0.3,0.7", "--t-end", "1", "--dt", "0.4"],
     # leaves the domain inside an RK4 stage of step 1
     ["simplex", "--n", "3", "--x", "0.05,0.15,0.8", "--method", "rk4", "--dt", "0.5", "--t-end", "2"],
