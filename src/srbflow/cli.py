@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -30,9 +31,12 @@ DEFAULT_B_MODES = 3  # --B length expected when --modes is not given
 
 def _parse_floats(text: str) -> np.ndarray:
     try:
-        return np.array([float(v) for v in text.split(",") if v.strip() != ""])
+        values = [float(v) for v in text.split(",") if v.strip() != ""]
     except ValueError as e:
         raise ValueError(f"bad number list {text!r}: {e}") from None
+    if not all(map(math.isfinite, values)):  # refused before any arithmetic warns on it
+        raise ValueError(f"bad number list {text!r}: numbers must be finite")
+    return np.array(values)
 
 
 def _resolve_out(path: str | None) -> str | None:

@@ -33,13 +33,27 @@ from .spectral import (
 DELTA_FLOOR = 1e-9
 # bound once: ndarray.sum reaches np.add.reduce through a Python wrapper
 _min, _max, _add = np.minimum.reduce, np.maximum.reduce, np.add.reduce
+# the most values _guarded compares one by one: 0.9-1.6 us at 5-16 values against
+# 2.1-2.4 us for the two reductions, which cost as much at about 24
+FEW_VALUES = 16
+_F64 = np.dtype(float)  # the float64 singleton: another float64 dtype takes the reductions
 
 
 def _guarded(s: np.ndarray) -> np.ndarray:
     """s itself, after checking that it lies inside (delta, 1 - delta).
 
-    min/max allocate no temporary array, which matters on large grid states;
-    the negated test also rejects NaN."""
+    Each numpy reduction costs about 0.9 us to start, whatever the size (two
+    took 1.9 of a 5-point simplex_rhs call's 4.0 us), so a float64 state of at
+    most FEW_VALUES values is compared value by value.  Any other state, and one
+    that fails, takes min/max: they allocate no temporary array on large grid
+    states and name the extremes; the negated tests also reject NaN."""
+    if 0 < s.size <= FEW_VALUES and s.dtype is _F64:
+        floor, ceil = DELTA_FLOOR, 1.0 - DELTA_FLOOR
+        for v in s.ravel().tolist():
+            if not floor < v < ceil:
+                break
+        else:
+            return s
     lo, hi = _min(s, None), _max(s, None)
     if not (lo > DELTA_FLOOR and hi < 1.0 - DELTA_FLOOR):
         raise DomainError(f"density leaves (0, 1): min={lo:.3e}, max={hi:.3e}")

@@ -255,8 +255,11 @@ def _on_threads(fn, shares: list) -> list:
     """[fn(share), ...]: the calling thread runs the first share and a plain
     thread each other one; numpy releases the interpreter lock inside its
     array loops, so the shares run at once.  Once every share has finished,
-    the first exception in share order is re-raised here.  One share starts
-    no thread."""
+    the first exception in share order is re-raised here.  One share runs
+    here directly, with no thread and no bookkeeping: a one-block state
+    takes this path once per record."""
+    if len(shares) == 1:
+        return [fn(shares[0])]
     results, errors = [None] * len(shares), [None] * len(shares)
 
     def run(c):

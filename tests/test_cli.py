@@ -520,6 +520,25 @@ print(codes, sorted(loaded - set(sys.stdlib_module_names) - {"srbflow", "numpy"}
 """
 
 
+@pytest.mark.parametrize("argv", [
+    "galerkin --coeffs=inf,0 --t-end 1",
+    "simplex --n 2 --x=inf,-inf --t-end 1",
+    "simplex --n 3 --x=0.2,nan,0.8",
+    "pde --B=nan,0,0 --t-end 1",
+    "riesz --n 2 --coeffs=0.1,inf --t-end 1",
+], ids=lambda argv: argv.split()[0])
+def test_non_finite_numbers_are_refused_before_any_arithmetic(argv):
+    # no numpy warning reaches stderr: the list is refused as it is parsed
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONWARNINGS", None)
+    done = subprocess.run([sys.executable, "-m", "srbflow.cli", *argv.split()], env=env,
+                          capture_output=True, text=True, timeout=300)
+    text = next(a for a in argv.split() if "=" in a).split("=", 1)[1]
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr == f"validation error: bad number list {text!r}: numbers must be finite\n"
+
+
 def test_numpy_is_the_only_runtime_dependency():
     # numpy is imported first: it loads its own Cython runtime modules, and the
     # interpreter may load site hooks at startup; every module loaded after it

@@ -4,14 +4,18 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from srbflow import flow
+from srbflow import entropy, flow
 from srbflow.entropy import (
+    DELTA_FLOOR,
+    FEW_VALUES,
+    _guarded,
     _odd_kernel,
     c_squared,
     density_entropy,
     density_samples,
     gateaux_g,
     gateaux_h,
+    gibbs_entropy,
     odd_frequencies,
     odd_mode_density,
     riesz_gradient,
@@ -76,6 +80,79 @@ def test_entropy_domain_guard():
         density_entropy(InverseDerivative(FourierRep(2.0, 0.5, [0.5], [0.0]), 2))
     with pytest.raises(DomainError):
         density_entropy(InverseDerivative(GridRep(2.0, np.full(8, 1e-12)), 2))
+
+
+# the two bounds, one step to either side of each, and values past them
+GUARD_EDGES = [DELTA_FLOOR, 1.0 - DELTA_FLOOR, 0.0, -0.0, 1.0, np.nan, np.inf, -np.inf] + [
+    np.nextafter(b, to) for b in (DELTA_FLOOR, 1.0 - DELTA_FLOOR) for to in (0.0, 1.0)]
+
+
+def guard_oracle(s):
+    """_guarded's message from the two reductions over s, or None if s passes."""
+    lo, hi = np.min(s), np.max(s)
+    if lo > DELTA_FLOOR and hi < 1.0 - DELTA_FLOOR:
+        return None
+    return f"density leaves (0, 1): min={lo:.3e}, max={hi:.3e}"
+
+
+def assert_guard_matches_oracle(s):
+    expected = guard_oracle(s)
+    if expected is None:
+        assert _guarded(s) is s
+    else:
+        with pytest.raises(DomainError) as exc:
+            _guarded(s)
+        assert str(exc.value) == expected
+
+
+@pytest.mark.parametrize("size", range(1, FEW_VALUES + 2))
+def test_guard_matches_the_two_reductions(size):
+    # one edge value among interior ones, at the front, middle and back, as a flat
+    # state, a stack of rows and a strided view; then every edge value at once
+    rng = np.random.default_rng(size)
+    for edge in GUARD_EDGES + [0.5]:
+        for at in sorted({0, size // 2, size - 1}):
+            x = rng.uniform(0.01, 0.99, size)
+            x[at] = edge
+            wide = np.repeat(x, 2)
+            for s in (x, x[None], x.reshape(-1, 1), wide[::2], wide.reshape(-1, 2)[:, :1]):
+                assert_guard_matches_oracle(s)
+    assert_guard_matches_oracle(np.resize(np.array(GUARD_EDGES), size))
+    # a few-value start that passes never reaches the reductions
+    if size <= FEW_VALUES:
+        x = rng.uniform(0.01, 0.99, size)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(entropy, "_min", None)
+            assert _guarded(x) is x
+
+
+def test_guard_falls_through_on_empty_and_other_dtypes():
+    # an empty state keeps numpy's ValueError; other dtypes take the reductions
+    for empty in (np.empty(0), np.empty((0, 3)), np.empty((2, 0))):
+        with pytest.raises(ValueError, match="zero-size array"):
+            _guarded(empty)
+    for s in (np.array([0.25, 0.75], dtype=np.float32), np.array([0, 1]),
+              np.array([0.5, 1.5], dtype=np.float32), np.array([0.5, 0.5], dtype=">f8"),
+              np.array([0.3 + 2j, 0.7 - 1j]), np.array([0.3 + 2j, 1.7 - 1j])):
+        assert_guard_matches_oracle(s)
+
+
+def test_complex_one_row_stack_keeps_its_complex_step():
+    # complex states take the reductions (numpy orders them by real part first), so
+    # a one-row complex stack is guarded on its real part and gives the complex step
+    rng = np.random.default_rng(3)
+    s = rng.uniform(0.1, 0.9, 8)
+    p = rng.standard_normal(8)
+    w, eps = 0.25, 1e-30
+    got = gibbs_entropy((s + 1j * eps * p)[None], w)
+    assert got.shape == (1,) and got.dtype == complex
+    assert got[0].real == pytest.approx(gibbs_entropy(s, w), rel=1e-15)
+    assert got[0].imag / eps == pytest.approx(-w * np.sum(p * (np.log(s) + 1.0)), rel=1e-13)
+    bad = s.astype(complex)
+    bad[2] = 1.2 + 1j * eps
+    with pytest.raises(DomainError) as exc:
+        gibbs_entropy(bad[None], w)
+    assert str(exc.value) == guard_oracle(bad)
 
 
 def test_entropy_upper_bound_random():

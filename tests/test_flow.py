@@ -594,6 +594,26 @@ def test_on_threads_runs_the_first_share_on_the_caller():
     assert flow._on_threads(lambda share: share, [[9]]) == [[9]]
 
 
+def test_on_threads_runs_one_share_inline(monkeypatch):
+    # one share: fn on the calling thread, no thread started, [result]; what fn
+    # raises reaches the caller as it was raised
+    def no_thread(*args, **kwargs):
+        raise AssertionError("one share started a thread")
+
+    monkeypatch.setattr(flow.threading, "Thread", no_thread)
+    caller = threading.get_ident()
+    assert flow._on_threads(lambda share: (share, threading.get_ident() == caller),
+                            [[7, 8]]) == [([7, 8], True)]
+    error = KeyError("share [7, 8]")
+
+    def fail(share):
+        raise error
+
+    with pytest.raises(KeyError) as exc:
+        flow._on_threads(fail, [[7, 8]])
+    assert exc.value is error and str(exc.value) == "'share [7, 8]'"
+
+
 @pytest.mark.parametrize("failing", [0, 2, (1, 2)], ids=str)
 def test_on_cores_reraises_a_share_failure(failing):
     # every other share still runs; of several failures the first in share order surfaces

@@ -3,8 +3,8 @@
     python3 tools/compare_outputs.py OLD_ROOT NEW_ROOT
 
 Each root is a checkout of this repository, holding `src/` and `demos/`.
-Each of the 68 CLI commands of the output gate (figures, Galerkin and
-diffusion modes, Riesz and simplex flows, entropy, verify, and twenty-two
+Each of the 72 CLI commands of the output gate (figures, Galerkin and
+diffusion modes, Riesz and simplex flows, entropy, verify, and twenty-six
 runs that fail on purpose) and each demo runs once under each tree. One line per
 command reports IDENTICAL when stdout, stderr and the exit code agree byte
 for byte. Otherwise it reports DIFFERS with the largest
@@ -129,6 +129,12 @@ COMMANDS = [
     ["simplex", "--n", "2", "--x", "0.3,0.7", "--t-end", "1", "--dt", "0.4"],
     # leaves the domain inside an RK4 stage of step 1
     ["simplex", "--n", "3", "--x", "0.05,0.15,0.8", "--method", "rk4", "--dt", "0.5", "--t-end", "2"],
+    # a few-value start outside (0, 1): the guard falls through to its min/max message
+    ["simplex", "--n", "2", "--x=-0.5,1.5"],
+    # non-finite numbers, refused as they are parsed, before any arithmetic warns on them
+    ["simplex", "--n", "3", "--x=0.2,nan,0.8"],
+    ["simplex", "--n", "2", "--x=inf,-inf", "--t-end", "1"],
+    ["galerkin", "--coeffs=inf,0", "--t-end", "1"],
     ["riesz", "--n", "2", "--coeffs", "0.1,0", "--grid", "0", "--t-end", "1"],
     ["riesz", "--n", "2", "--coeffs", "0.1,0", "--grid", "-4", "--t-end", "1"],
     ["entropy", "--n", "2", "--coeffs", "0.1,0", "--grid", "0"],
