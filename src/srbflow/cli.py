@@ -110,8 +110,9 @@ def cmd_simplex(args) -> int:
     x0 = _parse_floats(args.x)
     if x0.size != args.n:
         raise ValueError(f"--x needs {args.n} components")
-    if abs(x0.sum() - 1.0) > 1e-9:
-        raise ValueError("--x must sum to 1")
+    with np.errstate(over="ignore"):  # a sum that overflows is refused here, unwarned
+        if abs(x0.sum() - 1.0) > 1e-9:
+            raise ValueError("--x must sum to 1")
     system = fl.riesz_system(args.n)
     traj = fl.integrate(system, _start(system, x0), args.flow_config)
     names = [f"x{k+1}" for k in range(args.n)]
@@ -133,7 +134,6 @@ def _galerkin_like(args) -> int:
             raise ValueError("--B length must equal --modes")
         system = fl.even_galerkin_system(args.grid, use_pde=args.use_pde)
         n_modes = x0.size
-        amplitudes = x0
         names = [f"B{k+1}" for k in range(n_modes)]
     elif args.coeffs is not None:
         c = _parse_floats(args.coeffs)
@@ -143,14 +143,18 @@ def _galerkin_like(args) -> int:
         n_modes = c.size // 2
         if args.modes is not None and args.modes != n_modes:
             raise ValueError("--coeffs must hold --modes a,b pairs")
-        amplitudes = np.pi * odd_frequencies(n_modes) * x0.reshape(2, -1)
         system = fl.galerkin_system_n2(args.grid, use_pde=args.use_pde)
         names = [f"{ab}{2*k+1}" for ab in "ab" for k in range(n_modes)]
     else:
         raise ValueError("provide an initial condition via --B or --coeffs")
     _check_grid(args.grid, n_modes)
-    _print_extrema(odd_mode_density(amplitudes, args.grid))
-    traj = fl.integrate(system, _start(system, x0), args.flow_config)
+    # a start whose arithmetic overflows is printed and then refused by _start, unwarned
+    with np.errstate(over="ignore", invalid="ignore"):
+        amplitudes = (x0 if args.B is not None
+                      else np.pi * odd_frequencies(n_modes) * x0.reshape(2, -1))
+        _print_extrema(odd_mode_density(amplitudes, args.grid))
+        _start(system, x0)
+    traj = fl.integrate(system, x0, args.flow_config)
     header, rows = _trajectory_table(traj, names, with_residual=False)
     _write_table(_resolve_out(args.out), header, rows, args.format)
     return EXIT_OK

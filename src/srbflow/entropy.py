@@ -13,6 +13,7 @@ flow systems and odd_mode_density read it.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from functools import lru_cache
 
@@ -37,6 +38,9 @@ _min, _max, _add = np.minimum.reduce, np.maximum.reduce, np.add.reduce
 # 2.1-2.4 us for the two reductions, which cost as much at about 24
 FEW_VALUES = 16
 _F64 = np.dtype(float)  # the float64 singleton: another float64 dtype takes the reductions
+# below this sum of |x| over its amplitudes x, every computed h = 1/2 + C x of a degree-2
+# state lies inside (DELTA_FLOOR, 1 - DELTA_FLOOR): see _odd_kernel
+_SAFE_AMPLITUDE = (0.5 - DELTA_FLOOR) * (1.0 - 1e-9)
 
 
 def _guarded(s: np.ndarray) -> np.ndarray:
@@ -58,6 +62,15 @@ def _guarded(s: np.ndarray) -> np.ndarray:
     if not (lo > DELTA_FLOOR and hi < 1.0 - DELTA_FLOOR):
         raise DomainError(f"density leaves (0, 1): min={lo:.3e}, max={hi:.3e}")
     return s
+
+
+def _finite(a: np.ndarray) -> bool:
+    """Whether every value of a is finite: a float64 array of at most FEW_VALUES
+    values is read value by value (0.4-0.8 us a call at 3-16 values against
+    1.1-1.2 us for isfinite and its reduction), any other one by numpy."""
+    if a.size <= FEW_VALUES and a.dtype is _F64:
+        return all(map(math.isfinite, a.ravel().tolist()))
+    return bool(np.logical_and.reduce(np.isfinite(a), None))
 
 
 def gibbs_entropy(s: np.ndarray, w: float) -> np.ndarray | float:
@@ -170,7 +183,22 @@ def _odd_kernel(n_modes: int, n_points: int, blocks: int) -> _OddKernel:
     has the bits of its state alone.  What a run holds fixed is bound here
     once: the tables, k, both scales -pi k w, dtau = 2 pi / N and the
     quadrature weight 2 / N.  rhs and entropy raise ValueError on a grid
-    that aliases the top frequency 2K - 1 (N <= 2 (2K - 1))."""
+    that aliases the top frequency 2K - 1 (N <= 2 (2K - 1)).
+
+    rhs proves h's range from x where it can, instead of _guarded's two
+    reductions over the N nodes.  Every entry of C is a computed cos or sin,
+    so |C| <= 1, and a gemv of m terms errs by at most m u sum |C| |x| (u =
+    2^-53; Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    section 3.1), adding 1/2 by at most u: |h - 1/2| <= sum |x| (1 + m u) + u,
+    up to terms in u^2.  Python's sum of the |x| is low by at most (m - 1) u
+    of itself.  So a float64 x of at most FEW_VALUES values whose computed
+    sum of |x| is below _SAFE_AMPLITUDE = (1/2 - delta)(1 - 1e-9) gives
+    |h - 1/2| < 1/2 - delta at every node: the margin of 5e-10 exceeds that
+    rounding, below 4e-15 at m = 16, about 10^5 times, and an ulp more in a
+    table entry or in the threshold itself.  Any other x (a larger sum, NaN,
+    +-inf, a sum that overflows, more values, another dtype) takes _guarded
+    on h, whose DomainError names h's min and max.  The sum is Python's, not
+    math.fsum, which raises OverflowError where _guarded must raise."""
     k = np.tile(odd_frequencies(n_modes).astype(float), blocks)
     ang = np.outer(np.arange(n_points) * (2.0 * np.pi / n_points), k[:n_modes])
     cos, sin = np.cos(ang), np.sin(ang)
@@ -184,12 +212,16 @@ def _odd_kernel(n_modes: int, n_points: int, blocks: int) -> _OddKernel:
                    "need fewer than N/2") if 2 * (2 * n_modes - 1) >= n_points else None
 
     def density(x):
-        return 0.5 + C @ x
+        return 0.5 + C.dot(x)
 
     def rhs(x, use_pde):
         if alias_error:
             raise ValueError(alias_error)
-        return scales[use_pde] * (dtau * (((S @ (k * x)) / _guarded(density(x))) @ S))
+        h = density(x)
+        if not (x.dtype is _F64 and x.size <= FEW_VALUES
+                and sum(map(abs, x.tolist())) < _SAFE_AMPLITUDE):
+            _guarded(h)
+        return scales[use_pde] * (dtau * (S.dot(k * x) / h).dot(S))
 
     def entropy(X):
         if alias_error:

@@ -39,7 +39,8 @@ import numpy as np
 
 from .errors import DomainError, StepError
 from .spectral import DEFAULT_GRID, translate_sums
-from .entropy import _add, _guarded, _max, _odd_kernel, gibbs_entropy, odd_frequencies, simplex_rhs
+from .entropy import (_add, _finite, _guarded, _max, _odd_kernel, gibbs_entropy, odd_frequencies,
+                      simplex_rhs)
 
 
 @dataclass
@@ -315,7 +316,7 @@ def records(system: FlowSystem, initial,
                 try:
                     if i:
                         xb[...] = step(system.rhs, xb, rb, cfg.dt)
-                        if not np.logical_and.reduce(np.isfinite(xb), None):
+                        if not _finite(xb):
                             raise StepError("non-finite state")
                     rb[...] = system.rhs(xb)
                 except Exception as e:  # ranked against the other blocks' failures

@@ -539,6 +539,23 @@ def test_non_finite_numbers_are_refused_before_any_arithmetic(argv):
     assert done.stderr == f"validation error: bad number list {text!r}: numbers must be finite\n"
 
 
+@pytest.mark.parametrize("argv,stdout,stderr", [
+    ("pde --B=1e308,1e308,0 --t-end 1", "h range: [-inf, inf] (must stay inside (0, 1))\n",
+     "initial state: density leaves (0, 1): min=-inf, max=inf"),
+    ("galerkin --coeffs=1e308,1e308 --t-end 1", "h range: [nan, nan] (must stay inside (0, 1))\n",
+     "initial state: density leaves (0, 1): min=nan, max=nan"),
+    ("simplex --n 2 --x=1e308,1e308 --t-end 1", "", "--x must sum to 1"),
+], ids=["pde", "galerkin", "simplex"])
+def test_an_overflowing_start_is_refused_without_numpy_warnings(argv, stdout, stderr):
+    # finite numbers whose start arithmetic overflows: the h range, then one error line
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONWARNINGS", None)
+    done = subprocess.run([sys.executable, "-m", "srbflow.cli", *argv.split()], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert (done.returncode, done.stdout, done.stderr) == (3, stdout, f"validation error: {stderr}\n")
+
+
 def test_numpy_is_the_only_runtime_dependency():
     # numpy is imported first: it loads its own Cython runtime modules, and the
     # interpreter may load site hooks at startup; every module loaded after it

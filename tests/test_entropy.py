@@ -8,6 +8,7 @@ from srbflow import entropy, flow
 from srbflow.entropy import (
     DELTA_FLOOR,
     FEW_VALUES,
+    _finite,
     _guarded,
     _odd_kernel,
     c_squared,
@@ -153,6 +154,49 @@ def test_complex_one_row_stack_keeps_its_complex_step():
     with pytest.raises(DomainError) as exc:
         gibbs_entropy(bad[None], w)
     assert str(exc.value) == guard_oracle(bad)
+
+
+@pytest.mark.parametrize("size", range(FEW_VALUES + 2))
+def test_finite_matches_isfinite(size):
+    # NaN and +-inf at the front, middle and back, as a flat state, a row, a column
+    # and a strided view; a few-value float64 state never reaches numpy
+    rng = np.random.default_rng(size)
+    base = rng.standard_normal(size)
+    cases = [base]
+    for bad in (np.nan, np.inf, -np.inf):
+        for at in sorted({0, size // 2, size - 1}) if size else ():
+            x = base.copy()
+            x[at] = bad
+            cases.append(x)
+    for x in cases:
+        for a in (x, x[None], x.reshape(-1, 1), np.repeat(x, 2)[::2]):
+            want = bool(np.isfinite(a).all())
+            assert _finite(a) is want
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(entropy, "np", None)  # the numpy branch would raise
+                if size <= FEW_VALUES:
+                    assert _finite(a) is want
+                else:
+                    with pytest.raises(AttributeError):
+                        _finite(a)
+
+
+def test_finite_on_ragged_blocks_and_other_dtypes():
+    # the ragged last block of a fiber state: a 2-D view of 15 values, then of 20
+    Z = np.ones((5, 40))
+    for cols in (3, 4):
+        for at in ((0, -cols), (2, -2), (4, -1)):
+            block = Z[:, -cols:]
+            assert not block.flags.contiguous and _finite(block) is True
+            for bad in (np.nan, np.inf, -np.inf):
+                Z[at] = bad
+                assert _finite(block) is False
+                Z[at] = 1.0
+    # other dtypes take numpy: math.isfinite would refuse complex values
+    for a, want in ((np.array([1.0, np.inf], dtype=np.float32), False),
+                    (np.array([1, 2]), True), (np.array([1.0, np.nan], dtype=">f8"), False),
+                    (np.array([1.0, 1.0 + 1j * np.inf]), False), (np.array([0.5 + 1j]), True)):
+        assert _finite(a) is want
 
 
 def test_entropy_upper_bound_random():
@@ -563,6 +607,83 @@ def test_cached_table_readers_match_fresh_tables_bitwise(monkeypatch, K, N):
             one = [system.entropy(x) for x in X]
             assert all(type(v) is float for v in one) and one == want
             assert np.array_equal(system.entropy(X), want)
+
+
+# ---------------------------------------------------------------------------
+# The degree-2 rhs proves h's range from the amplitudes, or takes the guard
+# ---------------------------------------------------------------------------
+
+
+def amplitude_states(m, rng):
+    """Flat states of m amplitudes: sums of |x| on both sides of the kernel's
+    threshold, one value at it and a nextafter step to either side, one just
+    inside and one just outside the domain's reach, and NaN, +-inf and 1e308
+    entries (two of them overflow the sum, where math.fsum would raise)."""
+    T = entropy._SAFE_AMPLITUDE
+    states = []
+    for f in (0.1, 0.5, 0.9, 1 - 1e-12, 1.0, 1 + 1e-12, 1 + 1e-9, 1.1, 1.5, 2.0):
+        d = rng.standard_normal(m)
+        states.append(d * (f * T / np.sum(np.abs(d))))
+    for edge in (T, np.nextafter(T, 0.0), np.nextafter(T, 1.0), 0.5 - DELTA_FLOOR,
+                 0.5 - 1e-10, 0.5):
+        for at in sorted({0, m // 2, m - 1}):
+            for sign in (1.0, -1.0):
+                x = np.zeros(m)
+                x[at] = sign * edge
+                states.append(x)
+    for bad in (np.nan, np.inf, -np.inf, 1e308):
+        for at in sorted({0, m // 2, m - 1}):
+            x = rng.uniform(-0.01, 0.01, m)
+            x[at] = bad
+            states.append(x)
+    states += [np.full(m, 1e308), np.full(m, -1e308)]
+    return states
+
+
+@pytest.mark.parametrize("use_pde", [False, True], ids=["h2", "pde"])
+@pytest.mark.parametrize("K,blocks", [(1, 1), (1, 2), (3, 1), (3, 2), (8, 1), (8, 2), (17, 1)])
+def test_rhs_skips_the_guard_only_where_a_min_max_oracle_passes(monkeypatch, K, blocks, use_pde):
+    # a skipped guard: the oracle passes on h; a guard taken: the oracle's message,
+    # or its pass; every pass has the bits of the fresh-table rhs
+    N = DEFAULT_GRID
+    w = 1.0 if use_pde else c_squared(odd_frequencies(K))
+    density, oracle_rhs = flat_kernel(K, w, N, blocks)
+    rhs = _odd_kernel(K, N, blocks).rhs
+    guarded = []
+    monkeypatch.setattr(entropy, "_guarded", lambda s: guarded.append(s) or _guarded(s))
+    skipped = 0
+    for x in amplitude_states(K * blocks, np.random.default_rng(100 * K + blocks)):
+        guarded.clear()
+        with np.errstate(all="ignore"):
+            expected = guard_oracle(density(x))
+            if expected is None:
+                assert np.array_equal(rhs(x, use_pde), oracle_rhs(x))
+            else:
+                with pytest.raises(DomainError) as exc:
+                    rhs(x, use_pde)
+                assert str(exc.value) == expected
+        if not guarded:
+            assert expected is None
+            skipped += 1
+    assert (skipped > 0) is (K * blocks <= FEW_VALUES)
+
+
+def test_rhs_takes_the_guard_on_other_dtypes(monkeypatch):
+    # float32, non-native float64 and complex amplitudes take the guard, with the
+    # fresh-table rhs's bits; a float64 one of the same values does not
+    density, oracle_rhs = flat_kernel(3, c_squared(odd_frequencies(3)), DEFAULT_GRID, 1)
+    rhs = _odd_kernel(3, DEFAULT_GRID, 1).rhs
+    guarded = []
+    monkeypatch.setattr(entropy, "_guarded", lambda s: guarded.append(s) or _guarded(s))
+    x = np.array([0.1, -0.05, 0.02])
+    others = (x.astype(np.float32), x.astype(">f8"), x.astype(complex), x + 1e-30j)
+    for y in others:
+        assert np.array_equal(rhs(y, False), oracle_rhs(y))
+    assert len(guarded) == len(others)
+    assert np.array_equal(rhs(x, False), oracle_rhs(x)) and len(guarded) == len(others)
+    with pytest.raises(DomainError) as exc:
+        rhs(np.array([0.6, 0.0, 0.0], dtype=np.float32), False)
+    assert str(exc.value) == guard_oracle(density(np.array([0.6, 0.0, 0.0], dtype=np.float32)))
 
 
 def test_odd_mode_functions_reject_more_than_two_blocks():

@@ -570,6 +570,23 @@ def test_blocked_step_error_on_non_finite_block(monkeypatch):
         integrate(system, x0.ravel(), FlowConfig(t_end=1.0, dt=0.1))
 
 
+@pytest.mark.parametrize("shape,fiber", [((3,), None), ((16,), None), ((17,), None),
+                                         ((5, 203), 5)], ids=str)
+def test_step_error_names_the_step_of_the_first_non_finite_value(monkeypatch, shape, fiber):
+    # the last value reaches 2.55 at step 5, where the rhs turns NaN, so step 6 is the
+    # first non-finite state: on one block of at most FEW_VALUES values, one of more,
+    # and a fiber state whose ragged last block is (5, 3)
+    monkeypatch.setattr(flow, "BLOCK_ELEMENTS", 1000)
+    system = FlowSystem(rhs=lambda x: np.where(x > 2.5, np.nan, np.where(x > 2.0, 1.0, 0.0)),
+                        entropy=lambda x: 0.0, constraint_residual=lambda x: 0.0,
+                        grad_norm=lambda r: 0.0, fiber=fiber)
+    x0 = np.ones(shape)
+    x0[..., -1] = 2.05
+    with pytest.raises(StepError) as exc:
+        integrate(system, x0.ravel(), FlowConfig(t_end=1.0, dt=0.1))
+    assert str(exc.value) == "non-finite state at step 6 (t = 0.6)"
+
+
 def test_on_cores_splits_contiguous_shares(monkeypatch):
     # one contiguous share of column blocks per core, at most one per block
     monkeypatch.setattr(flow, "BLOCK_ELEMENTS", BLOCK)

@@ -3,8 +3,8 @@
     python3 tools/compare_outputs.py OLD_ROOT NEW_ROOT
 
 Each root is a checkout of this repository, holding `src/` and `demos/`.
-Each of the 72 CLI commands of the output gate (figures, Galerkin and
-diffusion modes, Riesz and simplex flows, entropy, verify, and twenty-six
+Each of the 78 CLI commands of the output gate (figures, Galerkin and
+diffusion modes, Riesz and simplex flows, entropy, verify, and twenty-nine
 runs that fail on purpose) and each demo runs once under each tree. One line per
 command reports IDENTICAL when stdout, stderr and the exit code agree byte
 for byte. Otherwise it reports DIFFERS with the largest
@@ -57,6 +57,11 @@ COMMANDS = [
     ["galerkin", "--coeffs", GAL, "--t-end", "10", "--method", "rk4", "--format", "json"],
     # one a,b pair: the packed state at its smallest
     ["galerkin", "--coeffs", "0.02,0.01", "--t-end", "5"],
+    # starts whose sum of |amplitudes| is above the rhs's threshold, so its guard runs
+    # the reductions; the first decays below the threshold mid-run
+    ["galerkin", "--B=0.3,-0.25,0", "--t-end", "20"],
+    ["galerkin", "--coeffs=0.1,0.08", "--t-end", "2"],
+    ["pde", "--B=0.3,-0.25,0", "--dt", "0.002", "--t-end", "0.02"],
     # explicit steps below 2 / (2 pi^2 (2K-1)^2), the fastest linearized diffusion rate
     ["pde", "--B", "0.25,0,0", "--dt", "0.002", "--t-end", "0.4"],
     ["pde", "--B", "0.25,0,0", "--dt", "0.002", "--t-end", "0.4", "--method", "rk4"],
@@ -135,6 +140,10 @@ COMMANDS = [
     ["simplex", "--n", "3", "--x=0.2,nan,0.8"],
     ["simplex", "--n", "2", "--x=inf,-inf", "--t-end", "1"],
     ["galerkin", "--coeffs=inf,0", "--t-end", "1"],
+    # finite numbers whose start arithmetic overflows, refused with no numpy warning
+    ["pde", "--B=1e308,1e308,0", "--t-end", "1"],
+    ["galerkin", "--coeffs=1e308,1e308", "--t-end", "1"],
+    ["simplex", "--n", "2", "--x=1e308,1e308", "--t-end", "1"],
     ["riesz", "--n", "2", "--coeffs", "0.1,0", "--grid", "0", "--t-end", "1"],
     ["riesz", "--n", "2", "--coeffs", "0.1,0", "--grid", "-4", "--t-end", "1"],
     ["entropy", "--n", "2", "--coeffs", "0.1,0", "--grid", "0"],
