@@ -78,15 +78,13 @@ def _trajectory_table(traj: fl.Trajectory, state_names: list[str],
     return header, np.column_stack(cols)
 
 
-def _start(system: fl.FlowSystem, x0: np.ndarray) -> np.ndarray:
-    """x0, after the domain guard of the first monitor (_guarded on the samples
-    of a fiber system, else system.entropy): a start outside (0, 1) is bad
-    input, not a runtime failure."""
+def _start(samples: np.ndarray) -> np.ndarray:
+    """samples, after the domain guard: a start whose density leaves (0, 1) is
+    bad input, not a runtime failure."""
     try:
-        (_guarded if system.fiber else system.entropy)(x0)
+        return _guarded(samples)
     except DomainError as e:
         raise ValueError(f"initial state: {e}") from None
-    return x0
 
 
 def _check_grid(grid: int, n_modes: int):
@@ -114,7 +112,7 @@ def cmd_simplex(args) -> int:
         if abs(x0.sum() - 1.0) > 1e-9:
             raise ValueError("--x must sum to 1")
     system = fl.riesz_system(args.n)
-    traj = fl.integrate(system, _start(system, x0), args.flow_config)
+    traj = fl.integrate(system, _start(x0), args.flow_config)
     names = [f"x{k+1}" for k in range(args.n)]
     header, rows = _trajectory_table(traj, names, with_residual=True)
     _write_table(_resolve_out(args.out), header, rows, args.format)
@@ -152,8 +150,9 @@ def _galerkin_like(args) -> int:
     with np.errstate(over="ignore", invalid="ignore"):
         amplitudes = (x0 if args.B is not None
                       else np.pi * odd_frequencies(n_modes) * x0.reshape(2, -1))
-        _print_extrema(odd_mode_density(amplitudes, args.grid))
-        _start(system, x0)
+        h = odd_mode_density(amplitudes, args.grid)
+        _print_extrema(h)
+        _start(h)
     traj = fl.integrate(system, x0, args.flow_config)
     header, rows = _trajectory_table(traj, names, with_residual=False)
     _write_table(_resolve_out(args.out), header, rows, args.format)
@@ -182,7 +181,7 @@ def cmd_riesz(args) -> int:
     # grid states are large: records steps a copy of the start, so ours is dropped, and each
     # record becomes its row as it comes; the monitors reduce in leaves, so a run holds x, r
     # and a few blocks of temporaries per core
-    run = fl.records(system, _start(system, samples), args.flow_config)
+    run = fl.records(system, _start(samples), args.flow_config)
     del samples
     rows = np.array([(t, system.entropy(x), system.grad_norm(r), system.constraint_residual(x),
                       x.min(), x.max()) for t, x, r in run])

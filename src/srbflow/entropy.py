@@ -41,6 +41,10 @@ _F64 = np.dtype(float)  # the float64 singleton: another float64 dtype takes the
 # below this sum of |x| over its amplitudes x, every computed h = 1/2 + C x of a degree-2
 # state lies inside (DELTA_FLOOR, 1 - DELTA_FLOOR): see _odd_kernel
 _SAFE_AMPLITUDE = (0.5 - DELTA_FLOOR) * (1.0 - 1e-9)
+# values per leaf of a long row's sum, and per row slice of a stacked monitor: 64 KiB per
+# temporary, taken from the heap, not fresh pages (2^15 raised a Galerkin run's peak RSS
+# by 1.6 MB, and was slower)
+MONITOR_ELEMENTS = 2**13
 
 
 def _guarded(s: np.ndarray) -> np.ndarray:
@@ -73,11 +77,30 @@ def _finite(a: np.ndarray) -> bool:
     return bool(np.logical_and.reduce(np.isfinite(a), None))
 
 
+def tree_sum(f, a: np.ndarray):
+    """np.add.reduce(f(a), -1) bit for bit, for an array a with a contiguous last
+    axis and an elementwise f, in leaves of at most MONITOR_ELEMENTS (>= 128)
+    values per row: numpy sums a row of n > 128 values pairwise, split at
+    n // 2 - (n // 2) % 8 (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., section 4.2), and so does this."""
+    n = a.shape[-1]
+    if n <= MONITOR_ELEMENTS:
+        return _add(f(a), -1)
+    n2 = n // 2 - n // 2 % 8
+    return tree_sum(f, a[..., :n2]) + tree_sum(f, a[..., n2:])
+
+
+def _s_ln_s(s: np.ndarray) -> np.ndarray:
+    """s ln s, formed in the log's own buffer."""
+    t = np.log(s)
+    return np.multiply(s, t, out=t)
+
+
 def gibbs_entropy(s: np.ndarray, w: float) -> np.ndarray | float:
     """-w sum s ln s over the last axis: the entropy of density samples s
-    (of each row of a stack of them) with quadrature weight w."""
-    s = _guarded(s)
-    out = -w * (s * np.log(s)).sum(axis=-1)
+    (of each row of a stack of them) with quadrature weight w, guarded as a
+    whole and summed in tree_sum's leaves: no temporary is larger than a leaf."""
+    out = -w * tree_sum(_s_ln_s, _guarded(s))
     return out if out.ndim else float(out)
 
 

@@ -20,8 +20,10 @@ in cache, and _on_threads runs them in contiguous shares, one per CPU
 core, split once per run.  A state of one block is stepped flat on the
 calling thread.  Each value gets the whole-array arithmetic, so no bit of
 the trajectory depends on the blocking or the core count.  Records are
-taken on the calling thread.  The Riesz monitors of one state reduce it in
-leaves of at most MONITOR_ELEMENTS values (tree_sum follows numpy's own
+taken on the calling thread.  Every entropy and constraint monitor is one
+function on a stack of states, lifted by _monitor to one state and to row
+slices of a stack; the Riesz monitors reduce a long row in leaves and column
+blocks of at most MONITOR_ELEMENTS values (tree_sum follows numpy's own
 pairwise summation tree, so each sum keeps its bits), so a riesz run holds
 two grid states, x and r, plus a few blocks of temporaries per core.
 """
@@ -38,9 +40,9 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import DomainError, StepError
-from .spectral import DEFAULT_GRID, translate_sums
-from .entropy import (_add, _finite, _guarded, _max, _odd_kernel, gibbs_entropy, odd_frequencies,
-                      simplex_rhs)
+from .spectral import DEFAULT_GRID
+from .entropy import (MONITOR_ELEMENTS, _add, _finite, _max, _odd_kernel, gibbs_entropy,
+                      odd_frequencies, simplex_rhs, tree_sum)
 
 
 @dataclass
@@ -86,18 +88,6 @@ def _monitor(fn, samples: int | None = None) -> Callable:
     return monitor
 
 
-def tree_sum(f, a: np.ndarray):
-    """np.add.reduce(f(a), None) bit for bit, for a contiguous 1-d array a and an
-    elementwise f, in leaves of at most MONITOR_ELEMENTS (>= 128) values: numpy sums
-    n > 128 values pairwise, split at n // 2 - (n // 2) % 8 (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2nd ed., section 4.2), and so does this."""
-    n = a.size
-    if n <= MONITOR_ELEMENTS:
-        return _add(f(a), None)
-    n2 = n // 2 - n // 2 % 8
-    return tree_sum(f, a[:n2]) + tree_sum(f, a[n2:])
-
-
 @dataclass(frozen=True)
 class FlowSystem:
     """A right-hand side with its monitors, all on flat state vectors."""
@@ -130,35 +120,24 @@ def riesz_system(degree: int) -> FlowSystem:
     At each grid node y the n translated values evolve by simplex_rhs, so
     the constraint sum_i h(y+i) = 1 is preserved.  An n-point state is a
     single fiber (x_1, ..., x_n) = (h(y), h(y+1), ..., h(y+n-1)): the
-    simplex flow.  One state's monitors reduce it in leaves and column blocks,
-    with no state-sized temporary and the bits of the stacked form."""
+    simplex flow.  Both monitors reduce each row in leaves and column blocks
+    of at most MONITOR_ELEMENTS values: no temporary is state-sized."""
     if degree < 2:
         raise ValueError("degree must be >= 2")
-    stacked_entropy = _monitor(lambda X: gibbs_entropy(X, degree / X.shape[1]))
-    stacked_residual = _monitor(lambda X: np.abs(translate_sums(X, degree) - 1.0).max(axis=1))
 
-    def s_ln_s(s):
-        t = np.log(s)
-        return np.multiply(s, t, out=t)
-
-    def entropy(x):
-        if x.ndim > 1:
-            return stacked_entropy(x)
-        # the guard reads the whole state, so its message names the state's min and max
-        return float(-(degree / x.size) * tree_sum(s_ln_s, _guarded(x)))
-
-    def constraint_residual(x):
-        if x.ndim > 1 or x.size % degree:  # a ragged grid: translate_sums' ValueError
-            return stacked_residual(x)
-        # column sums in row order and their max are exact in any blocking
-        X, w = x.reshape(degree, -1), MONITOR_ELEMENTS
-        return float(_max([_max(np.abs(_add(X[:, j:j + w], 0) - 1.0), None)
-                           for j in range(0, X.shape[1], w)], None))
+    def residual(X):
+        """max |sum_i h(y+i) - 1| of each row, by column blocks of its (n, M)
+        view: each column sums in row order and max is exact, in any blocking."""
+        if X.shape[1] % degree:
+            raise ValueError("grid size must be divisible by the degree")
+        T, w = X.reshape(len(X), degree, -1), MONITOR_ELEMENTS
+        return _max([_max(np.abs(_add(T[..., j:j + w], 1) - 1.0), 1)
+                     for j in range(0, T.shape[2], w)], 0)
 
     return FlowSystem(
         rhs=lambda x: simplex_rhs(x, degree),
-        entropy=entropy,
-        constraint_residual=constraint_residual,
+        entropy=_monitor(lambda X: gibbs_entropy(X, degree / X.shape[1])),
+        constraint_residual=_monitor(residual),
         grad_norm=lambda r: math.sqrt(degree / r.size * tree_sum(lambda v: v * v, r)),
         fiber=degree,
     )
@@ -209,9 +188,6 @@ def heat_reference(B0, t: float) -> np.ndarray:
 # 8 rounds of integrate, wall on 1 / 2 cores: 2^15 514 / 417 ms, 2^16
 # 498 / 334 ms, 2^17 553 / 376 ms, the fastest of 2^13 ... 2^18 on both
 BLOCK_ELEMENTS = 2**16
-# samples per row slice of a stacked monitor: 64 KiB per temporary, taken from the
-# heap, not fresh pages (2^15 raised a Galerkin run's peak RSS by 1.6 MB, and was slower)
-MONITOR_ELEMENTS = 2**13
 
 
 def _euler_step(rhs, x, k1, dt):

@@ -201,15 +201,6 @@ def _as_samples(rep: FourierRep | GridRep, degree: int, n_points: int) -> np.nda
     return s
 
 
-def translate_sums(samples: np.ndarray, degree: int) -> np.ndarray:
-    """sum_{i=0}^{n-1} f(y+i) at every node, of each row of a stack of
-    samples (..., N); N must be divisible by n."""
-    N = samples.shape[-1]
-    if N % degree:
-        raise ValueError("grid size must be divisible by the degree")
-    return samples.reshape(samples.shape[:-1] + (degree, N // degree)).sum(axis=-2)
-
-
 def project_constraint(rep: FourierRep, degree: int) -> FourierRep:
     """Remove the modes violating sum_i f(y+i) = const.
 

@@ -24,8 +24,14 @@ from srbflow.entropy import (
 from srbflow.errors import DomainError
 from srbflow.flow import even_galerkin_system, galerkin_system_n2, riesz_system
 from srbflow.spectral import (DEFAULT_GRID, FourierRep, GridRep, InverseDerivative,
-                              TangentVector, to_grid, translate_sums)
+                              TangentVector, to_grid)
 from srbflow.verify import random_density, random_tangent
+
+
+def translate_sums(X, n):
+    # sum_i f(y+i) at every node of each row: the translate sums, as an oracle
+    return X.reshape(X.shape[:-1] + (n, -1)).sum(axis=-2)
+
 
 # closed-form value of -int_0^2 pi*cos(pi*y) * ln(1/2 + 1/4 cos(pi*y)) dy,
 # via int_0^{2pi} cos(t) ln(1 + a cos t) dt = 2*pi*(1 - sqrt(1-a^2))/a
@@ -592,8 +598,10 @@ def test_cached_table_readers_match_fresh_tables_bitwise(monkeypatch, K, N):
                 assert abs(got - oracle_even_entropy(galerkin_to_even(ab_even), N)) \
                     <= entropy_gap_bound(h, dh, N)
     # the entropy monitors on a stack of 40 states, in row slices of 7 and a ragged last
-    # one of 5: each row has the bits of the oracle on that state alone
+    # one of 5: each row has the bits of the oracle on that state alone.  _monitor
+    # reads the slice size in flow, gibbs_entropy's leaves in entropy
     monkeypatch.setattr(flow, "MONITOR_ELEMENTS", 7 * N)
+    monkeypatch.setattr(entropy, "MONITOR_ELEMENTS", 7 * N)
     Bs = rng.uniform(-1.0, 1.0, (40, K))
     Bs *= rng.uniform(0.05, 0.4, (40, 1)) / np.sum(np.abs(Bs), axis=1, keepdims=True)
     abs_ = rng.uniform(-1.0, 1.0, (40, 2, K))

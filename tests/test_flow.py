@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from srbflow import entropy, flow
-from srbflow.entropy import _guarded, _odd_kernel, c_squared, riesz_gradient, simplex_rhs
+from srbflow.entropy import (_guarded, _odd_kernel, c_squared, density_entropy, riesz_gradient,
+                             simplex_rhs, tree_sum)
 from srbflow.errors import DomainError, StepError
 from srbflow.flow import (
     FlowConfig,
@@ -21,7 +22,6 @@ from srbflow.flow import (
     integrate,
     records,
     riesz_system,
-    tree_sum,
 )
 from srbflow.spectral import FourierRep, GridRep, InverseDerivative, grid_points_for, to_grid
 
@@ -296,9 +296,11 @@ def _fibers(n, m, seed):
 def test_stacked_riesz_monitors_match_one_state_calls_bitwise(monkeypatch, n, m, block):
     # 11 states of n fibers of m nodes; one-fiber states in row slices of 3 (the last
     # one ragged), grid states in the slices MONITOR_ELEMENTS gives: 4 rows of 2000
-    # samples, 1 row of 40000, or 3 rows of 2000
+    # samples, 1 row of 40000, or 3 rows of 2000.  _monitor reads it in flow, the
+    # leaves of the sums in entropy
     if block:
         monkeypatch.setattr(flow, "MONITOR_ELEMENTS", block)
+        monkeypatch.setattr(entropy, "MONITOR_ELEMENTS", block)
     system = riesz_system(n)
     X = np.array([_fibers(n, m, seed) for seed in range(11)])
     # the one-state formulas as they were before monitors took stacks
@@ -326,41 +328,101 @@ def _split_boundaries(leaf, top):
 def test_tree_sum_is_numpys_pairwise_sum_bitwise():
     # tree_sum mirrors numpy's pairwise summation down to its leaves; a numpy that
     # sums in another tree fails here instead of moving the riesz monitors' bits
-    sizes = _split_boundaries(flow.MONITOR_ELEMENTS, 2**21 + 9)
+    sizes = _split_boundaries(entropy.MONITOR_ELEMENTS, 2**21 + 9)
     assert len(sizes) > 60 and 2**21 in sizes and 2097150 in sizes
     x = np.random.default_rng(3).uniform(0.01, 0.99, sizes[-1])
     r = x - 0.5
     for f, a in ((lambda v: v * np.log(v), x), (lambda v: v * v, r)):
         for n in sizes:
             assert tree_sum(f, a[:n]) == np.add.reduce(f(a[:n]), None), n
+    # stacks: each row is summed on the tree of a row alone, whether the rows are
+    # contiguous or a column slice of a wider array
+    sizes = _split_boundaries(entropy.MONITOR_ELEMENTS, 2**20 + 9)
+    assert len(sizes) > 40
+    x = np.random.default_rng(4).uniform(0.01, 0.99, 3 * (sizes[-1] + 5))
+    r = x - 0.5
+    for f, a in ((lambda v: v * np.log(v), x), (lambda v: v * v, r)):
+        for n in sizes:
+            stacks = [a[:rows * n].reshape(rows, n) for rows in (1, 2, 3)]
+            stacks.append(a[:3 * (n + 5)].reshape(3, n + 5)[:, 3:n + 3])
+            for X in stacks:
+                got, want = tree_sum(f, X), np.add.reduce(f(X), -1)
+                assert got.shape == want.shape and np.array_equal(got, want), (X.shape, n)
 
 
 def test_tree_sum_leaves_are_at_most_monitor_elements():
     seen = []
 
     def f(v):
-        seen.append(v.size)
+        seen.append(v.shape)
         return v * v
 
     tree_sum(f, np.ones(2**21 - 2))
-    assert sum(seen) == 2**21 - 2 and max(seen) <= flow.MONITOR_ELEMENTS
+    assert sum(n for n, in seen) == 2**21 - 2 and max(seen)[0] <= entropy.MONITOR_ELEMENTS
+    # a stack: every leaf takes all its rows and at most MONITOR_ELEMENTS columns
+    seen.clear()
+    tree_sum(f, np.ones((3, 2**19 + 3))[:, 1:])
+    assert {rows for rows, _ in seen} == {3}
+    assert sum(n for _, n in seen) == 2**19 + 2
+    assert max(n for _, n in seen) <= entropy.MONITOR_ELEMENTS
 
 
-@pytest.mark.parametrize("n", [2, 3, 5, 7])
-@pytest.mark.parametrize("m", [flow.BLOCK_ELEMENTS // 2 + 3, 70001, 419430])
+@pytest.mark.parametrize("m, n", [(m, n) for m in (flow.BLOCK_ELEMENTS // 2 + 3, 70001, 419430)
+                                   for n in (2, 3, 5, 7)] + [(1, n) for n in range(2, 17)])
 def test_riesz_one_state_monitors_match_the_stacked_form_bitwise(n, m):
-    # grid states above BLOCK_ELEMENTS: the one-state monitors reduce in leaves and
-    # column blocks, the stacked form (integrate's) on whole rows; the last size is
-    # riesz_grid's n = 5 state, 2^21 - 2 nodes
+    # grid states above BLOCK_ELEMENTS, whose monitors reduce in leaves and column
+    # blocks (the last size is riesz_grid's n = 5 state, 2^21 - 2 nodes), and
+    # simplex states of one fiber, n = 2 ... 16, where numpy's sums go from one
+    # accumulator to eight: one state is the one-row stack, bit for bit
     system = riesz_system(n)
     x = _fibers(n, m, m + n)
-    assert x.size > flow.BLOCK_ELEMENTS
     X = np.array([x, _fibers(n, m, m + n + 1)])
     r = system.rhs(x)
     assert system.entropy(x) == system.entropy(X)[0] == system.entropy(x[None])[0]
-    assert system.constraint_residual(x) == system.constraint_residual(X)[0]
-    assert system.constraint_residual(x) > 0.0
+    assert system.constraint_residual(x) == system.constraint_residual(X)[0] \
+        == system.constraint_residual(x[None])[0]
+    if m > 1:
+        assert x.size > flow.BLOCK_ELEMENTS
+        assert system.constraint_residual(x) > 0.0
     assert system.grad_norm(r) == math.sqrt(n / r.size * np.add.reduce(r * r, None))
+
+
+@pytest.mark.parametrize("shape", [(10,), (2, 10), (1, 70001)])
+def test_riesz_residual_refuses_a_grid_not_divisible_by_the_degree(shape):
+    with pytest.raises(ValueError) as exc:
+        riesz_system(3).constraint_residual(np.full(shape, 0.3))
+    assert str(exc.value) == "grid size must be divisible by the degree"
+
+
+def test_density_entropy_peaks_near_the_samples_it_forms():
+    # 2^21 - 2 nodes: the samples are one state; s ln s is formed leaf by leaf, so the
+    # peak is the samples and what sampling them takes (2 states when s ln s was whole)
+    h = InverseDerivative(FourierRep(2.0, 0.5, [0.1, 0.05, -0.02], [0.03, 0.0, 0.01]), 2)
+    state = (2**21 - 2) * 8
+    tracemalloc.start()
+    try:
+        value = density_entropy(h, 2**21 - 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < value < math.log(2)
+    assert peak <= 1.25 * state, peak / state
+
+
+def test_riesz_entropy_of_a_stack_makes_no_state_sized_temporary():
+    # a 2-row stack of riesz_grid's n = 5 states: each row's s ln s in leaves of
+    # MONITOR_ELEMENTS values (1 state when a row's s ln s was whole)
+    X = np.array([_fibers(5, 419430, seed) for seed in (1, 2)])
+    state = X.shape[1] * 8
+    system = riesz_system(5)
+    tracemalloc.start()
+    try:
+        got = system.entropy(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.shape == (2,)
+    assert peak <= 0.05 * state, peak / state
 
 
 @pytest.mark.parametrize("bad", ["low", "high", "both", "nan"])

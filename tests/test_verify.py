@@ -23,7 +23,6 @@ from srbflow.spectral import (
     grid_points_for,
     project_constraint,
     to_grid,
-    translate_sums,
 )
 from srbflow.verify import (
     equilibrium_check,
@@ -36,6 +35,11 @@ from srbflow.verify import (
     riesz_identity_check,
     run_all,
 )
+
+
+def translate_sums(X, n):
+    # sum_i f(y+i) at every node of each row: the translate sums, as an oracle
+    return X.reshape(X.shape[:-1] + (n, -1)).sum(axis=-2)
 
 
 def cos_quarter():

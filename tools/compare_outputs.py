@@ -3,7 +3,7 @@
     python3 tools/compare_outputs.py OLD_ROOT NEW_ROOT
 
 Each root is a checkout of this repository, holding `src/` and `demos/`.
-Each of the 78 CLI commands of the output gate (figures, Galerkin and
+Each of the 80 CLI commands of the output gate (figures, Galerkin and
 diffusion modes, Riesz and simplex flows, entropy, verify, and twenty-nine
 runs that fail on purpose) and each demo runs once under each tree. One line per
 command reports IDENTICAL when stdout, stderr and the exit code agree byte
@@ -98,6 +98,8 @@ COMMANDS = [
     # riesz_grid's shape: 2^21 - 2 nodes, three modes by angle addition, 33 fiber blocks
     ["riesz", "--n", "5", "--coeffs=" + C6, "--grid", "2097152", "--method", "rk4", "--dt", "0.02",
      "--t-end", "0.04", "--record-every", "2"],
+    # the same density's entropy and residual: one state in leaves and column blocks
+    ["entropy", "--n", "5", "--coeffs=" + C6, "--grid", "2097152"],
     # K_SPLIT = 8 modes, the most angle addition sums
     ["entropy", "--n", "3", "--coeffs=" + C16, "--grid", "99999"],
     # nine modes, one more than angle addition sums: a large grid by inverse FFT
@@ -109,6 +111,9 @@ COMMANDS = [
      "--format", "json"],
     # a row of eight values, where numpy's sums switch to pairwise summation, as CSV
     ["simplex", "--n", "8", "--x", "0.05,0.1,0.1,0.15,0.15,0.1,0.2,0.15", "--t-end", "2",
+     "--dt", "0.01", "--method", "rk4"],
+    # nine values per row: the stacked residual sums nine-value columns
+    ["simplex", "--n", "9", "--x", "0.05,0.1,0.1,0.15,0.1,0.1,0.15,0.1,0.15", "--t-end", "2",
      "--dt", "0.01", "--method", "rk4"],
     # to_grid's largest cached grid (2^15 nodes) and the next degree-2 grid, the smallest
     # sampled by angle addition
