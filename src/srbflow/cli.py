@@ -248,8 +248,6 @@ def _add_flow_flags(p):
     p.add_argument("--method", choices=("euler", "rk4"), default="euler")
     p.add_argument("--record-every", type=int, default=1,
                    help="record one state every k steps")
-    p.add_argument("--grid", type=int, default=DEFAULT_GRID,
-                   help="quadrature grid size")
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--config", default=None,
@@ -282,6 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="even-case initial B1,B2,... (rescaled variables)")
         p.add_argument("--coeffs", default=None,
                        help="general odd-mode initial a1,b1,a3,b3,...")
+        p.add_argument("--grid", type=int, default=DEFAULT_GRID, help="quadrature grid size")
         _add_flow_flags(p)
         p.set_defaults(func=_galerkin_like, use_pde=name == "pde")
 
@@ -290,6 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coeffs", required=True,
                    help="initial a1,b1,a2,b2,... around the mean 1/n "
                         "(projected onto the constraint)")
+    p.add_argument("--grid", type=int, default=DEFAULT_GRID, help="quadrature grid size")
     _add_flow_flags(p)
     p.set_defaults(func=cmd_riesz)
 

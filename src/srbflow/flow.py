@@ -16,16 +16,16 @@ A state of independent fibers (FlowSystem.fiber; the Riesz flow's n
 translates of each grid node) is stepped in column blocks of its (fiber, M)
 view, BLOCK_ELEMENTS values each.  Between two records each block runs all
 the steps (stages, their sum and the next state's rhs) while its arrays stay
-in cache, and _on_threads runs them in contiguous shares, one per CPU
-core, split once per run.  A state of one block is stepped flat on the
-calling thread.  Each value gets the whole-array arithmetic, so no bit of
-the trajectory depends on the blocking or the core count.  Records are
-taken on the calling thread.  Every entropy and constraint monitor is one
-function on a stack of states, lifted by _monitor to one state and to row
-slices of a stack; the Riesz monitors reduce a long row in leaves and column
-blocks of at most MONITOR_ELEMENTS values (tree_sum follows numpy's own
-pairwise summation tree, so each sum keeps its bits), so a riesz run holds
-two grid states, x and r, plus a few blocks of temporaries per core.
+in cache, as one task of _pool, the process's threads, one per CPU core.  A
+state of one block is stepped flat on the calling thread.  Each value gets
+the whole-array arithmetic, so no bit of the trajectory depends on the
+blocking or the core count.  Records are taken on the calling thread.
+Every entropy and constraint monitor is one function on a stack of states,
+lifted by _monitor to one state and to row slices of a stack; the Riesz
+monitors reduce a long row in leaves and column blocks of at most
+MONITOR_ELEMENTS values (tree_sum follows numpy's own pairwise summation
+tree, so each sum keeps its bits), so a riesz run holds two grid states, x
+and r, plus a few blocks of temporaries per core.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ from __future__ import annotations
 import itertools
 import math
 import os
-import threading
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterator
 
 import numpy as np
@@ -103,9 +103,10 @@ class FlowSystem:
     # the norm of the gradient from the rhs value r = rhs(x)
     grad_norm: Callable[[np.ndarray], float] = lambda r: math.sqrt(r.dot(r))
     # length of the independent fibers, the rows of x.reshape(fiber, -1) whose
-    # columns evolve apart; None: the state is one coupled system.  integrate
-    # calls the rhs of a fiber system on several blocks from several threads
-    # at once, so that rhs must keep no state between calls
+    # columns evolve apart; None: the state is one coupled system.  The rhs of
+    # a fiber system runs on _pool's threads, on several blocks at once, so it
+    # keeps no state between calls, and it must not itself step a multi-block
+    # state: that map would wait on the pool its own call occupies
     fiber: int | None = None
 
 
@@ -214,47 +215,23 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
-def _shares(x: np.ndarray, r: np.ndarray, fiber: int | None) -> list[list[tuple]]:
+@lru_cache(maxsize=1)
+def _pool():
+    """The process's fiber-block threads, one per core, built on the first multi-block
+    record; concurrent.futures is imported here, so a one-block run never loads it."""
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(_cores(), thread_name_prefix="srbflow")
+
+
+def _blocks(x: np.ndarray, r: np.ndarray, fiber: int | None) -> list[tuple]:
     """Column blocks b of the (fiber, M) views of x and r, which step apart, as
-    matching views (b, x_b, r_b) in contiguous shares, one per core (at most
-    one per block); a coupled state or one block: the flat arrays, one share."""
+    matching views (b, x_b, r_b); a coupled state or one block: the flat arrays."""
     if fiber is None or x.size <= BLOCK_ELEMENTS:
-        return [[(0, x, r)]]
+        return [(0, x, r)]
     X, R = x.reshape(fiber, -1), r.reshape(fiber, -1)
     width = max(1, BLOCK_ELEMENTS // fiber)
-    blocks = [(b, X[:, j:j + width], R[:, j:j + width])
-              for b, j in enumerate(range(0, X.shape[1], width))]
-    n = min(len(blocks), _cores())
-    return [blocks[len(blocks) * c // n:len(blocks) * (c + 1) // n] for c in range(n)]
-
-
-def _on_threads(fn, shares: list) -> list:
-    """[fn(share), ...]: the calling thread runs the first share and a plain
-    thread each other one; numpy releases the interpreter lock inside its
-    array loops, so the shares run at once.  Once every share has finished,
-    the first exception in share order is re-raised here.  One share runs
-    here directly, with no thread and no bookkeeping: a one-block state
-    takes this path once per record."""
-    if len(shares) == 1:
-        return [fn(shares[0])]
-    results, errors = [None] * len(shares), [None] * len(shares)
-
-    def run(c):
-        try:
-            results[c] = fn(shares[c])
-        except BaseException as e:  # re-raised on the calling thread below
-            errors[c] = e
-
-    threads = [threading.Thread(target=run, args=(c,)) for c in range(1, len(shares))]
-    for t in threads:
-        t.start()
-    run(0)
-    for t in threads:
-        t.join()
-    for e in errors:
-        if e is not None:
-            raise e
-    return results
+    return [(b, X[:, j:j + width], R[:, j:j + width])
+            for b, j in enumerate(range(0, X.shape[1], width))]
 
 
 def _record_steps(cfg: FlowConfig) -> tuple[int, Iterator[int]]:
@@ -279,32 +256,29 @@ def records(system: FlowSystem, initial,
     del initial  # stepping reads only the copy: a caller's start is not held here
     step = _euler_step if cfg.method == "euler" else _rk4_step
     r = np.empty_like(x)
-    shares = _shares(x, r, system.fiber)
+    blocks = _blocks(x, r, system.fiber)
     steps = range(0)
 
-    def run(share):
+    def run(block):
         """Run the steps up to the next record (step 0: the initial rhs only)
-        on each block of share, block after block; each block's first
-        failure as (step, block, error)."""
-        failures = []
-        for b, xb, rb in share:
-            for i in steps:
-                try:
-                    if i:
-                        xb[...] = step(system.rhs, xb, rb, cfg.dt)
-                        if not _finite(xb):
-                            raise StepError("non-finite state")
-                    rb[...] = system.rhs(xb)
-                except Exception as e:  # ranked against the other blocks' failures
-                    failures.append((i, b, e))
-                    break
-        return failures
+        on one block; its first failure as (step, block, error), else None."""
+        b, xb, rb = block
+        for i in steps:
+            try:
+                if i:
+                    xb[...] = step(system.rhs, xb, rb, cfg.dt)
+                    if not _finite(xb):
+                        raise StepError("non-finite state")
+                rb[...] = system.rhs(xb)
+            except Exception as e:  # ranked against the other blocks' failures
+                return i, b, e
+        return None
 
     for stop in _record_steps(cfg)[1]:
         steps = range(steps.stop, stop + 1)
-        failures = _on_threads(run, shares)
-        if any(failures):  # the first in (step, block) order, as a step-by-step pass meets it
-            i, _, e = min((f for share in failures for f in share), key=lambda f: f[:2])
+        failures = [f for f in (_pool().map if len(blocks) > 1 else map)(run, blocks) if f]
+        if failures:  # the first in (step, block) order, as a step-by-step pass meets it
+            i, _, e = min(failures, key=lambda f: f[:2])
             if isinstance(e, (DomainError, StepError)):
                 raise type(e)(f"{e} at step {i} (t = {i * cfg.dt:.6g})") from e
             raise e

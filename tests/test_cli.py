@@ -105,10 +105,10 @@ def test_riesz_run(tmp_path):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_riesz_writes_the_table_of_the_trajectory(tmp_path, monkeypatch, fmt):
+def test_riesz_writes_the_table_of_the_trajectory(tmp_path, workers, fmt):
     # riesz reduces each record as it comes; its table is integrate's monitors
     # and the extrema of its stacked states, byte for byte, on 2 blocks over 2 cores
-    monkeypatch.setattr(flow, "_cores", lambda: 2)
+    workers(2)
     coeffs = "0.1,0.05,0.02,-0.03"
     out = tmp_path / f"r.{fmt}"
     assert run(["riesz", "--n", "2", "--coeffs", coeffs, "--grid", "70000", "--t-end", "0.6",
@@ -157,16 +157,16 @@ def test_riesz_peak_memory_does_not_grow_with_the_record_count(tmp_path):
     assert abs(peaks[1] - peaks[0]) < 4 * state_kib, peaks
 
 
-def test_riesz_peaks_at_three_grid_states(monkeypatch, tmp_path):
+def test_riesz_peaks_at_three_grid_states(workers, tmp_path):
     # riesz_grid's shape on 2^20 - 1 nodes, an 8 MiB state.  Past the start, a
     # riesz run holds three: the stepped x, its rhs r, and one monitor
     # temporary (s ln s for the entropy, then r^2 for grad_norm).  A reference
-    # kept to the sampled start would add a fourth.  Between records each share
-    # steps one BLOCK_ELEMENTS block at a time, its temporaries a few blocks;
-    # the slack, one block of floats per core (2 x 512 KiB, 1/8 state on the 2
-    # cores patched here), holds what the run keeps besides its states: the
-    # parser, the grid caches and the table rows (0.03 states measured)
-    monkeypatch.setattr(flow, "_cores", lambda: 2)
+    # kept to the sampled start would add a fourth.  Between records each pool
+    # thread steps one BLOCK_ELEMENTS block at a time, its temporaries a few
+    # blocks; the slack, one block of floats per core (2 x 512 KiB, 1/8 state
+    # on the 2-thread pool patched here), holds what the run keeps besides its
+    # states: the parser, the grid caches and the table rows (0.03 states measured)
+    workers(2)
     state = grid_points_for(5, 1048576) * 8
     slack = 2 * flow.BLOCK_ELEMENTS * 8
     argv = ["riesz", "--n", "5", "--coeffs=0.04,-0.02,0.03,0.01,-0.02,0.015", "--grid", "1048576",
@@ -183,16 +183,16 @@ def test_riesz_peaks_at_three_grid_states(monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize("cores", [1, 2])
-def test_riesz_peaks_at_two_grid_states(monkeypatch, tmp_path, cores):
+def test_riesz_peaks_at_two_grid_states(workers, tmp_path, cores):
     # riesz_grid's own shape, 2^21 - 2 nodes, a 16 MiB state.  The monitors of a
     # record reduce in leaves of MONITOR_ELEMENTS values, so past the start a run
     # holds two grid states, x and r, plus the RK4 temporaries of the block each
-    # core steps: k2, k3, the stage input, its logs and k4 (5 blocks), the n-fold
-    # sums (2/n of a block) and the finite mask (1/8 of one), under 6 blocks per
-    # core.  One more block holds the rest: the parser, the grid caches and the
-    # table rows.  Measured: 2.18 states on 1 core, 2.34 on 2; a state-sized
+    # pool thread steps: k2, k3, the stage input, its logs and k4 (5 blocks), the
+    # n-fold sums (2/n of a block) and the finite mask (1/8 of one), under 6 blocks
+    # per thread.  One more block holds the rest: the parser, the grid caches and
+    # the table rows.  Measured: 2.18 states on 1 core, 2.34 on 2; a state-sized
     # monitor temporary would make it 3
-    monkeypatch.setattr(flow, "_cores", lambda: cores)
+    workers(cores)
     state = grid_points_for(5, 2097152) * 8
     slack = (6 * cores + 1) * flow.BLOCK_ELEMENTS * 8
     argv = ["riesz", "--n", "5", "--coeffs=0.04,-0.02,0.03,0.01,-0.02,0.015", "--grid", "2097152",
@@ -420,10 +420,20 @@ def test_json_columns_match_the_per_value_format(tmp_path):
         assert path.read_text() == json.dumps(want, indent=2) + "\n"
 
 
-def test_simplex_ignores_grid(tmp_path):
-    # the simplex flow has no quadrature grid, so --grid cannot invalidate it
-    assert run(["simplex", "--n", "5", "--grid", "16", "--x", "0.1,0.15,0.2,0.25,0.3",
-                "--t-end", "0.2", "--out", str(tmp_path / "s.csv")]) == 0
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_simplex_refuses_grid(tmp_path, capsys, source):
+    # the simplex flow has no grid: --grid is a usage error, a grid config key unknown
+    argv = ["simplex", "--n", "2", "--x", "0.3,0.7", "--t-end", "0.2"]
+    if source == "flag":
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--grid", "7"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --grid 7" in capsys.readouterr().err
+    else:
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("grid = 5\n")
+        assert run(argv + ["--config", str(cfg)]) == 3
+        assert capsys.readouterr().err == "validation error: unknown config key: grid\n"
 
 
 def test_runtime_error_exit_code(tmp_path, capsys):

@@ -1,10 +1,14 @@
 import dataclasses
+import functools
 import math
+import os
 import re
+import subprocess
 import sys
 import threading
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -649,115 +653,78 @@ def test_step_error_names_the_step_of_the_first_non_finite_value(monkeypatch, sh
     assert str(exc.value) == "non-finite state at step 6 (t = 0.6)"
 
 
-def test_on_cores_splits_contiguous_shares(monkeypatch):
-    # one contiguous share of column blocks per core, at most one per block
+def test_blocks_are_column_views_of_the_fiber_state(monkeypatch):
+    # matching column blocks of the (fiber, M) views of x and r, in order, the last ragged
     monkeypatch.setattr(flow, "BLOCK_ELEMENTS", BLOCK)
-    x, r = np.zeros(3 * 1500), np.zeros(3 * 1500)  # 7 blocks of 233 columns, the last ragged
-    monkeypatch.setattr(flow, "_cores", lambda: 3)
-    shares = flow._shares(x, r, 3)
-    assert [[b for b, _, _ in share] for share in shares] == [[0, 1], [2, 3], [4, 5, 6]]
-    for share in shares:
-        for b, xb, rb in share:
-            assert xb.shape == rb.shape == (3, min(233, 1500 - 233 * b))
-            assert np.shares_memory(xb, x) and np.shares_memory(rb, r)
-    monkeypatch.setattr(flow, "_cores", lambda: 8)
-    assert [len(share) for share in flow._shares(x[:3 * 699], r[:3 * 699], 3)] == [1, 1, 1]
-
-
-def test_on_threads_runs_the_first_share_on_the_caller():
-    # the first share on the calling thread, the results in share order
-    caller = threading.get_ident()
-    out = flow._on_threads(lambda share: (share, threading.get_ident() == caller),
-                           [[0, 1], [2, 3], [4, 5, 6]])
-    assert out == [([0, 1], True), ([2, 3], False), ([4, 5, 6], False)]
-    assert flow._on_threads(lambda share: share, [[9]]) == [[9]]
-
-
-def test_on_threads_runs_one_share_inline(monkeypatch):
-    # one share: fn on the calling thread, no thread started, [result]; what fn
-    # raises reaches the caller as it was raised
-    def no_thread(*args, **kwargs):
-        raise AssertionError("one share started a thread")
-
-    monkeypatch.setattr(flow.threading, "Thread", no_thread)
-    caller = threading.get_ident()
-    assert flow._on_threads(lambda share: (share, threading.get_ident() == caller),
-                            [[7, 8]]) == [([7, 8], True)]
-    error = KeyError("share [7, 8]")
-
-    def fail(share):
-        raise error
-
-    with pytest.raises(KeyError) as exc:
-        flow._on_threads(fail, [[7, 8]])
-    assert exc.value is error and str(exc.value) == "'share [7, 8]'"
-
-
-@pytest.mark.parametrize("failing", [0, 2, (1, 2)], ids=str)
-def test_on_cores_reraises_a_share_failure(failing):
-    # every other share still runs; of several failures the first in share order surfaces
-    failing = failing if isinstance(failing, tuple) else (failing,)
-    done = []
-
-    def fn(share):
-        if share[0] in failing:
-            raise ZeroDivisionError(f"share {share}")
-        done.append(share)
-
-    with pytest.raises(ZeroDivisionError, match=rf"share \[{failing[0]}\]"):
-        flow._on_threads(fn, [[0], [1], [2]])
-    assert sorted(done) == [[b] for b in (0, 1, 2) if b not in failing]
+    x, r = np.zeros(3 * 1500), np.zeros(3 * 1500)  # 7 blocks of 233 columns
+    blocks = flow._blocks(x, r, 3)
+    assert [b for b, _, _ in blocks] == list(range(7))
+    for b, xb, rb in blocks:
+        assert xb.shape == rb.shape == (3, min(233, 1500 - 233 * b))
+        assert np.shares_memory(xb, x) and np.shares_memory(rb, r)
+        assert np.shares_memory(xb, x.reshape(3, -1)[:, 233 * b:233 * (b + 1)])
+    # a coupled state and a state of one block stay flat
+    for xs, rs, fiber in ((x, r, None), (x[:699], r[:699], 3)):
+        [(b, xb, rb)] = flow._blocks(xs, rs, fiber)
+        assert b == 0 and xb is xs and rb is rs
 
 
 def test_core_count_is_read_once_per_run(monkeypatch):
-    # the shares are fixed before the record loop; a one-block state never asks
+    # the pool is built on the first multi-block record and kept for the process:
+    # one _cores() read however many runs follow; a one-block state never asks
     monkeypatch.setattr(flow, "BLOCK_ELEMENTS", BLOCK)
     reads = []
     monkeypatch.setattr(flow, "_cores", lambda: reads.append(1) or 2)
+    monkeypatch.setattr(flow, "_pool", functools.lru_cache(flow._pool.__wrapped__))
     cfg = FlowConfig(t_end=0.9, dt=0.1, method="rk4")
-    traj = integrate(riesz_system(3), _fibers(3, 1000, 5), cfg)  # 5 blocks
-    assert len(traj.times) == 10 and len(reads) == 1
-    reads.clear()
     integrate(riesz_system(3), _fibers(3, 200, 5), cfg)  # one block
     integrate(riesz_system(5), [0.1, 0.15, 0.2, 0.25, 0.3], cfg)
     assert reads == []
+    try:
+        for _ in range(2):
+            traj = integrate(riesz_system(3), _fibers(3, 1000, 5), cfg)  # 5 blocks
+            assert len(traj.times) == 10 and len(reads) == 1
+    finally:
+        flow._pool().shutdown()
 
 
 @pytest.mark.parametrize("record_every", [1, 3])
 @pytest.mark.parametrize("method", ["euler", "rk4"])
 @pytest.mark.parametrize("n, m", [(3, 1000), (5, 600)])
-def test_blocked_riesz_same_bits_on_any_core_count(monkeypatch, n, m, method, record_every):
-    # five blocks, an odd count with a ragged last one, shared out over 1, 2
-    # and 3 cores; the calling thread steps the first share, 5 // cores blocks
+def test_blocked_riesz_same_bits_on_any_core_count(monkeypatch, workers, n, m, method,
+                                                   record_every):
+    # five blocks, an odd count with a ragged last one, on pools of 1, 2 and 3
+    # threads: every rhs call on a pool thread, none on the calling one
     monkeypatch.setattr(flow, "BLOCK_ELEMENTS", BLOCK)
     x0 = _fibers(n, m, 11)
     cfg = FlowConfig(t_end=1.0, dt=0.1, method=method, record_every=record_every)
     stages = 1 if method == "euler" else 4
     trajs = []
     for cores in (1, 2, 3):
-        monkeypatch.setattr(flow, "_cores", lambda: cores)
+        workers(cores)
         threads = []
 
         def rhs(x):
-            threads.append(threading.get_ident())
+            threads.append(threading.current_thread().name)
             return simplex_rhs(x, n)
 
         trajs.append(integrate(dataclasses.replace(riesz_system(n), rhs=rhs), x0, cfg))
         assert len(threads) == 5 * (stages * 10 + 1)
-        assert threads.count(threading.get_ident()) == 5 // cores * (stages * 10 + 1)
+        assert all(name.startswith("srbflow") for name in threads)
+        assert len(set(threads)) <= cores
     for traj in trajs[1:]:
         for field in dataclasses.fields(traj):
             assert np.array_equal(getattr(traj, field.name), getattr(trajs[0], field.name))
 
 
-def test_blocks_on_more_threads_than_cores(monkeypatch):
-    # five blocks on five threads of two cores, switching every microsecond:
-    # a write that lands in another block's columns would change the bits
+def test_blocks_on_more_threads_than_cores(monkeypatch, workers):
+    # five blocks on a pool of eight threads on the machine's cores, switching every
+    # microsecond: a write that lands in another block's columns would change the bits
     monkeypatch.setattr(flow, "BLOCK_ELEMENTS", BLOCK)
     x0 = _fibers(3, 1000, 17)
     cfg = FlowConfig(t_end=1.0, dt=0.1, method="rk4", record_every=3)
     want = integrate(riesz_system(3), x0, cfg)
-    monkeypatch.setattr(flow, "_cores", lambda: 8)
+    workers(8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -771,11 +738,12 @@ def test_blocks_on_more_threads_than_cores(monkeypatch):
 
 def _failing_blocks_system(limit, fail):
     """Five 2-fiber blocks of 350 columns under dx/dt = 1; a state reaching
-    `limit` fails: DomainError names its block's min and max, StepError
-    comes from an infinite rhs."""
+    `limit` fails: DomainError and KeyError name its block's min and max,
+    StepError comes from an infinite rhs."""
     def rhs(x):
-        if fail == "domain" and x.max() >= limit:
-            raise DomainError(f"density leaves (0, 1): min={x.min():g}, max={x.max():g}")
+        if fail != "step" and x.max() >= limit:
+            error = DomainError if fail == "domain" else KeyError
+            raise error(f"density leaves (0, 1): min={x.min():g}, max={x.max():g}")
         return np.where(x >= limit, np.inf, 1.0)
     return FlowSystem(rhs=rhs, entropy=lambda x: 0.0, grad_norm=lambda r: 0.0, fiber=2)
 
@@ -787,23 +755,26 @@ def _failing_blocks_system(limit, fail):
     # blocks 1 and 3 both fail at step 3; the lower block is named
     ("domain", {1: 7.5, 3: 7.0}, "density leaves (0, 1): min=10.5, max=10.5 at step 3 (t = 3)"),
     ("step", {1: 7.5, 3: 7.0}, "non-finite state at step 4 (t = 4)"),
+    # any other error is raised as the block raised it, with no step added
+    ("key", {1: 7.5, 3: 7.0}, "'density leaves (0, 1): min=10.5, max=10.5'"),
 ])
-def test_first_failure_in_step_then_block_order(monkeypatch, fail, starts, message):
+def test_first_failure_in_step_then_block_order(monkeypatch, workers, fail, starts, message):
     # block b holds columns 350 b ... 350 b + 349; under Euler at dt = 1 a
     # block starting at x is at x + i after step i
     monkeypatch.setattr(flow, "BLOCK_ELEMENTS", BLOCK)
     x0 = np.zeros((2, 1750))
     for b, start in starts.items():
         x0[:, 350 * b:350 * (b + 1)] = start
-    system = _failing_blocks_system(10.0 if fail == "domain" else 9.9, fail)
+    system = _failing_blocks_system(9.9 if fail == "step" else 10.0, fail)
     cfg = FlowConfig(t_end=6.0, dt=1.0, record_every=4)
+    error = {"domain": DomainError, "step": StepError, "key": KeyError}[fail]
     # integrate, and the records it collects taken one by one
     for drive in (integrate, lambda *a: list(records(*a))):
         for cores in (1, 2, 3):
-            monkeypatch.setattr(flow, "_cores", lambda: cores)
-            with pytest.raises(DomainError if fail == "domain" else StepError) as exc:
+            workers(cores)
+            with pytest.raises(error) as exc:
                 drive(system, x0.ravel(), cfg)
-            assert str(exc.value) == message, cores
+            assert type(exc.value) is error and str(exc.value) == message, cores
 
 
 def test_one_block_runs_start_no_thread(monkeypatch):
@@ -812,12 +783,56 @@ def test_one_block_runs_start_no_thread(monkeypatch):
         raise AssertionError("a one-block state started a thread")
 
     monkeypatch.setattr(threading, "Thread", no_thread)
-    monkeypatch.setattr(flow, "_cores", lambda: 3)
+    monkeypatch.setattr(flow, "_pool", no_thread)
     cfg = FlowConfig(t_end=0.4, dt=0.1, method="rk4")
     integrate(riesz_system(5), [0.1, 0.15, 0.2, 0.25, 0.3], cfg)
     integrate(riesz_system(2), cos_quarter_samples(1024), cfg)
     integrate(even_galerkin_system(), [0.25, 0.0, 0.0], cfg)
     integrate(galerkin_system_n2(), np.array([0.01, 0.003, 0.02, -0.004]), cfg)
+
+
+POOL_LIFETIME = """
+import contextlib, dataclasses, io, sys, threading, time
+import numpy as np
+from srbflow import flow
+from srbflow.cli import main
+
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["simplex", "--n", "3", "--x", "0.2,0.3,0.5", "--t-end", "1"],
+                 ["galerkin", "--coeffs", "0.01,0.02", "--t-end", "1"],
+                 ["riesz", "--n", "2", "--coeffs", "0.25,0", "--t-end", "1"]):
+        assert main(argv) == 0, argv
+assert "concurrent.futures" not in sys.modules
+flow._cores, flow.BLOCK_ELEMENTS = lambda: 3, 600
+alive = []
+
+def rhs(x):
+    time.sleep(0.002)  # each block holds its thread while the record's others are handed out
+    alive.append(sum(t.name.startswith("srbflow") for t in threading.enumerate()))
+    return flow.simplex_rhs(x, 3)
+
+system = dataclasses.replace(flow.riesz_system(3), rhs=rhs)
+x0, cfg = np.full(3 * 1400, 1 / 3), flow.FlowConfig(t_end=0.5, dt=0.1)  # 7 blocks
+flow.integrate(system, x0, cfg)
+
+def no_thread(*args, **kwargs):
+    raise AssertionError("a second run started a thread")
+
+threading.Thread = no_thread
+flow.integrate(system, x0, cfg)
+print(max(alive))
+"""
+
+
+def test_pool_is_built_once_and_only_for_several_blocks():
+    # in a fresh process: simplex, Galerkin and one-block riesz runs never import
+    # concurrent.futures; a multi-block run fills a pool of _cores() = 3 threads, and
+    # a second one reuses them, starting no thread
+    env = dict(os.environ, PYTHONPATH=str(Path(flow.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", POOL_LIFETIME], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "3\n", done.stdout
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,9 @@
     python3 tools/compare_outputs.py OLD_ROOT NEW_ROOT
 
 Each root is a checkout of this repository, holding `src/` and `demos/`.
-Each of the 80 CLI commands of the output gate (figures, Galerkin and
-diffusion modes, Riesz and simplex flows, entropy, verify, and twenty-nine
-runs that fail on purpose) and each demo runs once under each tree. One line per
+Each of the 81 CLI commands of the output gate (figures, Galerkin and
+diffusion modes, Riesz and simplex flows, entropy, verify, and thirty runs
+that fail on purpose) and each demo runs once under each tree. One line per
 command reports IDENTICAL when stdout, stderr and the exit code agree byte
 for byte. Otherwise it reports DIFFERS with the largest
 |new - old| / max(1, |old|) over the numbers of the two outputs, or "text"
@@ -168,6 +168,8 @@ COMMANDS = [
     ["pde", "--B", "0.1,0,0", "--coeffs", "0.01,0.02", "--dt", "0.002", "--t-end", "0.004"],
     # a negative seed, refused before any check runs
     ["verify", "--seed", "-1"],
+    # the simplex flow has no grid: --grid is a usage error
+    ["simplex", "--n", "2", "--x", "0.3,0.7", "--t-end", "0.2", "--grid", "7"],
 ]
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:nan|inf)")
 MAIN = "import sys; from srbflow.cli import main; sys.exit(main(sys.argv[1:]))"
